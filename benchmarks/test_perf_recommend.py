@@ -21,16 +21,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 
 import numpy as np
 
 from repro.api import DatabaseSpec, SimulationOptions, TuningSession, create_tuner
-from repro.core.arms import Arm, shard_arms
 from repro.core.linear_bandit import C2UCB
-from repro.core.scoring import pack_arm_pool, score_packed
-from repro.engine.indexes import IndexDefinition
 from repro.workloads import StaticWorkload, get_benchmark
 
 from conftest import write_result
@@ -147,377 +142,6 @@ def test_recommend_loop_perf(results_dir):
         assert speedup >= SPEEDUP_FLOOR, (
             f"incremental recommend loop only {speedup:.1f}x faster than the "
             f"seed implementation at 500 arms (floor {SPEEDUP_FLOOR}x)"
-        )
-
-
-# --------------------------------------------------------------------- #
-# sharded scoring (the critical path of a partitioned scoring pass)
-# --------------------------------------------------------------------- #
-SHARD_SIZE = 125
-SHARDED_ARM_COUNTS = (500, 1000, 2000)
-SHARDED_ROUNDS = 20 if SMOKE_MODE else 80
-#: Full-mode bar: with a fixed shard size, the per-shard critical path must
-#: stay (roughly) flat as the total pool quadruples from 500 to 2000 arms.
-MAX_SHARD_GROWTH_CEILING = 3.0
-#: Generous absolute smoke ceiling on the per-shard critical path.
-SMOKE_MAX_SHARD_P95_CEILING_SECONDS = 0.025
-
-
-def build_sharded_pool(n_arms: int) -> tuple[list[Arm], list]:
-    """A synthetic arm pool of ``n_arms // SHARD_SIZE`` equal table shards."""
-    arms = [
-        Arm(index=IndexDefinition(f"t{position // SHARD_SIZE}", (f"c{position}",)))
-        for position in range(n_arms)
-    ]
-    return arms, shard_arms(arms, shard_by="table")
-
-
-def run_sharded_loop(n_arms: int, rounds: int, seed: int = 5, workers: int = 1):
-    """Drive the sharded steady-state scoring loop with a global learner.
-
-    Per round: freeze one ``LinearScorer`` snapshot, score every shard's
-    context slice independently (recording each shard's latency — the max is
-    the critical path a per-shard parallel pass would pay), then apply the
-    round's rank-k update to the single global ``V⁻¹``, exactly as
-    ``MabTuner`` does in shard mode.  ``workers > 1`` scores the shards on a
-    thread pool, mirroring ``MabConfig.shard_workers``.
-    """
-    _, shards = build_sharded_pool(n_arms)
-    rng = np.random.default_rng(seed)
-    contexts_by_shard = [
-        rng.normal(size=(len(shard), DIMENSION)) for shard in shards
-    ]
-    all_contexts = np.vstack(contexts_by_shard)
-    bandit = C2UCB(dimension=DIMENSION)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-
-    def score_shard(scorer, contexts):
-        shard_started = time.perf_counter()
-        scores = scorer.upper_confidence_scores(contexts, alpha=1.0)
-        keep = min(SUPER_ARM_SIZE, len(scores))
-        top = np.argpartition(scores, -keep)[-keep:]
-        return top, time.perf_counter() - shard_started
-
-    total_latencies, max_shard_latencies = [], []
-    try:
-        for round_number in range(WARMUP_ROUNDS + rounds):
-            round_started = time.perf_counter()
-            scorer = bandit.scorer()
-            outcomes = (
-                list(pool.map(partial(score_shard, scorer), contexts_by_shard))
-                if pool is not None
-                else [score_shard(scorer, contexts) for contexts in contexts_by_shard]
-            )
-            shard_seconds = [seconds for _, seconds in outcomes]
-            chosen = rng.choice(n_arms, size=SUPER_ARM_SIZE, replace=False)
-            bandit.update(all_contexts[chosen], rng.normal(size=SUPER_ARM_SIZE))
-            if round_number >= WARMUP_ROUNDS:
-                total_latencies.append(time.perf_counter() - round_started)
-                max_shard_latencies.append(max(shard_seconds))
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return np.asarray(total_latencies), np.asarray(max_shard_latencies), len(shards)
-
-
-def test_recommend_sharded_perf(results_dir):
-    """Emit the ``recommend_sharded`` series: scoring cost vs shard size.
-
-    With the shard size pinned at ``SHARD_SIZE`` arms, growing the pool adds
-    shards, not shard width — so the per-shard critical path (``max_shard``)
-    must stay flat while the monolithic pass (``full_pool``) grows with the
-    total arm count.  That flat line is what per-shard parallelism converts
-    into wall-clock at large schemas.
-    """
-    series: dict[str, dict] = {}
-    for n_arms in SHARDED_ARM_COUNTS:
-        full = run_recommend_loop(C2UCB(dimension=DIMENSION), n_arms, SHARDED_ROUNDS)
-        totals, max_shard, n_shards = run_sharded_loop(n_arms, SHARDED_ROUNDS)
-        series[str(n_arms)] = {
-            "n_shards": n_shards,
-            "shard_size": SHARD_SIZE,
-            "full_pool": summarise(full),
-            "sharded_total": summarise(totals),
-            "max_shard": summarise(max_shard),
-        }
-
-    path = results_dir / "BENCH_recommend.json"
-    payload = json.loads(path.read_text()) if path.exists() else {}
-    payload["recommend_sharded"] = {
-        "rounds": SHARDED_ROUNDS,
-        "smoke_mode": SMOKE_MODE,
-        "series": series,
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-    lines = [
-        f"sharded scoring (d={DIMENSION}, shard_size={SHARD_SIZE}, smoke={SMOKE_MODE})"
-    ]
-    for n_arms in SHARDED_ARM_COUNTS:
-        entry = series[str(n_arms)]
-        lines.append(
-            f"  {n_arms:>5} arms / {entry['n_shards']:>2} shards: "
-            f"full-pool p50 {entry['full_pool']['p50_ms']:.3f} ms, "
-            f"sharded total p50 {entry['sharded_total']['p50_ms']:.3f} ms, "
-            f"max-shard p50 {entry['max_shard']['p50_ms']:.3f} ms"
-        )
-    write_result(results_dir, "BENCH_recommend_sharded", "\n".join(lines))
-
-    if SMOKE_MODE:
-        max_shard_p95 = series["500"]["max_shard"]["p95_ms"] / 1e3
-        assert max_shard_p95 < SMOKE_MAX_SHARD_P95_CEILING_SECONDS, (
-            f"per-shard scoring critical path regressed: p95 "
-            f"{max_shard_p95 * 1e3:.2f} ms at 500 arms "
-            f"(ceiling {SMOKE_MAX_SHARD_P95_CEILING_SECONDS * 1e3:.0f} ms)"
-        )
-    else:
-        at_500 = series["500"]["max_shard"]["p50_ms"]
-        at_2000 = series["2000"]["max_shard"]["p50_ms"]
-        growth = at_2000 / at_500
-        assert growth < MAX_SHARD_GROWTH_CEILING, (
-            f"per-shard scoring cost grew {growth:.2f}x while the pool grew 4x "
-            f"at a fixed shard size — sharding no longer bounds the critical "
-            f"path (ceiling {MAX_SHARD_GROWTH_CEILING}x)"
-        )
-
-
-# --------------------------------------------------------------------- #
-# parallel shard scoring (MabConfig.shard_workers)
-# --------------------------------------------------------------------- #
-PARALLEL_ARM_COUNT = 2000
-PARALLEL_WORKER_COUNTS = (1, 2, 4)
-PARALLEL_ROUNDS = 20 if SMOKE_MODE else 80
-#: Thread fan-out must never cost more than this factor over serial scoring
-#: (on a 1-CPU container the pool is pure overhead; on multi-core hosts the
-#: flat max-shard line converts into wall-clock instead).
-PARALLEL_OVERHEAD_CEILING = 5.0
-
-
-def test_recommend_sharded_parallel_perf(results_dir):
-    """Emit the ``sharded_parallel`` series: thread-pooled vs serial shard pass.
-
-    The per-shard critical path is already flat (see ``recommend_sharded``);
-    ``MabConfig.shard_workers`` is the knob that turns it into wall-clock on
-    multi-core hosts.  This container has 1 CPU, so the interesting number
-    here is the *overhead* of the thread fan-out, which must stay bounded —
-    the wall-clock win itself needs real hardware (ROADMAP item).
-    """
-    series: dict[str, dict] = {}
-    for workers in PARALLEL_WORKER_COUNTS:
-        totals, max_shard, n_shards = run_sharded_loop(
-            PARALLEL_ARM_COUNT, PARALLEL_ROUNDS, workers=workers
-        )
-        series[str(workers)] = {
-            "n_shards": n_shards,
-            "total": summarise(totals),
-            "max_shard": summarise(max_shard),
-        }
-
-    path = results_dir / "BENCH_recommend.json"
-    payload = json.loads(path.read_text()) if path.exists() else {}
-    payload["sharded_parallel"] = {
-        "n_arms": PARALLEL_ARM_COUNT,
-        "shard_size": SHARD_SIZE,
-        "rounds": PARALLEL_ROUNDS,
-        "smoke_mode": SMOKE_MODE,
-        "series": series,
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-    lines = [
-        f"parallel shard scoring ({PARALLEL_ARM_COUNT} arms / "
-        f"{series['1']['n_shards']} shards, smoke={SMOKE_MODE})"
-    ]
-    for workers in PARALLEL_WORKER_COUNTS:
-        entry = series[str(workers)]
-        lines.append(
-            f"  {workers} worker(s): total p50 {entry['total']['p50_ms']:.3f} ms, "
-            f"max-shard p50 {entry['max_shard']['p50_ms']:.3f} ms"
-        )
-    write_result(results_dir, "BENCH_recommend_parallel", "\n".join(lines))
-
-    serial_p50 = series["1"]["total"]["p50_ms"]
-    for workers in PARALLEL_WORKER_COUNTS[1:]:
-        ratio = series[str(workers)]["total"]["p50_ms"] / max(serial_p50, 1e-9)
-        assert ratio < PARALLEL_OVERHEAD_CEILING, (
-            f"thread fan-out overhead at {workers} workers is {ratio:.2f}x the "
-            f"serial sharded pass (ceiling {PARALLEL_OVERHEAD_CEILING}x)"
-        )
-
-
-# --------------------------------------------------------------------- #
-# packed scoring core (repro.core.scoring: pack -> blocked GEMM -> merge)
-# --------------------------------------------------------------------- #
-PACKED_ARM_COUNTS = (500, 1000, 2000)
-PACKED_ROUNDS = 20 if SMOKE_MODE else 80
-#: The packed pass replaces the per-shard python scoring loop with one flat
-#: pack + blocked GEMM over row slices; packing is paid inside the round, so
-#: the bar is that the whole packed round never costs more than this factor
-#: over the legacy per-shard loop.
-PACKED_OVERHEAD_CEILING = 3.0
-#: Generous absolute smoke ceiling on a serial packed round.
-SMOKE_PACKED_P95_CEILING_SECONDS = 0.050
-PACKED_WORKER_COUNTS = (1, 2, 4)
-#: Absolute ceiling on a process-pooled packed round.  This container has
-#: 1 CPU, so the pool is pure overhead (shared-memory publish + dispatch +
-#: result copy-out); the wall-clock win needs real hardware — same caveat as
-#: ``sharded_parallel``, which is why the bar here is absolute, not relative.
-PACKED_PARALLEL_P95_CEILING_SECONDS = 0.5
-
-
-def run_packed_loop(n_arms: int, rounds: int, seed: int = 5, workers: int = 1):
-    """Drive the packed steady-state scoring loop with a global learner.
-
-    Per round: freeze one ``LinearScorer`` snapshot, pack the per-shard
-    context blocks into one flat pool (packing cost stays inside the timed
-    round — ``MabTuner._score_packed`` re-packs every recommend call), score
-    everything with :func:`repro.core.scoring.score_packed`, take each
-    block's top-k from its row slice, then apply the round's rank-k update
-    to the single global ``V⁻¹``.  ``workers > 1`` publishes the pool into
-    shared memory and fans the blocks out over a process pool, mirroring
-    ``ScoringConfig(workers=...)``.
-    """
-    _, shards = build_sharded_pool(n_arms)
-    rng = np.random.default_rng(seed)
-    contexts_by_shard = [
-        rng.normal(size=(len(shard), DIMENSION)) for shard in shards
-    ]
-    positions, sizes, offset = [], [], 0
-    for block in contexts_by_shard:
-        positions.append(list(range(offset, offset + len(block))))
-        sizes.append([0] * len(block))
-        offset += len(block)
-    keys = [shard.key for shard in shards]
-    all_contexts = np.vstack(contexts_by_shard)
-    bandit = C2UCB(dimension=DIMENSION)
-
-    latencies, used_processes = [], False
-    for round_number in range(WARMUP_ROUNDS + rounds):
-        started = time.perf_counter()
-        scorer = bandit.scorer()
-        packed = pack_arm_pool(contexts_by_shard, positions, sizes, keys)
-        result = score_packed(
-            packed, scorer.theta, scorer.v_inverse, alpha=1.0, workers=workers
-        )
-        for start, stop in packed.block_slices():
-            block_scores = result.scores[start:stop]
-            keep = min(SUPER_ARM_SIZE, len(block_scores))
-            np.argpartition(block_scores, -keep)[-keep:]
-        chosen = rng.choice(n_arms, size=SUPER_ARM_SIZE, replace=False)
-        bandit.update(all_contexts[chosen], rng.normal(size=SUPER_ARM_SIZE))
-        if round_number >= WARMUP_ROUNDS:
-            latencies.append(time.perf_counter() - started)
-            used_processes = used_processes or result.used_processes
-    return np.asarray(latencies), used_processes, len(shards)
-
-
-def test_recommend_packed_perf(results_dir):
-    """Emit the ``recommend_packed`` series: packed pass vs per-shard loop.
-
-    Same pools, same shard boundaries, bit-identical scores (the parity
-    suite proves that); this series tracks what the flat pack + blocked
-    GEMM costs relative to the legacy per-shard python loop it replaced.
-    """
-    series: dict[str, dict] = {}
-    for n_arms in PACKED_ARM_COUNTS:
-        loop_totals, _, n_shards = run_sharded_loop(n_arms, PACKED_ROUNDS)
-        packed_totals, _, _ = run_packed_loop(n_arms, PACKED_ROUNDS)
-        series[str(n_arms)] = {
-            "n_shards": n_shards,
-            "shard_size": SHARD_SIZE,
-            "per_shard_loop": summarise(loop_totals),
-            "packed": summarise(packed_totals),
-        }
-
-    path = results_dir / "BENCH_recommend.json"
-    payload = json.loads(path.read_text()) if path.exists() else {}
-    payload["recommend_packed"] = {
-        "rounds": PACKED_ROUNDS,
-        "smoke_mode": SMOKE_MODE,
-        "series": series,
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-    lines = [
-        f"packed scoring (d={DIMENSION}, shard_size={SHARD_SIZE}, smoke={SMOKE_MODE})"
-    ]
-    for n_arms in PACKED_ARM_COUNTS:
-        entry = series[str(n_arms)]
-        lines.append(
-            f"  {n_arms:>5} arms / {entry['n_shards']:>2} shards: "
-            f"per-shard loop p50 {entry['per_shard_loop']['p50_ms']:.3f} ms, "
-            f"packed p50 {entry['packed']['p50_ms']:.3f} ms"
-        )
-    write_result(results_dir, "BENCH_recommend_packed", "\n".join(lines))
-
-    if SMOKE_MODE:
-        packed_p95 = series["500"]["packed"]["p95_ms"] / 1e3
-        assert packed_p95 < SMOKE_PACKED_P95_CEILING_SECONDS, (
-            f"packed scoring round regressed: p95 {packed_p95 * 1e3:.2f} ms "
-            f"at 500 arms (ceiling {SMOKE_PACKED_P95_CEILING_SECONDS * 1e3:.0f} ms)"
-        )
-    else:
-        for n_arms in PACKED_ARM_COUNTS:
-            entry = series[str(n_arms)]
-            ratio = entry["packed"]["p50_ms"] / max(
-                entry["per_shard_loop"]["p50_ms"], 1e-9
-            )
-            assert ratio < PACKED_OVERHEAD_CEILING, (
-                f"packed scoring round at {n_arms} arms is {ratio:.2f}x the "
-                f"per-shard loop it replaced (ceiling {PACKED_OVERHEAD_CEILING}x)"
-            )
-
-
-def test_recommend_packed_parallel_perf(results_dir):
-    """Emit the ``packed_parallel`` series: process-pooled vs serial packed pass.
-
-    ``ScoringConfig(workers=N)`` publishes the packed pool into shared
-    memory and scores whole blocks across a process pool.  On this 1-CPU
-    container the pool is pure overhead, so the guard is an absolute ceiling
-    on the pooled round; whether processes actually engaged is recorded per
-    worker count (the scoring core degrades to the bit-identical serial pass
-    wherever shared memory is unavailable).
-    """
-    series: dict[str, dict] = {}
-    for workers in PACKED_WORKER_COUNTS:
-        totals, used_processes, n_shards = run_packed_loop(
-            PARALLEL_ARM_COUNT, PACKED_ROUNDS, workers=workers
-        )
-        series[str(workers)] = {
-            "n_shards": n_shards,
-            "used_processes": used_processes,
-            "total": summarise(totals),
-        }
-
-    path = results_dir / "BENCH_recommend.json"
-    payload = json.loads(path.read_text()) if path.exists() else {}
-    payload["packed_parallel"] = {
-        "n_arms": PARALLEL_ARM_COUNT,
-        "shard_size": SHARD_SIZE,
-        "rounds": PACKED_ROUNDS,
-        "smoke_mode": SMOKE_MODE,
-        "series": series,
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-    lines = [
-        f"parallel packed scoring ({PARALLEL_ARM_COUNT} arms / "
-        f"{series['1']['n_shards']} blocks, smoke={SMOKE_MODE})"
-    ]
-    for workers in PACKED_WORKER_COUNTS:
-        entry = series[str(workers)]
-        lines.append(
-            f"  {workers} worker(s): total p50 {entry['total']['p50_ms']:.3f} ms "
-            f"(processes={'yes' if entry['used_processes'] else 'no'})"
-        )
-    write_result(results_dir, "BENCH_recommend_packed_parallel", "\n".join(lines))
-
-    for workers in PACKED_WORKER_COUNTS[1:]:
-        pooled_p95 = series[str(workers)]["total"]["p95_ms"] / 1e3
-        assert pooled_p95 < PACKED_PARALLEL_P95_CEILING_SECONDS, (
-            f"process-pooled packed round at {workers} workers: p95 "
-            f"{pooled_p95 * 1e3:.1f} ms "
-            f"(ceiling {PACKED_PARALLEL_P95_CEILING_SECONDS * 1e3:.0f} ms)"
         )
 
 

@@ -16,17 +16,6 @@ Everything a downstream caller needs lives here:
 * session-based tuning — :class:`TuningSession` with its explicit
   ``recommend() / execute(queries) / observe()`` cycle and one-shot
   ``step(queries)``, for callers streaming their own workload;
-* the scoring surface — :class:`ScoringConfig` is the single spelling of
-  arm-pool scoring behaviour (strategy, per-shard top-k, worker processes,
-  fleet batching), accepted by ``MabConfig(scoring=...)``,
-  ``SimulationOptions(scoring=...)`` and ``FleetConfig(scoring=...)`` and
-  backed by the packed shared-memory scoring core
-  (:mod:`repro.core.scoring`); :class:`ScoringStats` is the per-round
-  diagnostic (``MabTuner.last_scoring_stats``), and the error surface is
-  :class:`UnknownScoringStrategyError` /
-  :class:`ScoringNotSupportedError`.  The legacy
-  ``shard_by``/``shard_top_k``/``shard_workers``/``batch_scoring`` knobs
-  are :class:`DeprecationWarning` shims that normalise into it;
 * batch drivers — :func:`run_simulation` over pre-materialised workload
   rounds and :func:`run_competition` racing several tuners (optionally
   across processes) with deterministic report merging;
@@ -63,12 +52,6 @@ from repro.harness.metrics import (
     SafetyReport,
     rank_by_safety,
     safety_reports,
-)
-from repro.core.scoring import (
-    ScoringConfig,
-    ScoringNotSupportedError,
-    ScoringStats,
-    UnknownScoringStrategyError,
 )
 from repro.interface import Recommendation, Tuner
 
@@ -118,9 +101,6 @@ __all__ = [
     "RoundReport",
     "RunReport",
     "SafetyReport",
-    "ScoringConfig",
-    "ScoringNotSupportedError",
-    "ScoringStats",
     "SimulationOptions",
     "SimulationTrace",
     "TenantSpec",
@@ -131,7 +111,6 @@ __all__ = [
     "TuningSession",
     "UnknownBackendError",
     "UnknownPlacementTableError",
-    "UnknownScoringStrategyError",
     "UnknownTenantError",
     "UnknownTunerError",
     "create_tuner",

@@ -68,8 +68,9 @@ TunerFactory = Callable[["Database", TunerSpec], Tuner]
 class UnknownTunerError(KeyError, ValueError):
     """Raised for a tuner name nobody registered.
 
-    Subclasses both :class:`KeyError` (what the legacy ``make_tuner`` raised)
-    and :class:`ValueError` so existing ``except`` clauses keep working.
+    Subclasses both :class:`KeyError` (a failed name lookup) and
+    :class:`ValueError` (a bad argument), so either ``except`` spelling
+    catches it.
     """
 
     # KeyError.__str__ reprs the message (extra quotes); render it plainly.

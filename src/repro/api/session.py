@@ -26,15 +26,9 @@ same query instances.
 from __future__ import annotations
 
 import time
-from dataclasses import InitVar, dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
-from repro.core.config import _UNSET, _warn_legacy_scoring_knob
-from repro.core.scoring import (
-    ConfigurableScoring,
-    ScoringConfig,
-    ScoringNotSupportedError,
-)
 from repro.engine.backend import BackendProfile, PlacementLike, TieredBackend
 from repro.engine.catalog import ConfigurationChange, Database
 from repro.engine.execution import ExecutionResult, Executor
@@ -84,27 +78,12 @@ class SimulationOptions:
             picklable across processes — incompatible with
             ``run_competition(workers>1)``.
         keep_results: Collect per-round execution results in the trace.
-        scoring: Arm-pool scoring configuration
-            (:class:`~repro.core.scoring.ScoringConfig`) installed on the
-            tuner before the first round via its ``configure_scoring`` method
-            (a lasting config change, like ``backend``).  ``None`` (the
-            default) leaves the tuner's own scoring configuration untouched.
-            Handing a ``scoring`` to a tuner that does not score a candidate
-            pool — NoIndex, PDTool, the DDQN agents — raises
-            :class:`~repro.core.scoring.ScoringNotSupportedError` instead of
-            silently ignoring the options.
-        shard_by: Deprecated spelling of ``scoring`` (``"table"`` or
-            ``"hash"`` builds a default :class:`ScoringConfig` of that
-            strategy; ``None`` keeps the legacy "leave the tuner untouched"
-            no-op).  Kept for compatibility with one difference from
-            ``scoring``: tuners without a ``configure_sharding`` method
-            ignore the knob silently, as they always did.
         backend: Storage-backend profile applied to the session's database
             before the first round (a registered name such as ``"hdd"``,
             ``"ssd"``, ``"inmemory"``, ``"cloud"``, or a
             :class:`~repro.engine.BackendProfile` instance).  ``None`` keeps
-            whatever backend the database was built with.  Like ``shard_by``
-            this is a lasting change — the session calls
+            whatever backend the database was built with.  This is a lasting
+            change — the session calls
             :meth:`repro.engine.Database.set_backend` on *its* database —
             and both spellings pickle cleanly across
             ``run_competition(workers>1)`` boundaries.
@@ -134,9 +113,6 @@ class SimulationOptions:
     on_round: Callable[[RoundReport, list[ExecutionResult]], None] | None = None
     #: Collect per-round execution results in the returned trace.
     keep_results: bool = False
-    #: Deprecated spelling of :attr:`scoring` (``None`` = leave the tuner
-    #: untouched); normalises into it with a :class:`DeprecationWarning`.
-    shard_by: InitVar[Any] = _UNSET
     #: Storage-backend profile for the session's database (``None`` = keep).
     backend: "str | BackendProfile | None" = None
     #: Per-table placement for the session's database (``None`` = keep).
@@ -146,27 +122,6 @@ class SimulationOptions:
     #: the session's database before each round's recommendation.  Disable to
     #: replay a stress sequence as plain queries on a frozen environment.
     apply_events: bool = True
-    #: Arm-pool scoring configuration installed on the tuner (``None`` = keep).
-    scoring: ScoringConfig | None = None
-    #: Whether :attr:`scoring` came from the deprecated ``shard_by`` knob —
-    #: the legacy spelling keeps its historical semantics (partial config
-    #: update, silently ignored by non-pool tuners).
-    scoring_from_shard_by: bool = field(default=False, repr=False, compare=False)
-
-    def __post_init__(self, shard_by: Any) -> None:
-        if self.scoring is not None:
-            # "scoring wins": dataclasses.replace() re-feeds nothing here
-            # (InitVar reads back as the _UNSET class default), but an
-            # explicit ScoringConfig always beats the legacy knob.
-            return
-        if shard_by is _UNSET:
-            return
-        _warn_legacy_scoring_knob("SimulationOptions", "shard_by")
-        if shard_by is None:
-            # Legacy semantics: shard_by=None leaves the tuner untouched.
-            return
-        object.__setattr__(self, "scoring", ScoringConfig(strategy=shard_by))
-        object.__setattr__(self, "scoring_from_shard_by", True)
 
 
 @dataclass
@@ -226,24 +181,11 @@ class TuningSession:
         Args:
             database: The database the session tunes (the session owns its
                 configuration from here on).
-            tuner: Any :class:`~repro.interface.Tuner`; when
-                ``options.scoring`` is set and the tuner satisfies the
-                :class:`~repro.core.scoring.ConfigurableScoring` protocol
-                (the MAB tuner does), the configuration is installed on the
-                tuner before the first round (a lasting config change;
-                ``options.scoring=None`` leaves the tuner's current scoring
-                mode as-is).
+            tuner: Any :class:`~repro.interface.Tuner`.
             options: Execution-layer options; defaults are the paper's.
 
         Raises:
-            repro.core.scoring.ScoringNotSupportedError: If
-                ``options.scoring`` is set but the tuner does not score a
-                candidate pool (NoIndex, PDTool, the DDQN agents).  The
-                deprecated ``options.shard_by`` spelling keeps its historical
-                silent-ignore behaviour for such tuners.
-            ValueError: If ``options.scoring`` (or the deprecated
-                ``options.shard_by``) names an unknown strategy, or if
-                ``options.backend`` is combined with a
+            ValueError: If ``options.backend`` is combined with a
                 :class:`~repro.engine.TieredBackend` placement (which names
                 both tiers itself).
             repro.engine.UnknownBackendError: If ``options.backend`` or a
@@ -269,24 +211,6 @@ class TuningSession:
             database.set_backend(self.options.backend)
         if self.options.table_backends is not None:
             database.set_table_backends(self.options.table_backends)
-        scoring = self.options.scoring
-        if scoring is not None:
-            if self.options.scoring_from_shard_by:
-                # The deprecated shard_by spelling: a *partial* update (only
-                # the strategy changes; top-k/workers keep the tuner's own
-                # values) that non-pool tuners ignore silently, exactly as
-                # the legacy knob always behaved.
-                configure_sharding = getattr(tuner, "configure_sharding", None)
-                if configure_sharding is not None:
-                    configure_sharding(scoring.shard_by)
-            elif isinstance(tuner, ConfigurableScoring):
-                tuner.configure_scoring(scoring)
-            else:
-                raise ScoringNotSupportedError(
-                    f"tuner {tuner.name!r} does not score a candidate arm pool; "
-                    "SimulationOptions(scoring=...) requires a tuner with "
-                    "configure_scoring (the MAB tuner)"
-                )
         self.planner = Planner(database)
         self.executor = Executor(
             database,
@@ -577,7 +501,7 @@ def run_simulation(
         workload_rounds: Pre-materialised rounds (see
             :func:`repro.harness.build_workload_rounds` or the workload
             generators in :mod:`repro.workloads`).
-        options: Execution-layer options (noise, seeds, labels, scoring).
+        options: Execution-layer options (noise, seeds, labels, backends).
 
     Returns:
         A :class:`SimulationTrace` with the run's :class:`RunReport` (and

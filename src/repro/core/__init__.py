@@ -1,18 +1,17 @@
 """The paper's contribution: bandit-based online index selection."""
 
-from .arms import Arm, ArmGenerator, ArmShard, shard_arms, shard_key_for
+from .arms import Arm, ArmGenerator
 from .config import MabConfig
 from .context import DERIVED_FEATURE_NAMES, ContextBuilder
 from .linear_bandit import C2UCB, LinearScorer
-from .oracle import GreedyOracle, OracleResult, ScoredArm, merge_shard_candidates
+from .oracle import GreedyOracle, OracleResult, ScoredArm
 from .query_store import QueryStore, RoundSummary, TemplateRecord
 from .rewards import RoundRewards, compute_round_rewards, super_arm_reward
-from .tuner import MabTuner, ShardScoreStats
+from .tuner import MabTuner
 
 __all__ = [
     "Arm",
     "ArmGenerator",
-    "ArmShard",
     "C2UCB",
     "ContextBuilder",
     "DERIVED_FEATURE_NAMES",
@@ -25,11 +24,7 @@ __all__ = [
     "RoundRewards",
     "RoundSummary",
     "ScoredArm",
-    "ShardScoreStats",
     "TemplateRecord",
     "compute_round_rewards",
-    "merge_shard_candidates",
-    "shard_arms",
-    "shard_key_for",
     "super_arm_reward",
 ]

@@ -1,4 +1,4 @@
-"""Workload-driven arm (candidate index) generation and arm-pool sharding.
+"""Workload-driven arm (candidate index) generation.
 
 Rather than enumerating every column combination of the schema, arms are
 generated from the *observed* queries of interest: combinations and
@@ -7,30 +7,17 @@ with and without the query's payload attributes as INCLUDE columns (covering
 variants).  This is the paper's "dynamic arms from workload predicates"
 mechanism, which keeps the action space small and exploits the natural skew of
 real workloads.
-
-At large schemas the generated pool still grows with the number of distinct
-(query, table) pairs, so the scoring pass can be *sharded*:
-:func:`shard_arms` partitions a pool into :class:`ArmShard` groups (one per
-table, or by stable hash) that are scored independently against the shared
-bandit state and merged back before the knapsack oracle — see
-:meth:`repro.core.tuner.MabTuner.recommend`.
 """
 
 from __future__ import annotations
 
 import itertools
-import zlib
 from dataclasses import dataclass, field
 
 from repro.engine.indexes import IndexDefinition
 from repro.engine.query import Query
 
 from .config import MabConfig
-
-#: Partitioning strategies accepted by :func:`shard_arms` (and
-#: :attr:`repro.core.config.MabConfig.shard_by`).
-SHARD_STRATEGIES = ("table", "hash")
-
 
 @dataclass
 class Arm:
@@ -148,101 +135,3 @@ class ArmGenerator:
                     if len(arms) >= budget:
                         return arms
         return arms
-
-
-# --------------------------------------------------------------------- #
-# arm-pool sharding
-# --------------------------------------------------------------------- #
-@dataclass
-class ArmShard:
-    """One scoring partition of the arm pool.
-
-    A shard owns its slice of the round's arm pool — the arms themselves plus
-    their *positions* in the pool ordering, so its slice of the context matrix
-    and of the pool-wide tie-break jitter can be taken without re-deriving
-    anything.  Shards are scoring units only: the bandit state (``theta``,
-    ``V⁻¹``) stays global, so a shard's scores are identical to the scores the
-    same arms would receive in a monolithic pass.
-    """
-
-    #: Stable partition key, e.g. ``"table:lineitem"`` or ``"hash:3"``.
-    key: str
-    #: The shard's arms, in pool order.
-    arms: list[Arm] = field(default_factory=list)
-    #: Position of each arm in the round's pool ordering (parallel to ``arms``).
-    positions: list[int] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.arms)
-
-
-def _stable_hash(text: str) -> int:
-    """Process-independent hash (``hash()`` is salted per interpreter run)."""
-    return zlib.crc32(text.encode("utf-8"))
-
-
-def shard_key_for(arm: Arm, shard_by: str = "table", n_hash_shards: int = 8) -> str:
-    """The shard key an arm belongs to under a partitioning strategy.
-
-    Args:
-        arm: The arm to place.
-        shard_by: ``"table"`` groups arms by the table they index; ``"hash"``
-            spreads them over ``n_hash_shards`` buckets by a stable hash of
-            the index id (useful when one table dominates the pool).
-        n_hash_shards: Bucket count for hash placement.
-
-    Returns:
-        ``"table:<name>"`` or ``"hash:<bucket>"``.  Under ``"table"``, an arm
-        whose index spans more than one table (not produced by
-        :class:`ArmGenerator`, but expressible by downstream arm sources that
-        attach a ``tables`` attribute to their index) has no single home table
-        and falls back to the hash bucket.
-
-    Raises:
-        ValueError: For an unknown ``shard_by`` or ``n_hash_shards < 1``.
-    """
-    if shard_by not in SHARD_STRATEGIES:
-        raise ValueError(
-            f"unknown shard_by {shard_by!r}; expected one of {SHARD_STRATEGIES}"
-        )
-    if n_hash_shards < 1:
-        raise ValueError("n_hash_shards must be at least 1")
-    if shard_by == "table":
-        tables = set(getattr(arm.index, "tables", None) or (arm.table,))
-        if len(tables) == 1:
-            return f"table:{next(iter(tables))}"
-        # Cross-table arm: no single home table, fall back to hash placement.
-    return f"hash:{_stable_hash(arm.index_id) % n_hash_shards}"
-
-
-def shard_arms(
-    arms: list[Arm],
-    shard_by: str = "table",
-    n_hash_shards: int = 8,
-) -> list[ArmShard]:
-    """Partition an arm pool into scoring shards.
-
-    Args:
-        arms: The round's arm pool, in pool order.
-        shard_by: Partitioning strategy (see :func:`shard_key_for`).
-        n_hash_shards: Bucket count for ``"hash"`` placement (and for the
-            cross-table fallback under ``"table"``).
-
-    Returns:
-        Non-empty shards ordered by first appearance in the pool, each
-        preserving pool order internally — so concatenating the shards'
-        ``positions`` yields a permutation of ``range(len(arms))`` and the
-        partition is deterministic for a given pool ordering.
-
-    Raises:
-        ValueError: For an unknown ``shard_by`` or ``n_hash_shards < 1``.
-    """
-    shards: dict[str, ArmShard] = {}
-    for position, arm in enumerate(arms):
-        key = shard_key_for(arm, shard_by, n_hash_shards)
-        shard = shards.get(key)
-        if shard is None:
-            shard = shards[key] = ArmShard(key=key)
-        shard.arms.append(arm)
-        shard.positions.append(position)
-    return list(shards.values())

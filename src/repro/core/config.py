@@ -10,36 +10,12 @@ every experiment in the repository.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import InitVar, dataclass
-from typing import Any
-
-from .scoring import ScoringConfig
-
-#: Sentinel distinguishing "legacy knob omitted" from any explicit value.
-_UNSET: Any = object()
-
-
-def _warn_legacy_scoring_knob(owner: str, names: str) -> None:
-    """One DeprecationWarning per construction that used legacy scoring knobs."""
-    warnings.warn(
-        f"{owner}({names}=...) is deprecated; pass "
-        f"{owner}(scoring=ScoringConfig(...)) instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
+from dataclasses import dataclass
 
 
 @dataclass
 class MabConfig:
-    """Configuration of :class:`repro.core.tuner.MabTuner`.
-
-    Scoring behaviour lives in :attr:`scoring`
-    (:class:`~repro.core.scoring.ScoringConfig`); the legacy
-    ``shard_by``/``n_hash_shards``/``shard_top_k``/``shard_workers`` keyword
-    arguments still construct (they normalise into :attr:`scoring` with a
-    :class:`DeprecationWarning`) and still read back as derived properties.
-    """
+    """Configuration of :class:`repro.core.tuner.MabTuner`."""
 
     #: Ridge regularisation of the shared linear model (C²UCB ``lambda``).
     regularisation: float = 1.0
@@ -73,34 +49,10 @@ class MabConfig:
     #: 1.0 reproduces the paper's reward exactly.
     creation_cost_weight: float = 1.0
 
-    #: Deprecated spelling of ``scoring.strategy`` (``None`` == monolithic).
-    #: Reads back as a derived property; writing it at construction warns.
-    shard_by: InitVar[Any] = _UNSET
-    #: Deprecated spelling of ``scoring.n_hash_shards``.
-    n_hash_shards: InitVar[Any] = _UNSET
-    #: Deprecated spelling of ``scoring.top_k``.
-    shard_top_k: InitVar[Any] = _UNSET
-    #: Deprecated spelling of ``scoring.workers``.
-    shard_workers: InitVar[Any] = _UNSET
-
     #: Random seed for tie-breaking.
     seed: int = 17
 
-    #: How the arm pool is scored each round (strategy, per-shard top-k,
-    #: worker processes, fleet batching).  Always a
-    #: :class:`~repro.core.scoring.ScoringConfig` after construction —
-    #: ``None`` (the default) means "monolithic defaults, unless legacy
-    #: knobs were given".  Partitioned strategies shard *scoring only* —
-    #: the C²UCB state stays global.
-    scoring: ScoringConfig | None = None
-
-    def __post_init__(
-        self,
-        shard_by: Any,
-        n_hash_shards: Any,
-        shard_top_k: Any,
-        shard_workers: Any,
-    ) -> None:
+    def __post_init__(self) -> None:
         if self.regularisation <= 0:
             raise ValueError("regularisation must be positive")
         if self.alpha < 0:
@@ -115,89 +67,9 @@ class MabConfig:
             raise ValueError("forgetting_factor must be in [0, 1]")
         if not 0 <= self.shift_detection_threshold <= 1:
             raise ValueError("shift_detection_threshold must be in [0, 1]")
-        if self.scoring is not None:
-            # "scoring wins": dataclasses.replace() re-feeds the derived
-            # legacy properties through these InitVars, so when an explicit
-            # ScoringConfig is present the legacy values are ignored silently
-            # — replace() round-trips neither warn nor mutate.
-            if not isinstance(self.scoring, ScoringConfig):
-                raise TypeError(
-                    f"scoring must be a ScoringConfig, got {type(self.scoring).__name__}"
-                )
-            return
-        self.scoring = _normalise_legacy_scoring(
-            "MabConfig", shard_by, n_hash_shards, shard_top_k, shard_workers
-        )
 
     def alpha_at(self, round_number: int) -> float:
         """Exploration boost used in the given (1-based) round."""
         decayed = self.alpha * (self.alpha_decay ** max(0, round_number - 1))
         return max(self.alpha_floor, decayed)
 
-
-def _normalise_legacy_scoring(
-    owner: str,
-    shard_by: Any,
-    n_hash_shards: Any,
-    shard_top_k: Any,
-    shard_workers: Any,
-    batch_scoring: Any = _UNSET,
-) -> ScoringConfig:
-    """Build a :class:`ScoringConfig` from legacy knob spellings (warning once).
-
-    Validation is delegated to ``ScoringConfig.__post_init__``, so the legacy
-    spellings reject exactly the values the new surface rejects (and
-    ``shard_by="region"`` raises the same
-    :class:`~repro.core.scoring.UnknownScoringStrategyError`, which is a
-    ``ValueError`` as the historical contract requires).
-    """
-    updates: dict[str, Any] = {}
-    if shard_by is not _UNSET:
-        if shard_by is not None and not isinstance(shard_by, str):
-            raise ValueError(
-                f"shard_by must be None, 'table' or 'hash', got {shard_by!r}"
-            )
-        updates["strategy"] = "monolithic" if shard_by is None else shard_by
-    if n_hash_shards is not _UNSET:
-        updates["n_hash_shards"] = n_hash_shards
-    if shard_top_k is not _UNSET:
-        updates["top_k"] = shard_top_k
-    if shard_workers is not _UNSET:
-        updates["workers"] = shard_workers
-    if batch_scoring is not _UNSET:
-        updates["batch"] = bool(batch_scoring)
-    if updates:
-        _warn_legacy_scoring_knob(owner, "/".join(sorted(updates)))
-    return ScoringConfig(**updates)
-
-
-def _legacy_shard_by(config: MabConfig) -> str | None:
-    """Deprecated read of ``scoring.strategy`` (``None`` == monolithic)."""
-    assert config.scoring is not None
-    return config.scoring.shard_by
-
-
-def _legacy_n_hash_shards(config: MabConfig) -> int:
-    """Deprecated read of ``scoring.n_hash_shards``."""
-    assert config.scoring is not None
-    return config.scoring.n_hash_shards
-
-
-def _legacy_shard_top_k(config: MabConfig) -> int | None:
-    """Deprecated read of ``scoring.top_k``."""
-    assert config.scoring is not None
-    return config.scoring.top_k
-
-
-def _legacy_shard_workers(config: MabConfig) -> int:
-    """Deprecated read of ``scoring.workers``."""
-    assert config.scoring is not None
-    return config.scoring.workers
-
-
-# Attached post-class so the InitVar shims above read back (and feed
-# dataclasses.replace round-trips) without becoming real stored fields.
-setattr(MabConfig, "shard_by", property(_legacy_shard_by))
-setattr(MabConfig, "n_hash_shards", property(_legacy_n_hash_shards))
-setattr(MabConfig, "shard_top_k", property(_legacy_shard_top_k))
-setattr(MabConfig, "shard_workers", property(_legacy_shard_workers))

@@ -159,19 +159,11 @@ class ContextBuilder:
         arms: list[Arm],
         queries: list[Query],
         database: Database,
-        predicate_columns: dict[str, set[str]] | None = None,
     ) -> np.ndarray:
-        """Context matrix (one row per arm) for the current round.
-
-        ``predicate_columns`` lets callers that build several matrices against
-        the same queries of interest — one per :class:`~repro.core.arms.ArmShard`
-        — compute the per-table predicate sets once and share them; by default
-        they are derived from ``queries``.
-        """
+        """Context matrix (one row per arm) for the current round."""
         if not arms:
             return np.zeros((0, self.dimension))
-        if predicate_columns is None:
-            predicate_columns = self.predicate_columns(queries)
+        predicate_columns = self.predicate_columns(queries)
         rows = [
             self.build(arm, queries, database, predicate_columns=predicate_columns)
             for arm in arms

@@ -32,23 +32,51 @@ from typing import Sequence
 
 import numpy as np
 
-from . import scoring as _scoring
+
+# --------------------------------------------------------------------- #
+# kernels — the single implementation of the C²UCB score
+# --------------------------------------------------------------------- #
+def expected_rewards(theta: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+    """Point estimates ``theta' x_i`` for each context row."""
+    return contexts @ theta
+
+
+def exploration_bonus(v_inverse: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+    """Confidence widths ``sqrt(x' V^{-1} x)`` for each context row."""
+    # (X @ V^{-1}) * X summed by row == diag(X V^{-1} X'), via BLAS.
+    widths = np.einsum("ij,ij->i", contexts @ v_inverse, contexts)
+    return np.sqrt(np.maximum(widths, 0.0))
+
+
+def ucb_scores(
+    theta: np.ndarray,
+    v_inverse: np.ndarray,
+    contexts: np.ndarray,
+    alpha: float,
+) -> np.ndarray:
+    """UCB scores ``theta' x + alpha * sqrt(x' V^{-1} x)`` per context row.
+
+    The exact operation sequence every scoring surface performs — changing
+    it changes the low-order bits of every recommendation in the repo.
+    """
+    return expected_rewards(theta, contexts) + alpha * exploration_bonus(
+        v_inverse, contexts
+    )
 
 
 class LinearScorer:
     """A frozen, read-only scoring snapshot of a :class:`C2UCB` learner.
 
-    Captures ``theta`` and ``V⁻¹`` once so that many scoring calls — one per
-    :class:`~repro.core.arms.ArmShard`, possibly from parallel workers — share
-    the exact arrays a monolithic scoring pass would use, without re-checking
-    the learner's lazy caches per call and without any risk of an interleaved
-    update shifting the numbers mid-round.  The snapshot does not copy: the
-    learner replaces (never mutates) its arrays on update, so the captured
-    references stay internally consistent for the lifetime of the round.
+    Captures ``theta`` and ``V⁻¹`` once, so the fleet's batched pass
+    (:func:`batch_upper_confidence_scores`) scores every tenant against the
+    exact arrays its learner's own :meth:`C2UCB.upper_confidence_scores`
+    would use, without re-checking the learner's lazy caches per call.  The
+    snapshot does not copy: the learner replaces (never mutates) its arrays
+    on update, so the captured references stay internally consistent for
+    the lifetime of the round.
 
-    Instances are cheap to create (two attribute reads) and safe to share
-    across threads; they cannot observe rewards — updates go through the
-    owning :class:`C2UCB`.
+    Instances are cheap to create (two attribute reads); they cannot observe
+    rewards — updates go through the owning :class:`C2UCB`.
     """
 
     __slots__ = ("theta", "v_inverse", "dimension")
@@ -57,14 +85,6 @@ class LinearScorer:
         self.theta = theta
         self.v_inverse = v_inverse
         self.dimension = len(theta)
-
-    def expected_rewards(self, contexts: np.ndarray) -> np.ndarray:
-        """Point estimates ``theta' x_i`` for each context row."""
-        return _scoring.expected_rewards(self.theta, contexts)
-
-    def exploration_bonus(self, contexts: np.ndarray) -> np.ndarray:
-        """Confidence widths ``sqrt(x' V^{-1} x)`` for each context row."""
-        return _scoring.exploration_bonus(self.v_inverse, contexts)
 
     def upper_confidence_scores(self, contexts: np.ndarray, alpha: float) -> np.ndarray:
         """UCB scores under the frozen snapshot.
@@ -91,7 +111,7 @@ class LinearScorer:
             raise ValueError(
                 f"contexts must have shape (k, {self.dimension}), got {contexts.shape}"
             )
-        return _scoring.ucb_scores(self.theta, self.v_inverse, contexts, alpha)
+        return ucb_scores(self.theta, self.v_inverse, contexts, alpha)
 
 
 def batch_upper_confidence_scores(
@@ -170,9 +190,9 @@ def batch_upper_confidence_scores(
         widths = np.einsum("tkd,tkd->tk", projected, stacked)
         bonuses = np.sqrt(np.maximum(widths, 0.0))
         for row, i in enumerate(indices):
-            # Same GEMV the packed core's kernel performs — folding the
-            # thetas into one GEMM would change the accumulation order.
-            expected = _scoring.expected_rewards(scorers[i].theta, blocks[i])
+            # Same GEMV as :func:`expected_rewards` — folding the thetas
+            # into one GEMM would change the accumulation order.
+            expected = expected_rewards(scorers[i].theta, blocks[i])
             results[i] = expected + alphas[i] * bonuses[row]
     return [result for result in results if result is not None]
 
@@ -259,28 +279,26 @@ class C2UCB:
     def expected_rewards(self, contexts: np.ndarray) -> np.ndarray:
         """Point estimates ``theta' x_i`` without the exploration boost."""
         contexts = self._validate_contexts(contexts)
-        return _scoring.expected_rewards(self.theta(), contexts)
+        return expected_rewards(self.theta(), contexts)
 
     def exploration_bonus(self, contexts: np.ndarray) -> np.ndarray:
         """The per-arm confidence width ``sqrt(x' V^{-1} x)``."""
         contexts = self._validate_contexts(contexts)
-        return _scoring.exploration_bonus(self._inverse(), contexts)
+        return exploration_bonus(self._inverse(), contexts)
 
     def upper_confidence_scores(self, contexts: np.ndarray, alpha: float) -> np.ndarray:
         """UCB scores (line 8 of Algorithm 1)."""
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
         contexts = self._validate_contexts(contexts)
-        return _scoring.ucb_scores(self.theta(), self._inverse(), contexts, alpha)
+        return ucb_scores(self.theta(), self._inverse(), contexts, alpha)
 
     def scorer(self) -> "LinearScorer":
         """Freeze the current ``theta`` and ``V⁻¹`` into a :class:`LinearScorer`.
 
-        The snapshot scores arbitrary context batches — e.g. one per arm
-        shard — with bit-identical math to :meth:`upper_confidence_scores`,
-        while keeping all learning (and the Sherman–Morrison ``V⁻¹``
-        maintenance) on this learner.  Sharding partitions *scoring*, never
-        the bandit state.
+        The snapshot scores context batches with bit-identical math to
+        :meth:`upper_confidence_scores`, while keeping all learning (and the
+        Sherman–Morrison ``V⁻¹`` maintenance) on this learner.
         """
         return LinearScorer(self.theta(), self._inverse())
 

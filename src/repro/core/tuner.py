@@ -31,18 +31,13 @@ from repro.engine.execution import ExecutionResult
 from repro.engine.query import Query
 from repro.interface import Recommendation, Tuner
 
-from .arms import Arm, ArmGenerator, shard_arms
+from .arms import Arm, ArmGenerator
 from .config import MabConfig
 from .context import ContextBuilder
 from .linear_bandit import C2UCB
-from .oracle import GreedyOracle, ScoredArm, merge_shard_candidates
+from .oracle import GreedyOracle, ScoredArm
 from .query_store import QueryStore
 from .rewards import compute_round_rewards
-from .scoring import ScoringConfig, ScoringStats, pack_arm_pool, score_packed
-
-
-#: Sentinel distinguishing "argument omitted" from an explicit ``None``.
-_UNSET: "int | None" = object()  # type: ignore[assignment]
 
 
 @dataclasses.dataclass
@@ -69,25 +64,6 @@ class PoolRound:
     alpha: float
     #: Context matrix for ``arms`` (set by :meth:`MabTuner.pool_contexts`).
     contexts: "np.ndarray | None" = None
-
-
-@dataclasses.dataclass(frozen=True)
-class ShardScoreStats:
-    """Deprecated view of :class:`~repro.core.scoring.ScoringStats`.
-
-    The packed core's ``MabTuner.last_scoring_stats`` supersedes this; the
-    ``MabTuner.last_shard_stats`` property keeps deriving instances of this
-    shape for callers that still read the old diagnostics.
-    """
-
-    #: Arms in the round's pool before sharding.
-    n_arms: int
-    #: Non-empty shards the pool split into.
-    n_shards: int
-    #: Size of the largest shard — the critical path of a parallel scoring pass.
-    max_shard_size: int
-    #: Merged survivors handed to the knapsack oracle after the per-shard top-k cut.
-    n_candidates: int
 
 
 @register_tuner("MAB")
@@ -119,9 +95,6 @@ class MabTuner(Tuner):
         #: Diagnostics for reporting and tests.
         self.shift_events: list[int] = []
         self.rounds_recommended = 0
-        #: Diagnostics of the latest packed scoring pass (``None`` while the
-        #: pool is scored monolithically or before the first recommendation).
-        self.last_scoring_stats: ScoringStats | None = None
 
     # ------------------------------------------------------------------ #
     # Tuner interface
@@ -150,42 +123,21 @@ class MabTuner(Tuner):
         pool = self.begin_round(round_number)
         if pool.arms is None:
             return self.complete_round(pool, None)
-        if self.scoring.strategy == "monolithic":
-            contexts = self.pool_contexts(pool)
-            scores = self.bandit.upper_confidence_scores(contexts, pool.alpha)
-            return self.complete_round(pool, scores)
-        candidates, context_rows = self._score_packed(
-            pool.arms, pool.queries, pool.alpha
-        )
-        return self._finish_with_candidates(pool, candidates, context_rows)
+        contexts = self.pool_contexts(pool)
+        scores = self.bandit.upper_confidence_scores(contexts, pool.alpha)
+        return self.complete_round(pool, scores)
 
     # ------------------------------------------------------------------ #
     # the pool-scoring protocol (recommend split open for the fleet)
     # ------------------------------------------------------------------ #
-    @property
-    def scoring(self) -> ScoringConfig:
-        """The tuner's scoring configuration (never ``None`` on a live tuner)."""
-        scoring = self.config.scoring
-        assert scoring is not None  # MabConfig.__post_init__ normalises
-        return scoring
-
-    @property
-    def supports_batched_scoring(self) -> bool:
-        """Whether a fleet may score this tuner through the pool protocol.
-
-        True for the monolithic scoring mode; a tuner configured for a
-        partitioned strategy keeps its own (already parallel) packed pass.
-        """
-        return self.scoring.strategy == "monolithic"
-
     def begin_round(self, round_number: int) -> PoolRound:
         """Open a recommendation round: QoI window, arm refresh, alpha.
 
         Everything up to (but excluding) the scoring pass of
         :meth:`recommend`.  The returned handle must be closed with
-        :meth:`complete_round` (or the sharded path) exactly once; ``arms``
-        is ``None`` on the empty-QoI fast path, in which case no scoring is
-        needed and ``complete_round(pool, None)`` retains the materialised
+        :meth:`complete_round` exactly once; ``arms`` is ``None`` on the
+        empty-QoI fast path, in which case no scoring is needed and
+        ``complete_round(pool, None)`` retains the materialised
         configuration.
         """
         # reprolint: disable=RL001 -- recommendation_seconds is the paper-reported wall time of the MAB's own scoring pass; no tuning decision reads it
@@ -234,9 +186,9 @@ class MabTuner(Tuner):
         directly or the fleet's batched
         :func:`~repro.core.linear_bandit.batch_upper_confidence_scores` pass,
         which is bit-identical by contract.  The tie-break jitter is drawn
-        here (one draw per pool, exactly as the monolithic pass always did),
-        so single-session and fleet-batched rounds consume the tuner's random
-        stream identically.  ``scores=None`` closes an empty-QoI round.
+        here (one draw per pool), so single-session and fleet-batched rounds
+        consume the tuner's random stream identically.  ``scores=None``
+        closes an empty-QoI round.
         """
         if pool.arms is None or scores is None:
             self._pending_selection = []
@@ -252,23 +204,12 @@ class MabTuner(Tuner):
                 arm=arm,
                 score=float(score),
                 size_bytes=self.database.index_size_bytes(arm.index),
-                position=position,
             )
-            for position, (arm, score) in enumerate(zip(pool.arms, scores))
+            for arm, score in zip(pool.arms, scores)
         ]
         context_rows = {
             arm.index_id: pool.contexts[i] for i, arm in enumerate(pool.arms)
         }
-        self.last_scoring_stats = None
-        return self._finish_with_candidates(pool, candidates, context_rows)
-
-    def _finish_with_candidates(
-        self,
-        pool: PoolRound,
-        candidates: list[ScoredArm],
-        context_rows: dict[str, np.ndarray],
-    ) -> Recommendation:
-        """Select the super arm and assemble the round's recommendation."""
         selection = self.oracle.select(candidates, self.database.memory_budget_bytes)
         self._pending_selection = [
             (scored.arm, context_rows[scored.arm.index_id])
@@ -280,171 +221,6 @@ class MabTuner(Tuner):
             # reprolint: disable=RL001 -- paper-reported recommendation wall time (output only)
             recommendation_seconds=time.perf_counter() - pool.started,
         )
-
-    def _score_packed(
-        self,
-        arms: list[Arm],
-        queries: list[Query],
-        alpha: float,
-    ) -> tuple[list[ScoredArm], dict[str, np.ndarray]]:
-        """Score the arm pool through the packed core and merge the winners.
-
-        The pool is partitioned with :func:`~repro.core.arms.shard_arms`
-        (strategy ``scoring.strategy``), each shard's context slice is built
-        once, and the slices are packed into one flat matrix
-        (:func:`~repro.core.scoring.pack_arm_pool`) whose shard boundaries
-        are row ranges — :func:`~repro.core.scoring.score_packed` then runs
-        one blocked GEMM pass against the frozen
-        :class:`~repro.core.linear_bandit.LinearScorer` snapshot, serially or
-        over the shared-memory process pool (``scoring.workers``).  Only each
-        shard's top ``scoring.top_k`` candidates reach the knapsack oracle.
-
-        Determinism: the tie-break jitter is drawn once for the whole pool
-        (same rng consumption as the monolithic pass) and sliced per shard;
-        each packed block is byte-compatible with the standalone per-shard
-        matrix, so its scores are bit-identical to the historical per-shard
-        pass at any worker count; and the merged survivors are restored to
-        pool order — so at matched seeds the packed pass selects the same
-        configuration as the monolithic one whenever the top-k cut keeps the
-        oracle's picks (guaranteed for ``top_k=None``).
-        """
-        scoring = self.scoring
-        shards = shard_arms(arms, scoring.shard_by, scoring.n_hash_shards)
-        predicate_columns = self.context_builder.predicate_columns(queries)
-        jitter = self.bandit.tie_break(len(arms))
-        scorer = self.bandit.scorer()
-
-        context_blocks: list[np.ndarray] = []
-        positions: list[list[int]] = []
-        size_bytes: list[list[int]] = []
-        for shard in shards:
-            context_blocks.append(
-                self.context_builder.build_matrix(
-                    shard.arms,
-                    queries,
-                    self.database,
-                    predicate_columns=predicate_columns,
-                )
-            )
-            positions.append(shard.positions)
-            size_bytes.append(
-                [self.database.index_size_bytes(arm.index) for arm in shard.arms]
-            )
-        packed = pack_arm_pool(
-            context_blocks,
-            positions,
-            size_bytes,
-            [shard.key for shard in shards],
-        )
-        result = score_packed(
-            packed,
-            scorer.theta,
-            scorer.v_inverse,
-            alpha,
-            workers=self._shard_worker_count(packed.n_blocks),
-        )
-
-        context_rows: dict[str, np.ndarray] = {}
-        candidates_by_shard: list[list[ScoredArm]] = []
-        for shard, contexts, (start, _stop), sizes in zip(
-            shards, context_blocks, packed.block_slices(), size_bytes
-        ):
-            shard_candidates = []
-            for row, (arm, position) in enumerate(zip(shard.arms, shard.positions)):
-                context_rows[arm.index_id] = contexts[row]
-                shard_candidates.append(
-                    ScoredArm(
-                        arm=arm,
-                        score=float(result.scores[start + row] + jitter[position]),
-                        size_bytes=sizes[row],
-                        position=position,
-                    )
-                )
-            candidates_by_shard.append(shard_candidates)
-
-        merged = merge_shard_candidates(candidates_by_shard, scoring.top_k)
-        self.last_scoring_stats = ScoringStats(
-            strategy=scoring.strategy,
-            n_arms=len(arms),
-            n_shards=packed.n_blocks,
-            max_shard_size=packed.max_block_size,
-            n_candidates=len(merged),
-            workers=scoring.workers,
-            used_processes=result.used_processes,
-            shared_memory_bytes=result.shared_memory_bytes,
-        )
-        return merged, context_rows
-
-    def _shard_worker_count(self, n_shards: int) -> int:
-        """Worker processes the packed pass uses (never more than blocks)."""
-        return self.scoring.resolved_workers(n_shards)
-
-    def configure_scoring(self, scoring: ScoringConfig) -> None:
-        """Install a scoring configuration on the live tuner.
-
-        The single non-deprecated way to change how the arm pool is scored;
-        :class:`~repro.api.session.TuningSession` routes
-        ``SimulationOptions(scoring=...)`` through this method (the tuner
-        thereby satisfies the
-        :class:`~repro.core.scoring.ConfigurableScoring` protocol).
-
-        Raises:
-            TypeError: If ``scoring`` is not a
-                :class:`~repro.core.scoring.ScoringConfig`.
-        """
-        if not isinstance(scoring, ScoringConfig):
-            raise TypeError(
-                f"configure_scoring expects a ScoringConfig, got {type(scoring).__name__}"
-            )
-        # replace() re-runs __post_init__ with "scoring wins" precedence, so
-        # the derived legacy properties fed back through the InitVars are
-        # ignored and the explicit ScoringConfig lands unmodified.
-        self.config = dataclasses.replace(self.config, scoring=scoring)
-
-    def configure_sharding(
-        self,
-        shard_by: str | None,
-        *,
-        shard_top_k: "int | None" = _UNSET,
-        n_hash_shards: int | None = None,
-        shard_workers: int | None = None,
-    ) -> None:
-        """Deprecated spelling of :meth:`configure_scoring`.
-
-        Builds a :class:`~repro.core.scoring.ScoringConfig` from the current
-        one (omitted knobs are left unchanged) and installs it.
-
-        Args:
-            shard_by: ``None`` (monolithic), ``"table"`` or ``"hash"``.
-            shard_top_k: Per-shard candidate cut forwarded to the oracle;
-                pass ``None`` for an exact (selection-preserving) merge.
-                Left unchanged when omitted.
-            n_hash_shards: Bucket count for hash placement.  Left unchanged
-                when omitted.
-            shard_workers: Process count for the packed scoring pass
-                (``1`` serial, ``0`` one per CPU).  Left unchanged when
-                omitted.  Recommendations are identical at any worker count.
-
-        Raises:
-            ValueError: If any value fails
-                :class:`~repro.core.scoring.ScoringConfig` validation.
-        """
-        updates: dict[str, object] = {
-            "strategy": "monolithic" if shard_by is None else shard_by
-        }
-        if shard_by is not None and not isinstance(shard_by, str):
-            raise ValueError(
-                f"shard_by must be None, 'table' or 'hash', got {shard_by!r}"
-            )
-        if shard_top_k is not _UNSET:
-            updates["top_k"] = shard_top_k
-        if n_hash_shards is not None:
-            updates["n_hash_shards"] = n_hash_shards
-        if shard_workers is not None:
-            updates["workers"] = shard_workers
-        # ScoringConfig.__post_init__ re-validates, so invalid values are
-        # rejected before they can affect a live tuner.
-        self.configure_scoring(dataclasses.replace(self.scoring, **updates))
 
     def observe(
         self,
@@ -462,9 +238,8 @@ class MabTuner(Tuner):
             change: The configuration change applied before execution, with
                 per-index creation times.
 
-        The C²UCB update — including the Sherman–Morrison/Woodbury ``V⁻¹``
-        maintenance — always runs against the single shared learner; shard
-        mode never splits the bandit state.
+        Every played arm updates the single shared C²UCB learner, including
+        its Sherman–Morrison/Woodbury ``V⁻¹`` maintenance.
         """
         summary = self.query_store.add_round(queries, round_number)
         if (
@@ -530,9 +305,8 @@ class MabTuner(Tuner):
         """Forget all learned state; a reset tuner replays bit-identically.
 
         Clears the bandit (weights, scatter matrix, tie-break rng), the query
-        store, the arm registry and all diagnostics.  The sharding
-        configuration is *kept* — it describes how to score, not what was
-        learned.
+        store, the arm registry and all diagnostics.  The configuration is
+        kept — it describes how to tune, not what was learned.
         """
         self.bandit.reset()
         self.query_store.clear()
@@ -541,7 +315,6 @@ class MabTuner(Tuner):
         self.shift_events = []
         self.rounds_recommended = 0
         self._reward_scale_seconds = 1.0
-        self.last_scoring_stats = None
 
     # ------------------------------------------------------------------ #
     # internals and diagnostics
@@ -551,7 +324,7 @@ class MabTuner(Tuner):
 
         Returns the round's arm pool in a deterministic order (generation
         order of the merged ``{index_id: Arm}`` mapping) — the *pool order*
-        that positions, context rows and tie-break jitter are all keyed by.
+        that context rows and tie-break jitter are both keyed by.
         """
         generated = self.arm_generator.generate(queries)
         arms: list[Arm] = []
@@ -567,19 +340,6 @@ class MabTuner(Tuner):
                 known.last_generated_round = round_number
                 arms.append(known)
         return arms
-
-    @property
-    def last_shard_stats(self) -> ShardScoreStats | None:
-        """Deprecated view of :attr:`last_scoring_stats` (legacy shape)."""
-        stats = self.last_scoring_stats
-        if stats is None:
-            return None
-        return ShardScoreStats(
-            n_arms=stats.n_arms,
-            n_shards=stats.n_shards,
-            max_shard_size=stats.max_shard_size,
-            n_candidates=stats.n_candidates,
-        )
 
     @property
     def known_arm_count(self) -> int:

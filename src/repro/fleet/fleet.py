@@ -7,11 +7,11 @@ multiplexes their round protocol the way a DBaaS control plane would:
   same key share one statistics snapshot
   (:class:`~repro.fleet.DatabaseInterner`), so fleet startup is O(distinct
   specs), not O(tenants);
-* **batched recommendation** — every pool-compatible MAB tenant's scoring
-  round runs inside one vectorized
+* **batched recommendation** — every MAB tenant's scoring round runs inside
+  one vectorized
   :func:`~repro.core.linear_bandit.batch_upper_confidence_scores` pass,
-  bit-identical to per-session scoring by contract (DDQN/PDTool/NoIndex and
-  sharded MAB tuners fall back to ordinary per-session recommendation);
+  bit-identical to per-session scoring by contract (DDQN/PDTool/NoIndex
+  tenants fall back to ordinary per-session recommendation);
 * **queue-driven stepping** — :meth:`TuningFleet.submit` enqueues a tenant's
   next round in any arrival order, :meth:`TuningFleet.drain` processes every
   queued round and merges results keyed by tenant id and round number, so the
@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from repro.api.registry import create_tuner
 from repro.api.session import TuningSession
 from repro.core.linear_bandit import batch_upper_confidence_scores
+from repro.core.tuner import MabTuner
 from repro.harness.metrics import FleetSummary, RoundReport, RunReport
 
 from .errors import DuplicateTenantError, UnknownTenantError
@@ -37,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
     from repro.api.session import DatabaseEvent
-    from repro.core.tuner import MabTuner, PoolRound
+    from repro.core.tuner import PoolRound
     from repro.engine.query import Query
     from repro.interface import Recommendation
     from repro.workloads.generator import WorkloadRound
@@ -209,7 +210,7 @@ class TuningFleet:
 
         Rounds are processed in waves — wave *k* steps every tenant holding a
         *k*-th pending batch, in canonical (sorted tenant id) order — so each
-        wave's pool-compatible tenants share one batched scoring pass.
+        wave's MAB tenants share one batched scoring pass.
 
         Returns:
             ``{tenant_id: [RoundReport, ...]}`` with tenants in canonical
@@ -242,8 +243,8 @@ class TuningFleet:
     ) -> dict[str, RoundReport]:
         """Run one full round for every tenant in ``batch``.
 
-        Pool-compatible tuners are scored together in one vectorized pass;
-        the rest recommend per session.  Execution and observation always
+        MAB tuners are scored together in one vectorized pass; the rest
+        recommend per session.  Execution and observation always
         run per tenant, in canonical order.  ``training_queries``,
         ``is_shift_round`` and ``round_number`` mirror the single-session
         :meth:`~repro.api.TuningSession.step` protocol (offline tuners see
@@ -279,7 +280,7 @@ class TuningFleet:
 
         Events first (canonical order, honouring each session's
         ``options.apply_events``), then one batched scoring pass over the
-        pool-compatible tenants, then per-tenant execute/observe — each step
+        MAB tenants, then per-tenant execute/observe — each step
         using that tenant's own round metadata.
         """
         order = sorted(wave)
@@ -291,10 +292,7 @@ class TuningFleet:
             session = self._sessions[tenant_id]
             if pending.events and session.options.apply_events:
                 session.apply_events(pending.events)
-        if self.config.effective_scoring().batch:
-            batched = [t for t in order if self._pool_tuner(t) is not None]
-        else:
-            batched = []
+        batched = [t for t in order if self._pool_tuner(t) is not None]
         if batched:
             self._adopt_batched_recommendations(
                 batched, {t: wave[t].round_number for t in batched}
@@ -343,9 +341,7 @@ class TuningFleet:
     def _pool_tuner(self, tenant_id: str) -> "MabTuner | None":
         """The tenant's tuner iff it can be scored through the pool protocol."""
         tuner = self._sessions[tenant_id].tuner
-        if getattr(tuner, "supports_batched_scoring", False):
-            return tuner  # type: ignore[return-value]
-        return None
+        return tuner if isinstance(tuner, MabTuner) else None
 
     def _adopt_batched_recommendations(
         self, tenant_ids: list[str], round_numbers: Mapping[str, int | None]

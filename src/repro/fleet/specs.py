@@ -9,14 +9,11 @@ process boundaries) exactly like competition entries.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
-from typing import Any
+from dataclasses import dataclass
 
 from repro.api.competition import DatabaseSpec
 from repro.api.registry import TunerSpec
 from repro.api.session import SimulationOptions
-from repro.core.config import _UNSET, _warn_legacy_scoring_knob
-from repro.core.scoring import ScoringConfig
 
 __all__ = ["FleetConfig", "TenantSpec"]
 
@@ -52,10 +49,12 @@ class TenantSpec:
 class FleetConfig:
     """Fleet-wide knobs (all tenants; per-tenant settings live on the spec).
 
+    Every MAB tenant's recommendation round is scored in the fleet's one
+    vectorized :func:`~repro.core.linear_bandit.batch_upper_confidence_scores`
+    pass (bit-identical to per-session scoring by contract); DDQN, PDTool and
+    NoIndex tenants recommend per session.
+
     Attributes:
-        batch_scoring: Deprecated spelling of ``scoring.batch`` — normalises
-            into :attr:`scoring` with a :class:`DeprecationWarning` and still
-            reads back as a derived property.
         intern_databases: Materialise each distinct database spec once and
             hand tenants lightweight
             :meth:`~repro.engine.Database.tenant_view` clones sharing the
@@ -64,44 +63,7 @@ class FleetConfig:
         default_options: Execution options for tenants whose spec does not
             carry its own (``None`` uses the
             :class:`~repro.api.SimulationOptions` defaults).
-        scoring: Fleet-wide scoring behaviour
-            (:class:`~repro.core.scoring.ScoringConfig`).  Only
-            ``scoring.batch`` is consumed at fleet level: whether all
-            pool-compatible tuners' recommendation rounds are fused into one
-            vectorized
-            :func:`~repro.core.linear_bandit.batch_upper_confidence_scores`
-            pass (bit-identical to per-session scoring by contract).  Tuners
-            without the pool protocol — DDQN, PDTool, NoIndex — and MAB
-            tuners configured for a partitioned scoring strategy always fall
-            back to per-session recommendation, whatever this says.  ``None``
-            means the :class:`ScoringConfig` defaults (batching on).
     """
 
-    batch_scoring: InitVar[Any] = _UNSET
     intern_databases: bool = True
     default_options: SimulationOptions | None = None
-    scoring: ScoringConfig | None = None
-
-    def __post_init__(self, batch_scoring: Any) -> None:
-        if self.scoring is not None:
-            # "scoring wins" — replace() round-trips re-feed the derived
-            # batch_scoring property; ignore it silently.
-            return
-        if batch_scoring is _UNSET:
-            return
-        _warn_legacy_scoring_knob("FleetConfig", "batch_scoring")
-        object.__setattr__(
-            self, "scoring", ScoringConfig(batch=bool(batch_scoring))
-        )
-
-    def effective_scoring(self) -> ScoringConfig:
-        """The fleet's scoring behaviour with defaults applied."""
-        return self.scoring if self.scoring is not None else ScoringConfig()
-
-
-def _legacy_batch_scoring(config: FleetConfig) -> bool:
-    """Deprecated read of ``scoring.batch``."""
-    return config.effective_scoring().batch
-
-
-setattr(FleetConfig, "batch_scoring", property(_legacy_batch_scoring))

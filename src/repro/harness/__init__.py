@@ -24,7 +24,6 @@ _EXPORTS = {
     "ExperimentSettings": ".experiments",
     "aggregate_rl_series": ".experiments",
     "build_workload_rounds": ".experiments",
-    "make_tuner": ".experiments",
     "random_experiment": ".experiments",
     "rl_comparison_experiment": ".experiments",
     "run_workload_experiment": ".experiments",

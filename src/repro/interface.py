@@ -1,6 +1,6 @@
 """The tuner interface shared by MAB, PDTool, NoIndex and the RL baselines.
 
-The simulation driver (:mod:`repro.harness.simulation`) interacts with every
+The session driver (:class:`repro.api.TuningSession`) interacts with every
 tuner through this small protocol, which encodes the paper's round structure:
 
 1. ``recommend`` — before a round's (unknown) workload arrives, propose the

@@ -30,7 +30,7 @@ from repro.api import (
 )
 from repro.api.registry import _PRIMARY_NAMES, _REGISTRY, _normalise
 from repro.engine.execution import Executor
-from repro.harness import ExperimentSettings, build_workload_rounds, make_tuner
+from repro.harness import ExperimentSettings, build_workload_rounds
 from repro.optimizer.planner import Planner
 from repro.workloads import StaticWorkload, get_benchmark
 
@@ -111,29 +111,15 @@ class TestRegistry:
             _REGISTRY.pop(_normalise("_TestEcho"), None)
             _PRIMARY_NAMES.remove("_TestEcho")
 
-    def test_make_tuner_shim_deprecated_but_working(self, tiny_database):
-        with pytest.warns(DeprecationWarning, match="create_tuner"):
-            tuner = make_tuner("MAB", tiny_database)
-        assert tuner.name == "MAB"
+    def test_create_tuner_applies_the_settings_spec(self, tiny_database):
         settings = ExperimentSettings()
-        with pytest.warns(DeprecationWarning):
-            pdtool = make_tuner("PDTool", tiny_database, "tpcds", "random", settings)
+        pdtool = create_tuner(
+            "PDTool", tiny_database, settings.tuner_spec("tpcds", "random")
+        )
         assert (
             pdtool.config.invocation_time_limit_seconds
             == settings.tpcds_random_pdtool_limit_seconds
         )
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError):
-                make_tuner("nope", tiny_database)
-
-    def test_harness_interface_shim_deprecated(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.harness.interface", None)
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            module = importlib.import_module("repro.harness.interface")
-        assert module.Tuner is Tuner
 
     def test_database_spec_is_picklable_factory(self):
         spec = tiny_spec()

@@ -2,9 +2,9 @@
 
 The central guarantee under test is *parity*: a fleet of N tenants produces
 reports and converged configurations bit-identical to N standalone
-:class:`~repro.api.TuningSession` runs — for every registered tuner, whether
-scoring is batched or per-session, and whatever order observations are
-submitted in.  On top of that: spec interning (100 identical tenants share
+:class:`~repro.api.TuningSession` runs — for every registered tuner (MAB
+tenants scored in the batched pass, the rest per session), and whatever order
+observations are submitted in.  On top of that: spec interning (100 identical tenants share
 one statistics snapshot), the fleet error surface, and the bitwise
 equivalence contract of the vectorized scoring entry point.
 """
@@ -94,7 +94,7 @@ class TestSpecs:
         assert clone == spec
         with pytest.raises(AttributeError):
             spec.tenant_id = "t2"
-        config = FleetConfig(batch_scoring=False)
+        config = FleetConfig(intern_databases=False)
         assert pickle.loads(pickle.dumps(config)) == config
 
     def test_database_spec_is_hashable_even_with_placement_dict(self):
@@ -258,26 +258,20 @@ class TestFleetParity:
         assert outcomes[0] == outcomes[1]
 
     def test_batched_scoring_matches_per_session_scoring(self, ssb_rounds):
-        """The fleet-level equivalence: switching the vectorized pass off must
-        not change a single bit of any tenant's outcome."""
-        outcomes = []
-        for batch_scoring in (True, False):
-            fleet = TuningFleet(
-                (TenantSpec(f"t{i}", tiny_spec(), tuner="MAB") for i in range(2)),
-                FleetConfig(batch_scoring=batch_scoring),
+        """The fleet-level equivalence: every MAB tenant scored in the
+        vectorized pass ends bit-identical to a standalone session."""
+        reference = standalone_reference("MAB", ssb_rounds)
+        fleet = TuningFleet(
+            TenantSpec(f"t{i}", tiny_spec(), tuner="MAB") for i in range(2)
+        )
+        for workload_round in ssb_rounds:
+            fleet.step({tid: workload_round.queries for tid in fleet.tenant_ids})
+        for tenant_id in fleet.tenant_ids:
+            session = fleet.session(tenant_id)
+            assert deterministic_rows(session.report) == deterministic_rows(
+                reference.report
             )
-            for workload_round in ssb_rounds:
-                fleet.step({tid: workload_round.queries for tid in fleet.tenant_ids})
-            outcomes.append(
-                {
-                    tid: (
-                        deterministic_rows(fleet.session(tid).report),
-                        configuration_of(fleet.session(tid)),
-                    )
-                    for tid in fleet.tenant_ids
-                }
-            )
-        assert outcomes[0] == outcomes[1]
+            assert configuration_of(session) == configuration_of(reference)
 
     def test_mixed_tuner_fleet(self, ssb_rounds):
         fleet = TuningFleet(

@@ -4,6 +4,17 @@ import numpy as np
 import pytest
 
 from repro.core import C2UCB
+from repro.core.linear_bandit import LinearScorer, ucb_scores
+
+
+def random_problem(seed: int, n_arms: int, dimension: int):
+    """A random (theta, V⁻¹, contexts) triple with a symmetric PSD inverse."""
+    rng = np.random.default_rng(seed)
+    theta = rng.normal(size=dimension)
+    half = rng.normal(size=(dimension, dimension))
+    v_inverse = half @ half.T / dimension + np.eye(dimension)
+    contexts = rng.normal(size=(n_arms, dimension))
+    return theta, v_inverse, contexts
 
 
 class TestInitialisation:
@@ -49,6 +60,35 @@ class TestScoring:
     def test_one_dimensional_context_accepted(self):
         bandit = C2UCB(dimension=3)
         assert bandit.expected_rewards(np.zeros(3)).shape == (1,)
+
+
+class TestKernels:
+    """Every scoring surface runs the one ``ucb_scores`` kernel, bit for bit."""
+
+    def test_kernel_matches_linear_scorer_bitwise(self):
+        theta, v_inverse, contexts = random_problem(0, 200, 12)
+        scorer = LinearScorer(theta, v_inverse)
+        kernel = ucb_scores(theta, v_inverse, contexts, alpha=1.5)
+        assert np.array_equal(kernel, scorer.upper_confidence_scores(contexts, 1.5))
+
+    def test_kernel_matches_live_learner_bitwise(self):
+        _, _, contexts = random_problem(1, 50, 8)
+        learner = C2UCB(dimension=8)
+        learner.update(contexts[:10], np.linspace(-1, 1, 10))
+        expected = learner.upper_confidence_scores(contexts, 2.0)
+        kernel = ucb_scores(learner.theta(), learner._inverse(), contexts, 2.0)
+        assert np.array_equal(kernel, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_scorer_matches_learner_across_input_dtypes(self, dtype):
+        _, _, contexts = random_problem(5, 40, 6)
+        learner = C2UCB(dimension=6)
+        learner.update(contexts[:8], np.linspace(-1, 1, 8))
+        cast = (contexts * 8).astype(dtype)
+        assert np.array_equal(
+            learner.scorer().upper_confidence_scores(cast, 1.0),
+            learner.upper_confidence_scores(cast, 1.0),
+        )
 
 
 class TestLearning:

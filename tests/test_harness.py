@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import create_tuner
 from repro.baselines import NoIndexTuner
 from repro.core import MabTuner
 from repro.harness import (
@@ -19,7 +20,6 @@ from repro.harness import (
     exploration_cost_summary,
     final_round_execution_comparison,
     format_table,
-    make_tuner,
     run_simulation,
     run_workload_experiment,
     speedup_percentage,
@@ -258,8 +258,7 @@ class TestSimulation:
 
 
 class TestExperiments:
-    def test_make_tuner_names(self, tiny_database):
-        # make_tuner is a deprecated shim over repro.api.create_tuner.
+    def test_create_tuner_names(self, tiny_database):
         for name, expected in [
             ("NoIndex", "NoIndex"),
             ("MAB", "MAB"),
@@ -267,13 +266,11 @@ class TestExperiments:
             ("DDQN", "DDQN"),
             ("DDQN_SC", "DDQN_SC"),
         ]:
-            with pytest.warns(DeprecationWarning):
-                assert make_tuner(name, tiny_database).name == expected
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError, match="registered tuners"):
-                make_tuner("unknown", tiny_database)
-            with pytest.raises(ValueError, match="registered tuners"):
-                make_tuner("unknown", tiny_database)
+            assert create_tuner(name, tiny_database).name == expected
+        with pytest.raises(KeyError, match="registered tuners"):
+            create_tuner("unknown", tiny_database)
+        with pytest.raises(ValueError, match="registered tuners"):
+            create_tuner("unknown", tiny_database)
 
     def test_settings_quick_and_overrides(self):
         settings = ExperimentSettings.quick()

@@ -6,7 +6,7 @@ fixture project (written into ``tmp_path`` with the same ``src`` /
 
 * suppression semantics (reasoned suppressions silence findings; reasonless,
   unknown-rule and stale suppressions are RL000);
-* the RL004 call-graph walk across a helper function in another module;
+* the RL007 call-graph walk from a pool worker into its helpers;
 * the JSON report schema;
 * the meta-test: the repo itself is reprolint-clean;
 * the wall-clock allowlist is *exact* — emptying it produces findings in
@@ -185,32 +185,13 @@ class TestRL002Picklability:
 
                     @dataclass
                     class FleetConfig:
-                        batch_scoring: bool = True
+                        intern_databases: bool = True
                     """
             },
         )
         assert rules_of(report) == ["RL002", "RL002"]
         symbols = {finding.symbol for finding in report.findings}
         assert symbols == {"TenantSpec", "FleetConfig"}
-
-    def test_scoring_config_covered(self, tmp_path):
-        # ScoringConfig rides inside MabConfig / SimulationOptions /
-        # FleetConfig across the same worker boundaries; frozen-ness is what
-        # keeps the packed-scoring snapshot picklable.
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/scoring.py": """
-                    from dataclasses import dataclass
-
-                    @dataclass
-                    class ScoringConfig:
-                        strategy: str = "monolithic"
-                    """
-            },
-        )
-        assert rules_of(report) == ["RL002"]
-        assert report.findings[0].symbol == "ScoringConfig"
 
     def test_frozen_spec_with_factory_default_clean(self, tmp_path):
         report = lint(
@@ -340,94 +321,6 @@ class TestRL003RegistryDiscipline:
 
 
 # --------------------------------------------------------------------------- #
-# RL004 shard safety
-# --------------------------------------------------------------------------- #
-SHARD_FIXTURE_BANDIT = """
-    class Scorer:
-        def scores(self, contexts):
-            return contexts
-
-    class Bandit:
-        def __init__(self):
-            self._v = 0
-            self._theta = None
-
-        def scorer(self) -> "Scorer":
-            return Scorer()
-
-        def refresh(self):
-            self._theta = 1
-
-        def peek(self):
-            return self._v
-    """
-
-
-class TestRL004ShardSafety:
-    def test_mutation_through_helper_in_other_module_flagged(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/core/bandit.py": SHARD_FIXTURE_BANDIT,
-                "src/core/tuner.py": """
-                    from .bandit import Bandit
-
-
-                    def _refresh_helper(bandit: Bandit):
-                        bandit.refresh()
-
-
-                    class MabTuner:
-                        def __init__(self):
-                            self.bandit = Bandit()
-
-                        def _score_sharded(self, shards):
-                            scorer = self.bandit.scorer()
-
-                            def score_shard(shard):
-                                _refresh_helper(self.bandit)
-                                return scorer.scores(shard)
-
-                            return [score_shard(shard) for shard in shards]
-                    """,
-            },
-        )
-        assert rules_of(report) == ["RL004"]
-        finding = report.findings[0]
-        assert finding.path == "src/core/bandit.py"
-        assert "_theta" in finding.message
-        assert "score_shard" in finding.message
-
-    def test_snapshot_only_scoring_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/core/bandit.py": SHARD_FIXTURE_BANDIT,
-                "src/core/tuner.py": """
-                    from .bandit import Bandit
-
-
-                    class MabTuner:
-                        def __init__(self):
-                            self.bandit = Bandit()
-
-                        def _score_sharded(self, shards):
-                            # Reading live state and refreshing OUTSIDE the
-                            # shard closure is legal: only score_shard fans out.
-                            self.bandit.refresh()
-                            scorer = self.bandit.scorer()
-
-                            def score_shard(shard):
-                                return scorer.scores(shard)
-
-                            return [score_shard(shard) for shard in shards]
-                    """,
-            },
-        )
-        assert report.findings == []
-
-
-# --------------------------------------------------------------------------- #
 # RL005 public surface
 # --------------------------------------------------------------------------- #
 class TestRL005PublicSurface:
@@ -443,18 +336,6 @@ class TestRL005PublicSurface:
         )
         assert rules_of(report) == ["RL005"]
         assert "repro.core.tuner" in report.findings[0].message
-
-    def test_deprecated_import_flagged_in_src(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/repro/extra/glue.py": """
-                    from repro.harness.interface import run_simulation
-                    """
-            },
-        )
-        assert rules_of(report) == ["RL005"]
-        assert "deprecated" in report.findings[0].message
 
     def test_dunder_all_audit(self, tmp_path):
         report = lint(
@@ -532,58 +413,6 @@ class TestRL005PublicSurface:
                     def __getattr__(name: str) -> object:
                         raise AttributeError(name)
                     """
-            },
-        )
-        assert report.findings == []
-
-    def test_deprecated_scoring_kwargs_flagged(self, tmp_path):
-        # The legacy shard_by / batch_scoring spellings on the config
-        # constructors normalise into ScoringConfig; new code must not use
-        # them outside the shim modules themselves.
-        report = lint(
-            tmp_path,
-            {
-                "src/repro/extra/wiring.py": """
-                    from repro.api import SimulationOptions
-                    from repro.core.config import MabConfig
-                    from repro.fleet import FleetConfig
-
-                    config = MabConfig(shard_by="table", shard_workers=2)
-                    options = SimulationOptions(shard_by="hash")
-                    fleet = FleetConfig(batch_scoring=False)
-                    """
-            },
-        )
-        assert rules_of(report) == ["RL005"] * 4
-        messages = " ".join(finding.message for finding in report.findings)
-        assert "scoring=ScoringConfig(...)" in messages
-        assert "shard_by" in messages and "batch_scoring" in messages
-
-    def test_scoring_kwargs_allowed_in_shims_tests_and_other_callees(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                # The shim module itself may spell the legacy knobs.
-                "src/repro/core/config.py": """
-                    def _rebuild(cls):
-                        return cls(shard_by="table")
-
-
-                    class MabConfig:
-                        pass
-                    """,
-                # Tests exercise the deprecation path on purpose.
-                "tests/test_legacy.py": """
-                    from repro.core.config import MabConfig
-
-                    config = MabConfig(shard_by="table")
-                    """,
-                # Same-named parameters on other callables are the live API.
-                "src/repro/extra/partition.py": """
-                    from repro.core.sharding import shard_arms
-
-                    shards = shard_arms([], shard_by="table")
-                    """,
             },
         )
         assert report.findings == []
@@ -797,171 +626,6 @@ class TestRepoIsClean:
 
 
 # --------------------------------------------------------------------------- #
-# RL006 shared-memory lifecycle
-# --------------------------------------------------------------------------- #
-class TestRL006ShmLifecycle:
-    def test_create_without_unlink_flagged(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/shm.py": """
-                    import itertools
-                    import os
-                    from multiprocessing import shared_memory
-
-                    _COUNTER = itertools.count()
-
-                    def publish() -> None:
-                        name = f"reproscore_{os.getpid()}_{next(_COUNTER)}"
-                        seg = shared_memory.SharedMemory(name=name, create=True, size=64)
-                        seg.close()
-                    """
-            },
-        )
-        assert "RL006" in rules_of(report)
-        assert "close()+unlink()" in report.findings[0].message
-
-    def test_finally_release_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/shm.py": """
-                    import itertools
-                    import os
-                    from multiprocessing import shared_memory
-
-                    _COUNTER = itertools.count()
-
-                    def publish(payload: bytes) -> None:
-                        name = f"reproscore_{os.getpid()}_{next(_COUNTER)}"
-                        seg = shared_memory.SharedMemory(name=name, create=True, size=64)
-                        try:
-                            seg.buf[: len(payload)] = payload
-                        finally:
-                            seg.close()
-                            seg.unlink()
-                    """
-            },
-        )
-        assert report.findings == []
-
-    def test_mutation_deleting_finally_unlink_fires(self, tmp_path):
-        """The ISSUE's mutation check: drop the unlink from the finally and
-        RL006 must fire — proof the exceptional-path analysis is live."""
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/shm.py": """
-                    import itertools
-                    import os
-                    from multiprocessing import shared_memory
-
-                    _COUNTER = itertools.count()
-
-                    def publish(payload: bytes) -> None:
-                        name = f"reproscore_{os.getpid()}_{next(_COUNTER)}"
-                        seg = shared_memory.SharedMemory(name=name, create=True, size=64)
-                        try:
-                            seg.buf[: len(payload)] = payload
-                        finally:
-                            seg.close()
-                    """
-            },
-        )
-        assert rules_of(report) == ["RL006"]
-
-    def test_escape_by_return_is_ownership_transfer(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/shm.py": """
-                    import itertools
-                    import os
-                    from multiprocessing import shared_memory
-
-                    _COUNTER = itertools.count()
-
-                    def make_segment():
-                        name = f"reproscore_{os.getpid()}_{next(_COUNTER)}"
-                        segment = shared_memory.SharedMemory(name=name, create=True, size=64)
-                        return segment
-                    """
-            },
-        )
-        assert report.findings == []
-
-    def test_attach_side_unlink_flagged(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/shm.py": """
-                    from multiprocessing import shared_memory
-
-                    def read_segment(name: str) -> bytes:
-                        seg = shared_memory.SharedMemory(name=name)
-                        try:
-                            return bytes(seg.buf[:4])
-                        finally:
-                            seg.close()
-                            seg.unlink()
-                    """
-            },
-        )
-        assert "RL006" in rules_of(report)
-        assert any("never unlink()" in f.message for f in report.findings)
-
-    def test_attach_close_only_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/shm.py": """
-                    from multiprocessing import shared_memory
-
-                    def read_segment(name: str) -> bytes:
-                        seg = shared_memory.SharedMemory(name=name)
-                        try:
-                            return bytes(seg.buf[:4])
-                        finally:
-                            seg.close()
-                    """
-            },
-        )
-        assert report.findings == []
-
-    def test_fixed_literal_and_uuid_names_flagged(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/shm.py": """
-                    import uuid
-                    from multiprocessing import shared_memory
-
-                    def fixed() -> None:
-                        seg = shared_memory.SharedMemory(name="scores", create=True, size=8)
-                        seg.close()
-                        seg.unlink()
-
-                    def randomised() -> None:
-                        seg = shared_memory.SharedMemory(
-                            name=f"seg_{uuid.uuid4()}", create=True, size=8
-                        )
-                        seg.close()
-                        seg.unlink()
-
-                    def unnamed() -> None:
-                        seg = shared_memory.SharedMemory(create=True, size=8)
-                        seg.close()
-                        seg.unlink()
-                    """
-            },
-        )
-        assert rules_of(report).count("RL006") == 3
-        messages = " ".join(f.message for f in report.findings)
-        assert "fixed-literal" in messages
-        assert "uuid" in messages
-
-
-# --------------------------------------------------------------------------- #
 # RL007 fork safety
 # --------------------------------------------------------------------------- #
 class TestRL007ForkSafety:
@@ -1052,116 +716,63 @@ class TestRL007ForkSafety:
         rl007 = [f for f in report.findings if f.rule == "RL007"]
         assert any("before the process pool" in f.message for f in rl007)
 
+    def test_module_global_mutation_through_helper_in_other_module_flagged(
+        self, tmp_path
+    ):
+        # The call-graph walk follows the worker into a helper that lives in
+        # another module and mutates that module's global state.
+        report = lint(
+            tmp_path,
+            {
+                "src/pkg/registry.py": """
+                    SEEN: dict[int, int] = {}
+
+                    def remember(block: int) -> None:
+                        SEEN[block] = block
+                    """,
+                "src/pkg/pool.py": """
+                    from concurrent.futures import ProcessPoolExecutor
+
+                    from .registry import remember
+
+                    def worker(block: int) -> int:
+                        remember(block)
+                        return block
+
+                    def run(blocks: list[int]) -> list[int]:
+                        with ProcessPoolExecutor(max_workers=2) as pool:
+                            return [pool.submit(worker, b).result() for b in blocks]
+                    """,
+            },
+        )
+        rl007 = [f for f in report.findings if f.rule == "RL007"]
+        assert rl007
+        assert all(f.path == "src/pkg/registry.py" for f in rl007)
+        assert any("module-global" in f.message for f in rl007)
+
     def test_clean_worker_module_passes(self, tmp_path):
         report = lint(
             tmp_path,
             {
                 "src/pkg/pool.py": """
-                    import numpy as np
                     from concurrent.futures import ProcessPoolExecutor
-                    from multiprocessing import shared_memory
 
-                    def worker(
-                        name: str,
-                        shape: tuple[int, ...],
-                        blocks: tuple[tuple[int, int], ...],
-                    ) -> None:
-                        seg = shared_memory.SharedMemory(name=name)
-                        try:
-                            scores = np.ndarray(shape, dtype=np.float64, buffer=seg.buf)
-                            for start, stop in blocks:
-                                scores[start:stop] = 1.0
-                            del scores
-                        finally:
-                            seg.close()
+                    def worker(path: str, blocks: tuple[tuple[int, int], ...]) -> int:
+                        with open(path, "rb") as handle:
+                            data = handle.read()
+                        return sum(len(data[start:stop]) for start, stop in blocks)
 
-                    def run(
-                        name: str,
-                        shape: tuple[int, ...],
-                        runs: list[tuple[tuple[int, int], ...]],
-                    ) -> None:
+                    def run(path: str, runs: list[tuple[tuple[int, int], ...]]) -> int:
                         pool = ProcessPoolExecutor(max_workers=2)
                         try:
-                            futures = [pool.submit(worker, name, shape, r) for r in runs]
-                            for future in futures:
-                                future.result()
+                            futures = [pool.submit(worker, path, r) for r in runs]
+                            return sum(future.result() for future in futures)
                         finally:
                             pool.shutdown()
                     """
             },
         )
         assert report.findings == []
-
-
-# --------------------------------------------------------------------------- #
-# RL008 disjoint writes
-# --------------------------------------------------------------------------- #
-_RL008_MODULE = """
-    import numpy as np
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import shared_memory
-
-    def worker(
-        name: str,
-        shape: tuple[int, ...],
-        blocks: tuple[tuple[int, int], ...],
-    ) -> None:
-        seg = shared_memory.SharedMemory(name=name)
-        try:
-            scores = np.ndarray(shape, dtype=np.float64, buffer=seg.buf)
-            {write}
-            del scores
-        finally:
-            seg.close()
-
-    def run(
-        name: str,
-        shape: tuple[int, ...],
-        runs: list[tuple[tuple[int, int], ...]],
-    ) -> None:
-        pool = ProcessPoolExecutor(max_workers=2)
-        try:
-            for future in [pool.submit(worker, name, shape, r) for r in runs]:
-                future.result()
-        finally:
-            pool.shutdown()
-"""
-
-
-class TestRL008DisjointWrites:
-    def _lint_with_write(self, tmp_path, write: str):
-        return lint(tmp_path, {"src/pkg/pool.py": _RL008_MODULE.format(write=write)})
-
-    def test_block_range_slice_clean(self, tmp_path):
-        report = self._lint_with_write(
-            tmp_path,
-            "for start, stop in blocks:\n                scores[start:stop] = 1.0",
-        )
-        assert report.findings == []
-
-    def test_mutation_whole_array_store_fires(self, tmp_path):
-        """The ISSUE's mutation check: a whole-array store must be a finding."""
-        report = self._lint_with_write(tmp_path, "scores[:] = 1.0")
-        assert rules_of(report) == ["RL008"]
-
-    def test_element_store_fires(self, tmp_path):
-        report = self._lint_with_write(tmp_path, "scores[0] = 1.0")
-        assert rules_of(report) == ["RL008"]
-
-    def test_computed_slice_fires(self, tmp_path):
-        report = self._lint_with_write(
-            tmp_path,
-            "for start, stop in blocks:\n                scores[start : stop + 1] = 1.0",
-        )
-        assert rules_of(report) == ["RL008"]
-
-    def test_view_from_container_tracked(self, tmp_path):
-        report = self._lint_with_write(
-            tmp_path,
-            "views = {}\n            views['scores'] = scores\n"
-            "            out = views['scores']\n            out[:] = 1.0",
-        )
-        assert "RL008" in rules_of(report)
 
 
 # --------------------------------------------------------------------------- #
@@ -1219,6 +830,58 @@ class TestRL009ExceptionSafety:
         assert "RL009" in rules_of(report)
         assert any("process/thread pool" in f.message for f in report.findings)
 
+    def test_finally_release_clean(self, tmp_path):
+        report = lint(
+            tmp_path,
+            {
+                "src/pkg/io_mod.py": """
+                    def write_payload(path: str, payload: bytes) -> None:
+                        handle = open(path, "wb")
+                        try:
+                            handle.write(payload)
+                        finally:
+                            handle.close()
+                    """
+            },
+        )
+        assert report.findings == []
+
+    def test_mutation_deleting_finally_release_fires(self, tmp_path):
+        """Drop the shutdown from the finally and RL009 must fire — proof
+        the exceptional-path analysis is live."""
+        report = lint(
+            tmp_path,
+            {
+                "src/pkg/pool.py": """
+                    from concurrent.futures import ProcessPoolExecutor
+
+                    def job(block: int) -> int:
+                        return block
+
+                    def run(blocks: list[int]) -> list[int]:
+                        pool = ProcessPoolExecutor(max_workers=2)
+                        try:
+                            return [pool.submit(job, b).result() for b in blocks]
+                        finally:
+                            blocks.clear()
+                    """
+            },
+        )
+        assert rules_of(report) == ["RL009"]
+
+    def test_escape_by_return_is_ownership_transfer(self, tmp_path):
+        report = lint(
+            tmp_path,
+            {
+                "src/pkg/io_mod.py": """
+                    def open_log(path: str):
+                        handle = open(path, "a")
+                        return handle
+                    """
+            },
+        )
+        assert report.findings == []
+
     def test_pool_handed_to_cache_is_ownership_transfer(self, tmp_path):
         report = lint(
             tmp_path,
@@ -1274,10 +937,10 @@ class TestMultiRuleSuppression:
 
         suppressions = parse_suppressions(
             "src/pkg/mod.py",
-            "x = 1  # reprolint: disable=RL001,RL001,RL004 -- why\n",
+            "x = 1  # reprolint: disable=RL001,RL001,RL003 -- why\n",
         )
         assert len(suppressions) == 1
-        assert suppressions[0].rules == ("RL001", "RL004")
+        assert suppressions[0].rules == ("RL001", "RL003")
 
 
 class TestOutputFormats:

@@ -1,12 +1,12 @@
 """``reprolint`` — repo-native static analysis for the reproduction's invariants.
 
 The runtime test suite pins the paper's parity claims (reset determinism,
-sharded == monolithic scoring, uniform placement == seed, parallel == serial)
+fleet == standalone sessions, uniform placement == seed, parallel == serial)
 by *sampling* a handful of configurations.  ``reprolint`` enforces the same
 invariants *mechanically, on every file, at lint time*: an unseeded RNG, a
 mutable spec crossing a worker boundary, a name-based tuner dispatch or a
-shard-scoring path that writes to the live bandit are all flagged before any
-benchmark runs.
+pool worker that mutates module state are all flagged before any benchmark
+runs.
 
 Rule families (see ``docs/STATIC_ANALYSIS.md`` for the catalog):
 
@@ -19,26 +19,17 @@ RL002     frozen-spec picklability: spec dataclasses crossing
           lambdas/closures/handles
 RL003     registry discipline: no if/elif dispatch on registered
           tuner/backend name strings outside the registries
-RL004     shard-scorer race safety: nothing reachable from the sharded
-          scoring entry points assigns to the live bandit's mutable state
 RL005     public-surface hygiene: examples import the documented surface,
-          deprecated import paths are flagged, ``repro.api`` ``__all__``
-          stays in sync with the definitions
-RL006     shared-memory lifecycle: created segments reach ``close()`` +
-          ``unlink()`` on every path (raise paths included), attach-side
-          code closes but never unlinks, names follow the counter scheme
+          ``repro.api`` ``__all__`` stays in sync with the definitions
 RL007     fork safety: pool workers are module-level, mutate no module
           globals, reach no clock/ambient-RNG reads, and no threading
           primitive is constructed before the pool in the same module
-RL008     disjoint writes: workers store into shared buffers only via
-          ``buf[start:stop]`` slices bound by the passed block ranges
 RL009     exception-safe release: executor pools and file handles are
           shut down / closed on every path out of the function
 ========  ==================================================================
 
-RL006 and RL009 run on an intraprocedural CFG/dataflow engine
-(:mod:`tools.reprolint.flow`); :mod:`tools.reprolint.shmsan` checks the
-same shared-memory invariants at runtime when ``REPRO_SHM_SAN=1``.
+RL009 runs on an intraprocedural CFG/dataflow engine
+(:mod:`tools.reprolint.flow`).
 
 Suppress a single finding inline with a *reasoned* comment::
 

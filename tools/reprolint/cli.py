@@ -20,8 +20,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m tools.reprolint",
         description=(
             "Repo-native static analysis: determinism, picklability, registry "
-            "discipline, shard safety, public-surface hygiene, shared-memory "
-            "lifecycle, fork safety, exception-safe resource release."
+            "discipline, public-surface hygiene, fork safety, exception-safe "
+            "resource release."
         ),
     )
     parser.add_argument(

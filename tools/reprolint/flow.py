@@ -15,12 +15,12 @@ engine, in three layers:
   merge points.
 * **A resource-state lattice** — :class:`ResourceTransfer` tracks, per
   local variable, the acquisition sites it may hold and whether each is
-  released (``close``/``unlink``/``shutdown``), escaped (returned, yielded,
+  released (``close``/``shutdown``), escaped (returned, yielded,
   stored into a container/attribute, or passed to an unknown callee) or
   still open.  :func:`analyse_resources` reports every site that can reach
   the function's normal or exceptional exit unreleased.
 
-Cross-function knowledge reuses the RL004 call graph for **one level of
+Cross-function knowledge reuses the project call graph for **one level of
 helper inlining** (:func:`function_summary`): a helper that returns a fresh
 resource is an acquisition site at its call sites, and a helper that
 releases a parameter counts as a release of the argument.  Deeper chains are
@@ -43,13 +43,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # resource kinds
 # --------------------------------------------------------------------------- #
 
-SHM_CREATE = "shm_create"
-SHM_ATTACH = "shm_attach"
 POOL = "pool"
 FILE = "file"
 
 #: Fully-qualified constructors that acquire a resource of each kind.
-SHM_CONSTRUCTORS = frozenset({"multiprocessing.shared_memory.SharedMemory"})
 POOL_CONSTRUCTORS = frozenset(
     {
         "concurrent.futures.ProcessPoolExecutor",
@@ -71,13 +68,11 @@ FILE_CONSTRUCTORS = frozenset(
     }
 )
 
-#: Method calls that release (part of) a tracked resource.  ``shutdown``
-#: fully releases a pool; a created shm segment needs *both* ``close`` and
-#: ``unlink``.
+#: Method calls that release a tracked resource: ``shutdown`` a pool,
+#: ``close`` a file handle (or a pool).
 RELEASE_EFFECTS: dict[str, tuple[str, ...]] = {
     "close": ("closed",),
-    "unlink": ("unlinked",),
-    "shutdown": ("closed", "unlinked"),
+    "shutdown": ("closed",),
 }
 
 #: Calls that cannot meaningfully raise for lifecycle purposes: without this
@@ -107,18 +102,12 @@ class Status:
 
     site: ResourceSite
     closed: bool = False
-    unlinked: bool = False
     escaped: bool = False
 
     @property
     def satisfied(self) -> bool:
         """Whether this state is terminal-safe at a function exit."""
-        if self.escaped:
-            return True
-        if self.site.kind == SHM_CREATE:
-            return self.closed and self.unlinked
-        # attach-side shm, pools and files only need close()/shutdown().
-        return self.closed
+        return self.escaped or self.closed
 
 
 #: A dataflow environment: local name -> set of possible statuses.  A name
@@ -498,16 +487,6 @@ def _classify_external(call: ast.Call, aliases: dict[str, str]) -> str | None:
     dotted = dotted_call_name(call.func, aliases)
     if dotted is None:
         return None
-    if dotted in SHM_CONSTRUCTORS:
-        create = False
-        if len(call.args) >= 2:
-            arg = call.args[1]
-            create = isinstance(arg, ast.Constant) and bool(arg.value)
-        for keyword in call.keywords:
-            if keyword.arg == "create":
-                value = keyword.value
-                create = isinstance(value, ast.Constant) and bool(value.value)
-        return SHM_CREATE if create else SHM_ATTACH
     if dotted in POOL_CONSTRUCTORS:
         return POOL
     if dotted in FILE_CONSTRUCTORS:
@@ -594,8 +573,6 @@ class ResourceTransfer:
         self.summaries = summaries
         self.aliases = _module_aliases(function, index)
         self._in_progress = _in_progress
-        #: ``unlink()`` calls observed on attach-side segments: (site, line, col).
-        self.attach_unlinks: set[tuple[ResourceSite, int, int]] = set()
 
     # -- classification -------------------------------------------------- #
     def classify(self, call: ast.Call) -> str | None:
@@ -654,14 +631,7 @@ class ResourceTransfer:
                 and isinstance(func.value, ast.Name)
                 and func.value.id in env
             ):
-                name = func.value.id
-                if func.attr == "unlink":
-                    for status in env[name]:
-                        if status.site.kind == SHM_ATTACH and not status.escaped:
-                            self.attach_unlinks.add(
-                                (status.site, node.lineno, node.col_offset)
-                            )
-                self._apply_release(env, name, RELEASE_EFFECTS[func.attr])
+                self._apply_release(env, func.value.id, RELEASE_EFFECTS[func.attr])
             summary = self._callee_summary(node)
             if summary is not None and summary.param_release:
                 for position, arg in enumerate(node.args):
@@ -743,7 +713,7 @@ class ResourceTransfer:
                     line=item.context_expr.lineno,
                     col=item.context_expr.col_offset,
                 )
-                env[var.id] = frozenset({Status(site=site, closed=True, unlinked=True)})
+                env[var.id] = frozenset({Status(site=site, closed=True)})
             else:
                 env.pop(var.id, None)
 
@@ -802,7 +772,6 @@ class ResourceAnalysis:
     cfg: ControlFlowGraph
     in_envs: dict[int, Env]
     leaks: list[ResourceLeak]
-    attach_unlinks: list[tuple[ResourceSite, int, int]]
 
 
 def analyse_resources(
@@ -834,5 +803,4 @@ def analyse_resources(
         cfg=cfg,
         in_envs=in_envs,
         leaks=leaks,
-        attach_unlinks=sorted(transfer.attach_unlinks, key=lambda e: (e[1], e[2])),
     )

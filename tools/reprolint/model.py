@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from io import StringIO
 from pathlib import Path
 
-#: ``# reprolint: disable=RL001`` / ``disable=RL001,RL004`` with an optional
+#: ``# reprolint: disable=RL001`` / ``disable=RL001,RL003`` with an optional
 #: ``-- reason`` tail.  The reason is *required by policy* (RL000 enforces it);
 #: the pattern still matches without one so the omission can be reported.
 SUPPRESSION_PATTERN = re.compile(

@@ -9,7 +9,7 @@ Built once per run from the parsed ASTs, the index gives rules three things:
   dataclass field annotations, return annotations) so method calls can be
   resolved to the class that actually receives them;
 * **a call graph** — :meth:`ProjectIndex.reachable_functions` walks from an
-  entry point through resolvable calls (RL004's shard-safety walk).
+  entry point through resolvable calls (RL007's fork-safety walk).
 
 The resolver favours *precision over recall*: an attribute call whose
 receiver type cannot be inferred is linked only when exactly one function in
@@ -29,21 +29,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 @dataclass
-class AttributeStore:
-    """One ``<expr>.attr = ...`` (or augmented/annotated) assignment."""
-
-    attribute: str
-    line: int
-    col: int
-    #: Receiver spelling (``self``, ``self.bandit``, ...) for messages.
-    receiver: str
-
-
-@dataclass
 class FunctionInfo:
     """One function or method (nested functions get their own entry)."""
 
-    qualname: str  # e.g. "repro.core.tuner.MabTuner._score_sharded.score_shard"
+    qualname: str  # e.g. "repro.core.tuner.MabTuner.begin_round"
     name: str
     module: str  # dotted module name
     relative_path: str
@@ -51,7 +40,6 @@ class FunctionInfo:
     class_name: str | None = None
     parent: "FunctionInfo | None" = None
     children: dict[str, "FunctionInfo"] = field(default_factory=dict)
-    attribute_stores: list[AttributeStore] = field(default_factory=list)
     #: Call/reference expressions recorded for later resolution.
     call_sites: list[ast.expr] = field(default_factory=list)
     #: Conservative local variable typing: name -> project class name.
@@ -83,7 +71,7 @@ class ModuleInfo:
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     #: local name -> fully dotted target ("np" -> "numpy",
-    #: "shard_arms" -> "repro.core.arms.shard_arms").
+    #: "create_tuner" -> "repro.api.registry.create_tuner").
     import_aliases: dict[str, str] = field(default_factory=dict)
 
 
@@ -264,7 +252,7 @@ class _FunctionCollector(ast.NodeVisitor):
                 info.local_types[arg.arg] = annotated
 
     def _scan_body(self, info: FunctionInfo) -> None:
-        """Record attribute stores, call sites and local assignments.
+        """Record call sites and local assignments.
 
         Stops at nested function/class boundaries — their bodies belong to
         their own :class:`FunctionInfo`.
@@ -277,18 +265,13 @@ class _FunctionCollector(ast.NodeVisitor):
                 ):
                     continue
                 if isinstance(child, ast.Assign):
-                    for target in child.targets:
-                        self._record_store_target(info, target)
                     self._record_local_type(info, child.targets, child.value)
-                elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
-                    if child.target is not None:
-                        self._record_store_target(info, child.target)
-                    if isinstance(child, ast.AnnAssign):
-                        # Scan the value but not the annotation: a bare class
-                        # name in an annotation is not a constructor call.
-                        if child.value is not None:
-                            scan(child.value)
-                        continue
+                elif isinstance(child, ast.AnnAssign):
+                    # Scan the value but not the annotation: a bare class
+                    # name in an annotation is not a constructor call.
+                    if child.value is not None:
+                        scan(child.value)
+                    continue
                 elif isinstance(child, ast.Call):
                     info.call_sites.append(child)
                 elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
@@ -299,22 +282,6 @@ class _FunctionCollector(ast.NodeVisitor):
         # Scan only the body: parameter/return annotations are type
         # references, not calls or callback hand-offs.
         scan(ast.Module(body=list(info.node.body), type_ignores=[]))
-
-    def _record_store_target(self, info: FunctionInfo, target: ast.expr) -> None:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._record_store_target(info, element)
-            return
-        if isinstance(target, ast.Attribute):
-            receiver = ast.unparse(target.value)
-            info.attribute_stores.append(
-                AttributeStore(
-                    attribute=target.attr,
-                    line=target.lineno,
-                    col=target.col_offset,
-                    receiver=receiver,
-                )
-            )
 
     def _record_local_type(
         self, info: FunctionInfo, targets: list[ast.expr], value: ast.expr
@@ -437,15 +404,6 @@ class ProjectIndex:
             for class_info in module.classes.values():
                 for method in class_info.methods.values():
                     yield from walk(method)
-
-    def find_functions(self, qualname_suffix: str) -> list[FunctionInfo]:
-        """Functions whose qualified name ends with ``qualname_suffix``."""
-        return [
-            function
-            for function in self.iter_functions()
-            if function.qualname == qualname_suffix
-            or function.qualname.endswith("." + qualname_suffix)
-        ]
 
     def find_class(self, name: str, preferred_module: str | None = None) -> ClassInfo | None:
         candidates = self.classes_by_name.get(name, [])

@@ -11,7 +11,7 @@ A rule implements either hook (or both):
 
 * :meth:`Rule.check_file` — called once per scanned file;
 * :meth:`Rule.check_project` — called once per run with the whole-project
-  index (for cross-file analyses such as RL004's call-graph walk).
+  index (for cross-file analyses such as RL007's call-graph walk).
 
 Rules yield :class:`~tools.reprolint.model.Finding` objects and never look at
 suppressions — the engine filters findings against inline suppressions after
@@ -93,11 +93,8 @@ def rule_titles() -> dict[str, str]:
 from . import rl001_determinism  # noqa: E402,F401
 from . import rl002_picklability  # noqa: E402,F401
 from . import rl003_registry_discipline  # noqa: E402,F401
-from . import rl004_shard_safety  # noqa: E402,F401
 from . import rl005_public_surface  # noqa: E402,F401
-from . import rl006_shm_lifecycle  # noqa: E402,F401
 from . import rl007_fork_safety  # noqa: E402,F401
-from . import rl008_disjoint_writes  # noqa: E402,F401
 from . import rl009_exception_safety  # noqa: E402,F401
 
 __all__ = [

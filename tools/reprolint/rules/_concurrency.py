@@ -1,8 +1,7 @@
-"""Shared fork-pool detection helpers for RL007/RL008.
+"""Shared fork-pool detection helpers for RL007.
 
-Both rules need the same two facts about a function: which of its local
-names hold a process/thread pool, and which calls hand a function to such a
-pool.  Receiver typing is deliberately narrow — a constructor call, a
+RL007 needs two facts about a function: which of its local names hold a
+process/thread pool, and which calls hand a function to such a pool.  Receiver typing is deliberately narrow — a constructor call, a
 ``with ... as`` binding, or a helper whose return annotation names a pool
 class — because resolving ``x.submit`` through the project-wide
 unique-method-name fallback would happily link an unrelated ``submit``
@@ -26,7 +25,7 @@ SUBMIT_METHODS = frozenset(
     {"submit", "apply", "apply_async", "map", "map_async", "imap", "imap_unordered"}
 )
 
-#: Top-level dirs the concurrency rules police (same scope as RL001).
+#: Top-level dirs the concurrency and lifecycle rules police (same scope as RL001).
 CHECKED_TOP_DIRS = ("src", "examples")
 
 

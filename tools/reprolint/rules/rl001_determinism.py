@@ -1,7 +1,7 @@
 """RL001 — determinism: seeded RNG streams only, no wall-clock in core code.
 
 The paper's protocol (and the repo's parity tests: reset determinism,
-parallel == serial, shard == monolithic) only hold when every random stream
+parallel == serial, fleet == standalone) only hold when every random stream
 is explicitly seeded and no decision path reads the wall clock.  This rule
 flags, in ``src/`` and ``examples/``:
 

@@ -2,8 +2,7 @@
 
 The spec dataclasses (:class:`TunerSpec`, :class:`DatabaseSpec`,
 :class:`BackendProfile`, :class:`TieredBackend`, :class:`SimulationOptions`,
-:class:`ScoringConfig`, :class:`TenantSpec`, :class:`FleetConfig`) cross
-process boundaries:
+:class:`TenantSpec`, :class:`FleetConfig`) cross process boundaries:
 ``run_competition`` pickles them into ``ProcessPoolExecutor`` workers and
 fleet tenant rosters are declared spec-first, so frozen-ness is what makes a
 spec safe to share between the parent and N workers without copy-on-write
@@ -37,7 +36,6 @@ SPEC_CLASSES = frozenset(
         "BackendProfile",
         "TieredBackend",
         "SimulationOptions",
-        "ScoringConfig",
         "TenantSpec",
         "FleetConfig",
     }

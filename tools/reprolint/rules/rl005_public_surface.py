@@ -1,20 +1,11 @@
 """RL005 — public-surface hygiene.
 
-Four checks keep the documented API surface honest:
+Two checks keep the documented API surface honest:
 
 * **examples** (``examples/``) import only the public package roots
   (``repro.api``, ``repro.harness``, ``repro.workloads``, ``repro.engine``)
   — an example reaching into ``repro.core.*`` demonstrates an API gap, not
   a usage pattern;
-* **deprecated paths** (``repro.harness.interface``, the ``make_tuner``
-  shim) are flagged in ``src/`` and ``examples/`` — ``docs/API.md``'s
-  deprecations table names the replacements;
-* **deprecated scoring knobs** — the legacy
-  ``shard_by``/``shard_top_k``/``shard_workers``/``n_hash_shards``/
-  ``batch_scoring`` keyword spellings on ``MabConfig``,
-  ``SimulationOptions`` and ``FleetConfig`` are flagged in ``src/`` and
-  ``examples/`` outside the shim modules themselves — new code spells
-  scoring behaviour as ``scoring=ScoringConfig(...)``;
 * **``__all__`` discipline** in the strict-typed surface
   (``src/repro/api/*.py``, ``src/repro/fleet/*.py``,
   ``src/repro/engine/backend.py``): ``__all__`` must exist, every entry must
@@ -43,52 +34,9 @@ PUBLIC_IMPORT_ROOTS = (
     "repro.engine",
 )
 
-#: Deprecated module paths and the documented replacement.
-DEPRECATED_MODULES = {
-    "repro.harness.interface": "repro.api (TuningSession / run_simulation)",
-    "repro.harness.simulation": "repro.api.run_simulation",
-}
-
-#: Deprecated names importable from otherwise-public modules.
-DEPRECATED_NAMES = {
-    ("repro.harness", "make_tuner"): "repro.api.create_tuner",
-    ("repro.harness.experiments", "make_tuner"): "repro.api.create_tuner",
-}
-
 #: Modules whose ``__all__`` is audited (the strict-typed surface).
 ALL_AUDITED_PREFIXES = ("src/repro/api/", "src/repro/fleet/")
 ALL_AUDITED_FILES = ("src/repro/engine/backend.py",)
-
-#: Files allowed to import the deprecated paths: the shims themselves and the
-#: package ``__init__`` that lazily re-exports them for compatibility.
-DEPRECATION_SHIM_FILES = frozenset(
-    {
-        "src/repro/harness/__init__.py",
-        "src/repro/harness/interface.py",
-        "src/repro/harness/simulation.py",
-        "src/repro/harness/experiments.py",
-    }
-)
-
-#: Deprecated scoring-knob keyword spellings (normalise into ScoringConfig).
-DEPRECATED_SCORING_KWARGS = frozenset(
-    {"shard_by", "shard_top_k", "shard_workers", "n_hash_shards", "batch_scoring"}
-)
-
-#: Constructors the deprecated scoring knobs ride on.  Other callables with
-#: same-named parameters (e.g. ``shard_arms(..., shard_by=...)``, where the
-#: parameter is the live API) are not flagged.
-SCORING_KWARG_CALLEES = frozenset({"MabConfig", "SimulationOptions", "FleetConfig"})
-
-#: Files that implement the scoring-knob shims and may spell them freely.
-SCORING_SHIM_FILES = frozenset(
-    {
-        "src/repro/core/config.py",
-        "src/repro/core/tuner.py",
-        "src/repro/api/session.py",
-        "src/repro/fleet/specs.py",
-    }
-)
 
 
 def _module_of_import(node: ast.Import | ast.ImportFrom) -> list[str]:
@@ -100,7 +48,7 @@ def _module_of_import(node: ast.Import | ast.ImportFrom) -> list[str]:
 @register_rule
 class PublicSurfaceRule(Rule):
     id = "RL005"
-    title = "examples stay on the public surface; no deprecated imports; __all__ in sync"
+    title = "examples stay on the public surface; __all__ in sync"
 
     def check_file(
         self, source_file: "SourceFile", context: RuleContext
@@ -108,9 +56,6 @@ class PublicSurfaceRule(Rule):
         findings: list["Finding"] = []
         if source_file.top_level_dir == "examples":
             findings.extend(self._check_example_imports(source_file))
-        if source_file.top_level_dir in ("src", "examples"):
-            findings.extend(self._check_deprecated_imports(source_file))
-            findings.extend(self._check_deprecated_scoring_kwargs(source_file))
         if source_file.relative_path in ALL_AUDITED_FILES or any(
             source_file.relative_path.startswith(prefix)
             for prefix in ALL_AUDITED_PREFIXES
@@ -146,83 +91,6 @@ class PublicSurfaceRule(Rule):
                             f"({', '.join(PUBLIC_IMPORT_ROOTS)}) — if the "
                             "example needs it, the API is missing something"
                         ),
-                    )
-
-    # ------------------------------------------------------------------ #
-    # deprecated paths
-    # ------------------------------------------------------------------ #
-    def _check_deprecated_imports(self, source_file: "SourceFile") -> Iterator["Finding"]:
-        from ..model import Finding
-
-        if source_file.relative_path in DEPRECATION_SHIM_FILES:
-            return
-        for node in ast.walk(source_file.tree):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            for module in _module_of_import(node):
-                replacement = DEPRECATED_MODULES.get(module)
-                if replacement:
-                    yield Finding(
-                        rule=self.id,
-                        path=source_file.relative_path,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        message=(
-                            f"import of deprecated module {module}; "
-                            f"use {replacement} (see docs/API.md deprecations)"
-                        ),
-                    )
-            if isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    replacement = DEPRECATED_NAMES.get((node.module, alias.name))
-                    if replacement:
-                        yield Finding(
-                            rule=self.id,
-                            path=source_file.relative_path,
-                            line=node.lineno,
-                            col=node.col_offset,
-                            message=(
-                                f"import of deprecated {node.module}.{alias.name}; "
-                                f"use {replacement} (see docs/API.md deprecations)"
-                            ),
-                        )
-
-    # ------------------------------------------------------------------ #
-    # deprecated scoring knobs
-    # ------------------------------------------------------------------ #
-    def _check_deprecated_scoring_kwargs(
-        self, source_file: "SourceFile"
-    ) -> Iterator["Finding"]:
-        from ..model import Finding
-
-        if source_file.relative_path in SCORING_SHIM_FILES:
-            return
-        for node in ast.walk(source_file.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = node.func
-            name = (
-                callee.id
-                if isinstance(callee, ast.Name)
-                else callee.attr
-                if isinstance(callee, ast.Attribute)
-                else None
-            )
-            if name not in SCORING_KWARG_CALLEES:
-                continue
-            for keyword in node.keywords:
-                if keyword.arg in DEPRECATED_SCORING_KWARGS:
-                    yield Finding(
-                        rule=self.id,
-                        path=source_file.relative_path,
-                        line=keyword.value.lineno,
-                        col=keyword.value.col_offset,
-                        message=(
-                            f"deprecated scoring knob {name}({keyword.arg}=...); "
-                            "spell it scoring=ScoringConfig(...) "
-                            "(see docs/API.md deprecations)"
-                        ),
-                        symbol=f"{name}.{keyword.arg}",
                     )
 
     # ------------------------------------------------------------------ #

@@ -11,9 +11,9 @@ Four checks:
 
 * the callable handed to ``pool.submit(...)`` (and friends) must be a
   module-level function — no lambdas, closures or bound methods;
-* nothing reachable from it (RL004's call graph) may *mutate* module-global
-  state: ``global`` rebinding, subscript/attribute stores on module-level
-  names, or mutating method calls on them;
+* nothing reachable from it (through the project call graph) may *mutate*
+  module-global state: ``global`` rebinding, subscript/attribute stores on
+  module-level names, or mutating method calls on them;
 * nothing reachable from it may read the wall clock (outside the RL001
   allowlist) or an ambient RNG stream (seeded constructors are fine —
   they're explicit, not ambient);
