@@ -1,64 +1,45 @@
-"""The packed scoring core and the ``ScoringConfig`` API surface.
+"""The C²UCB scoring kernels, the batched pass and the pool protocol around them.
 
 The load-bearing guarantees:
 
-* **score parity** — the packed blocked GEMM pass produces bit-identical
-  scores to the monolithic :class:`~repro.core.linear_bandit.LinearScorer`
-  pass (a single-block pool *is* the monolithic pass) and to the legacy
-  per-shard pass (each block is scored by the same 2-D kernel call on a
-  byte-compatible matrix), at any worker count and for any input dtype;
-* **cleanup** — the shared-memory process path leaves no ``/dev/shm``
-  residue, even when a worker dies mid-pass (the pass degrades to the
-  serial path with identical scores);
-* **one config surface** — the legacy
-  ``shard_by``/``shard_top_k``/``shard_workers``/``batch_scoring`` knobs
-  are :class:`DeprecationWarning` shims that normalise into
-  :class:`~repro.core.scoring.ScoringConfig` bit-for-bit.
+* **score parity** — :func:`~repro.core.linear_bandit.ucb_scores` is the one
+  kernel behind :class:`~repro.core.linear_bandit.LinearScorer` and the live
+  :class:`~repro.core.linear_bandit.C2UCB` learner, and the fleet's batched
+  pass (:func:`~repro.core.linear_bandit.batch_upper_confidence_scores`,
+  which packs same-shaped blocks into one stacked tensor) scores every block
+  bit-identically to scoring it alone, for any block layout and input dtype;
+* **the process pool** — :func:`repro.api.run_competition`, the one process
+  pool in the package, merges bit-identical reports at any worker count;
+* **the pool protocol** — a caller that scores a
+  :class:`~repro.core.MabTuner` round itself (as the fleet does) gets the
+  recommendations of the tuner's own monolithic pass.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-import pickle
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.api import (
-    ScoringConfig,
-    ScoringNotSupportedError,
-    ScoringStats,
+    DatabaseSpec,
     SimulationOptions,
+    TenantSpec,
+    TunerSpec,
+    TuningFleet,
     TuningSession,
-    UnknownScoringStrategyError,
-    create_tuner,
+    run_competition,
 )
 from repro.core import MabConfig, MabTuner
-from repro.core import scoring as scoring_module
-from repro.core.linear_bandit import C2UCB, LinearScorer
-from repro.core.scoring import (
-    SCORING_STRATEGIES,
-    ConfigurableScoring,
-    pack_arm_pool,
-    score_packed,
+from repro.core.linear_bandit import (
+    C2UCB,
+    LinearScorer,
+    batch_upper_confidence_scores,
     ucb_scores,
 )
-from repro.fleet import FleetConfig
 from repro.workloads import StaticWorkload, get_benchmark
-
-
-def shm_residue() -> list[str]:
-    """Shared-memory segments of the scoring core still present in /dev/shm."""
-    root = "/dev/shm"
-    if not os.path.isdir(root):  # pragma: no cover - non-Linux fallback
-        return []
-    return sorted(
-        name
-        for name in os.listdir(root)
-        if name.startswith(scoring_module._SHM_PREFIX)
-    )
 
 
 def random_problem(seed: int, n_arms: int, dimension: int):
@@ -77,54 +58,21 @@ def split_rows(n_rows: int, n_blocks: int) -> list[tuple[int, int]]:
     return [(start, stop) for start, stop in zip(edges, edges[1:]) if stop > start]
 
 
-def pack_rows(contexts: np.ndarray, boundaries: list[tuple[int, int]]):
+def score_blocks(
+    scorer: LinearScorer,
+    contexts: np.ndarray,
+    boundaries: list[tuple[int, int]],
+    alpha: float,
+) -> list[np.ndarray]:
+    """Score each row block of ``contexts`` in one batched pass."""
     blocks = [contexts[start:stop] for start, stop in boundaries]
-    positions = [list(range(start, stop)) for start, stop in boundaries]
-    sizes = [[128] * (stop - start) for start, stop in boundaries]
-    keys = [f"block{i}" for i in range(len(boundaries))]
-    return pack_arm_pool(blocks, positions, sizes, keys)
-
-
-# --------------------------------------------------------------------- #
-# ScoringConfig: validation, immutability, picklability
-# --------------------------------------------------------------------- #
-class TestScoringConfig:
-    def test_unknown_strategy_is_keyerror_and_valueerror_listing_valid(self):
-        with pytest.raises(UnknownScoringStrategyError) as excinfo:
-            ScoringConfig(strategy="region")
-        assert isinstance(excinfo.value, KeyError)
-        assert isinstance(excinfo.value, ValueError)
-        message = str(excinfo.value)
-        for strategy in SCORING_STRATEGIES:
-            assert strategy in message
-
-    def test_strategy_spelling_is_normalised(self):
-        assert ScoringConfig(strategy=" Table ").strategy == "table"
-        assert ScoringConfig(strategy="HASH").shard_by == "hash"
-        assert ScoringConfig().shard_by is None
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(top_k=0), dict(workers=-1), dict(n_hash_shards=0)],
+    return batch_upper_confidence_scores(
+        [scorer] * len(blocks), blocks, [alpha] * len(blocks)
     )
-    def test_out_of_range_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            ScoringConfig(**kwargs)
-
-    def test_frozen_and_picklable(self):
-        config = ScoringConfig(strategy="table", top_k=None, workers=2, batch=False)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            config.workers = 4
-        assert pickle.loads(pickle.dumps(config)) == config
-
-    def test_resolved_workers_never_exceeds_blocks(self):
-        assert ScoringConfig(workers=16).resolved_workers(3) == 3
-        assert ScoringConfig(workers=2).resolved_workers(64) == 2
-        assert ScoringConfig(workers=0).resolved_workers(64) >= 1
 
 
 # --------------------------------------------------------------------- #
-# score parity: packed == monolithic == per-shard, bit for bit
+# score parity: batched blocks == monolithic == per-block, bit for bit
 # --------------------------------------------------------------------- #
 class TestPackedParity:
     def test_kernel_matches_linear_scorer_bitwise(self):
@@ -134,7 +82,7 @@ class TestPackedParity:
         assert np.array_equal(kernel, scorer.upper_confidence_scores(contexts, 1.5))
 
     def test_kernel_matches_live_learner_bitwise(self):
-        theta, v_inverse, contexts = random_problem(1, 50, 8)
+        _, _, contexts = random_problem(1, 50, 8)
         learner = C2UCB(dimension=8)
         learner.update(contexts[:10], np.linspace(-1, 1, 10))
         expected = learner.upper_confidence_scores(contexts, 2.0)
@@ -147,21 +95,19 @@ class TestPackedParity:
         theta, v_inverse, contexts = random_problem(n_arms * 31 + n_blocks, n_arms, 10)
         scorer = LinearScorer(theta, v_inverse)
         boundaries = split_rows(n_arms, n_blocks)
-        packed = pack_rows(contexts, boundaries)
-        result = score_packed(packed, theta, v_inverse, alpha=0.7)
-        assert not result.used_processes
+        batched = score_blocks(scorer, contexts, boundaries, alpha=0.7)
+        assert len(batched) == len(boundaries)
 
-        # Per-shard parity: every block scores exactly as the legacy pass
-        # scored its standalone shard matrix.
-        for start, stop in boundaries:
+        # Per-block parity: every block of the stacked pass scores exactly as
+        # the 2-D pass scores that block on its own.
+        for (start, stop), scores in zip(boundaries, batched):
             assert np.array_equal(
-                result.scores[start:stop],
-                scorer.upper_confidence_scores(contexts[start:stop], 0.7),
+                scores, scorer.upper_confidence_scores(contexts[start:stop], 0.7)
             )
-        # Monolithic parity: a single-block pool IS the monolithic pass.
+        # Monolithic parity: a single-block batch IS the monolithic pass.
         if len(boundaries) == 1:
             assert np.array_equal(
-                result.scores, scorer.upper_confidence_scores(contexts, 0.7)
+                batched[0], scorer.upper_confidence_scores(contexts, 0.7)
             )
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
@@ -169,228 +115,145 @@ class TestPackedParity:
         theta, v_inverse, contexts = random_problem(5, 40, 6)
         cast = (contexts * 8).astype(dtype)
         scorer = LinearScorer(theta, v_inverse)
-        packed = pack_rows(cast, split_rows(40, 4))
-        result = score_packed(packed, theta, v_inverse, alpha=1.0)
-        # LinearScorer converts inputs with asarray(dtype=float); the packed
-        # pool normalises to float64 at pack time — same numeric path.
+        batched = score_blocks(scorer, cast, split_rows(40, 4), alpha=1.0)
+        # Both passes convert inputs with asarray(dtype=float) — the same
+        # numeric path whatever the caller's dtype.
         assert np.array_equal(
-            result.scores, scorer.upper_confidence_scores(cast, 1.0)
+            np.concatenate(batched), scorer.upper_confidence_scores(cast, 1.0)
         )
 
     def test_empty_pool_scores_empty(self):
-        packed = pack_arm_pool([], [], [], [])
-        result = score_packed(packed, np.zeros(3), np.eye(3), alpha=1.0)
-        assert result.scores.shape == (0,)
+        assert batch_upper_confidence_scores([], [], []) == []
+        scorer = LinearScorer(np.zeros(3), np.eye(3))
+        (scores,) = batch_upper_confidence_scores([scorer], [np.zeros((0, 3))], [1.0])
+        assert scores.shape == (0,)
 
     def test_pack_rejects_misaligned_blocks(self):
+        scorer = LinearScorer(np.zeros(3), np.eye(3))
         with pytest.raises(ValueError):
-            pack_arm_pool([np.zeros((2, 3))], [[0]], [[1, 2]], ["k"])
+            batch_upper_confidence_scores([scorer], [np.zeros((2, 3))], [])
         with pytest.raises(ValueError):
-            pack_arm_pool([np.zeros((2, 3))], [[0, 1]], [[1, 2]], [])
+            batch_upper_confidence_scores([scorer, scorer], [np.zeros((2, 3))], [1.0])
+        with pytest.raises(ValueError):
+            batch_upper_confidence_scores([scorer], [np.zeros((2, 4))], [1.0])
 
 
 # --------------------------------------------------------------------- #
-# the shared-memory process pool
+# the competition's process pool
 # --------------------------------------------------------------------- #
-class TestProcessPool:
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_worker_count_invariance_bitwise(self, workers):
-        theta, v_inverse, contexts = random_problem(9, 300, 14)
-        packed = pack_rows(contexts, split_rows(300, 6))
-        serial = score_packed(packed, theta, v_inverse, alpha=1.3, workers=1)
-        parallel = score_packed(packed, theta, v_inverse, alpha=1.3, workers=workers)
-        assert parallel.used_processes
-        assert parallel.shared_memory_bytes > 0
-        assert np.array_equal(parallel.scores, serial.scores)
-        assert shm_residue() == []
-
-    def test_single_block_pool_stays_serial(self):
-        theta, v_inverse, contexts = random_problem(10, 50, 6)
-        packed = pack_rows(contexts, [(0, 50)])
-        result = score_packed(packed, theta, v_inverse, alpha=1.0, workers=4)
-        assert not result.used_processes
-        assert result.shared_memory_bytes == 0
-
-    def test_worker_crash_falls_back_to_serial_and_unlinks(self, monkeypatch):
-        """A worker dying mid-pass must not change scores or leak segments."""
-        theta, v_inverse, contexts = random_problem(11, 120, 8)
-        packed = pack_rows(contexts, split_rows(120, 5))
-        serial = score_packed(packed, theta, v_inverse, alpha=0.9, workers=1)
-
-        monkeypatch.setattr(scoring_module, "_score_block_worker", _crash_worker)
-        crashed = score_packed(packed, theta, v_inverse, alpha=0.9, workers=2)
-        assert not crashed.used_processes
-        assert np.array_equal(crashed.scores, serial.scores)
-        assert shm_residue() == []
-
-        monkeypatch.undo()
-        # The broken pool was discarded: the next parallel pass forks fresh
-        # workers and succeeds again.
-        recovered = score_packed(packed, theta, v_inverse, alpha=0.9, workers=2)
-        assert recovered.used_processes
-        assert np.array_equal(recovered.scores, serial.scores)
-        assert shm_residue() == []
+def tiny_spec() -> DatabaseSpec:
+    return DatabaseSpec("ssb", scale_factor=0.1, sample_rows=200, seed=4)
 
 
-def _crash_worker(manifest, alpha, block_slices):
-    """Stand-in worker that dies without cleanup (simulates a hard crash)."""
-    os._exit(1)
-
-
-# --------------------------------------------------------------------- #
-# the tuner routes through the core
-# --------------------------------------------------------------------- #
-def run_configurations(scoring: ScoringConfig | None, n_rounds: int = 6):
-    """Per-round selected configurations of a MAB session at fixed seeds."""
+@pytest.fixture(scope="module")
+def ssb_rounds():
     benchmark = get_benchmark("ssb")
-    database = benchmark.create_database(sample_rows=300, seed=7)
-    rounds = StaticWorkload(
-        database, benchmark.templates, n_rounds=n_rounds, seed=1
+    return StaticWorkload(
+        tiny_spec().create(), benchmark.templates[:4], n_rounds=3, seed=1
     ).materialise()
-    session = TuningSession(
-        database,
-        create_tuner("MAB", database),
-        SimulationOptions(benchmark_name="ssb", scoring=scoring),
+
+
+def round_record(round_report) -> tuple:
+    """The model-side outcome of one round (no wall-clock fields)."""
+    return (
+        round_report.creation_seconds,
+        round_report.execution_seconds,
+        round_report.configuration_size,
+        round_report.configuration_bytes,
+        round_report.indexes_created,
+        round_report.indexes_dropped,
     )
-    configurations = []
-    for workload_round in rounds:
-        recommendation = session.recommend(round_number=workload_round.round_number)
-        configurations.append(
-            sorted(index.index_id for index in recommendation.configuration)
+
+
+def round_records(report) -> list[tuple]:
+    return [round_record(round_report) for round_report in report.rounds]
+
+
+class TestProcessPool:
+    ENTRIES = {
+        "mab": "MAB",
+        "mab_ssb": ("MAB", TunerSpec("ssb", "static")),
+        "none": "NoIndex",
+    }
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_count_invariance_bitwise(self, workers, ssb_rounds):
+        serial = run_competition(tiny_spec(), self.ENTRIES, ssb_rounds, workers=1)
+        parallel = run_competition(
+            tiny_spec(), self.ENTRIES, ssb_rounds, workers=workers
         )
-        session.execute(workload_round.queries)
-        session.observe()
-    return configurations, session.tuner
+        assert list(parallel) == list(serial) == list(self.ENTRIES)
+        for label in self.ENTRIES:
+            assert parallel[label].tuner_name == label
+            assert round_records(parallel[label]) == round_records(serial[label])
+        assert serial["mab"].total_creation_seconds > 0
+
+    def test_single_block_pool_stays_serial(self, ssb_rounds):
+        # A one-entry competition never forks, so even an unpicklable
+        # database factory runs at a high worker count.
+        spec = tiny_spec()
+        reports = run_competition(
+            lambda: spec.create(), {"mab": "MAB"}, ssb_rounds, workers=4
+        )
+        assert reports["mab"].n_rounds == len(ssb_rounds)
 
 
+# --------------------------------------------------------------------- #
+# the pool protocol: caller-scored rounds == the tuner's own pass
+# --------------------------------------------------------------------- #
 class TestTunerIntegration:
     def test_mab_tuner_satisfies_configurable_scoring(self, tiny_database):
-        assert isinstance(MabTuner(tiny_database), ConfigurableScoring)
+        """``complete_round`` selects by whatever scores the caller supplies."""
+        from tests.conftest import make_join_query, make_sales_query
 
-    def test_packed_session_matches_monolithic_with_process_workers(self):
-        monolithic, _ = run_configurations(None)
-        packed, tuner = run_configurations(
-            ScoringConfig(strategy="table", workers=2)
-        )
-        assert packed == monolithic
-        assert any(index_ids for index_ids in packed), "runs must select something"
-        stats = tuner.last_scoring_stats
-        assert isinstance(stats, ScoringStats)
-        assert stats.strategy == "table"
-        assert stats.workers == 2
-        assert stats.used_processes
-        assert stats.shared_memory_bytes > 0
-        assert shm_residue() == []
-        # The deprecated diagnostic stays a derived view of the new one.
-        legacy = tuner.last_shard_stats
-        assert legacy is not None
-        assert (legacy.n_arms, legacy.n_shards, legacy.n_candidates) == (
-            stats.n_arms,
-            stats.n_shards,
-            stats.n_candidates,
-        )
-
-    def test_configure_scoring_rejects_non_config(self, tiny_database):
-        with pytest.raises(TypeError):
-            MabTuner(tiny_database).configure_scoring("table")
-
-    def test_session_scoring_installs_on_tuner(self, tiny_database):
-        config = ScoringConfig(strategy="hash", top_k=None, n_hash_shards=4)
         tuner = MabTuner(tiny_database)
-        TuningSession(tiny_database, tuner, SimulationOptions(scoring=config))
-        assert tuner.config.scoring == config
+        session = TuningSession(tiny_database, tuner, SimulationOptions())
+        session.step([make_sales_query(), make_join_query()])
 
-    def test_session_scoring_on_non_pool_tuner_raises_typed_error(
-        self, tiny_database
-    ):
-        tuner = create_tuner("NoIndex", tiny_database)
-        with pytest.raises(ScoringNotSupportedError) as excinfo:
-            TuningSession(
-                tiny_database, tuner, SimulationOptions(scoring=ScoringConfig())
-            )
-        assert isinstance(excinfo.value, TypeError)
-        assert isinstance(excinfo.value, ValueError)
+        pool = tuner.begin_round(2)
+        assert pool.arms is not None and len(pool.arms) >= 2
+        contexts = tuner.pool_contexts(pool)
+        assert contexts.shape == (len(pool.arms), tuner.bandit.dimension)
+        favourite = len(pool.arms) - 1
+        scores = np.full(len(pool.arms), -1.0)
+        scores[favourite] = 1.0
+        recommendation = tuner.complete_round(pool, scores)
+        assert [index.index_id for index in recommendation.configuration] == [
+            pool.arms[favourite].index_id
+        ]
 
-    def test_legacy_shard_by_still_ignored_by_non_pool_tuners(self, tiny_database):
-        tuner = create_tuner("NoIndex", tiny_database)
-        with pytest.warns(DeprecationWarning):
-            options = SimulationOptions(shard_by="table")
-        TuningSession(tiny_database, tuner, options)  # must not raise
+    def test_packed_session_matches_monolithic_with_process_workers(self, ssb_rounds):
+        """Fleet tenants scored in one packed pass match standalone sessions
+        run monolithically in the competition's worker processes."""
+        spec = tiny_spec()
+        fleet = TuningFleet(TenantSpec(tenant, spec, tuner="MAB") for tenant in "ab")
+        packed: dict[str, list[tuple]] = {"a": [], "b": []}
+        for workload_round in ssb_rounds:
+            reports = fleet.step_workload_round(workload_round)
+            for tenant in packed:
+                packed[tenant].append(round_record(reports[tenant]))
+
+        monolithic = run_competition(
+            spec, {"a": "MAB", "b": "MAB"}, ssb_rounds, workers=2
+        )
+        for tenant in packed:
+            assert packed[tenant] == round_records(monolithic[tenant])
+        assert any(record[2] for record in packed["a"]), "runs must select something"
 
 
 # --------------------------------------------------------------------- #
-# deprecation shims: old spellings == new spellings, bit for bit
+# no deprecation shim is left on the config surface
 # --------------------------------------------------------------------- #
 class TestDeprecationShims:
-    def test_mab_config_legacy_knobs_normalise_and_warn(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = MabConfig(
-                shard_by="table", shard_top_k=4, shard_workers=2, n_hash_shards=3
-            )
-        explicit = MabConfig(
-            scoring=ScoringConfig(strategy="table", top_k=4, workers=2, n_hash_shards=3)
-        )
-        assert legacy == explicit
-        assert legacy.shard_by == "table"
-        assert legacy.shard_top_k == 4
-        assert legacy.shard_workers == 2
-        assert legacy.n_hash_shards == 3
-
     def test_mab_config_replace_round_trip_neither_warns_nor_mutates(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = MabConfig(shard_by="hash", shard_workers=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bumped = dataclasses.replace(legacy, seed=23)
-        assert bumped.scoring == legacy.scoring
+            original = MabConfig(seed=11)
+            bumped = dataclasses.replace(original, seed=23)
+        assert original.seed == 11
         assert bumped.seed == 23
-
-    def test_simulation_options_shard_by_warns_and_normalises(self):
-        with pytest.warns(DeprecationWarning):
-            options = SimulationOptions(shard_by="table")
-        assert options.scoring == ScoringConfig(strategy="table")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            explicit = SimulationOptions(scoring=ScoringConfig(strategy="table"))
-        assert explicit.scoring == options.scoring
-
-    def test_simulation_options_shard_by_none_stays_no_op(self):
-        with pytest.warns(DeprecationWarning):
-            options = SimulationOptions(shard_by=None)
-        assert options.scoring is None
-
-    def test_fleet_config_batch_scoring_warns_and_normalises(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = FleetConfig(batch_scoring=False)
-        assert legacy.batch_scoring is False
-        assert legacy.effective_scoring().batch is False
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            default = FleetConfig()
-            explicit = FleetConfig(scoring=ScoringConfig(batch=False))
-        assert default.batch_scoring is True
-        assert explicit.batch_scoring is False
-
-    def test_legacy_session_spelling_matches_new_bit_for_bit(self):
-        """The deprecated knobs must drive the exact same recommendations."""
-        new_style, _ = run_configurations(ScoringConfig(strategy="table"))
-
-        benchmark = get_benchmark("ssb")
-        database = benchmark.create_database(sample_rows=300, seed=7)
-        rounds = StaticWorkload(
-            database, benchmark.templates, n_rounds=6, seed=1
-        ).materialise()
-        with pytest.warns(DeprecationWarning):
-            options = SimulationOptions(benchmark_name="ssb", shard_by="table")
-        session = TuningSession(database, create_tuner("MAB", database), options)
-        old_style = []
-        for workload_round in rounds:
-            recommendation = session.recommend(
-                round_number=workload_round.round_number
-            )
-            old_style.append(
-                sorted(index.index_id for index in recommendation.configuration)
-            )
-            session.execute(workload_round.queries)
-            session.observe()
-        assert old_style == new_style
+        assert dataclasses.replace(bumped, seed=11) == original
+        field_names = {field.name for field in dataclasses.fields(MabConfig)}
+        assert field_names.isdisjoint(
+            {"scoring", "shard_by", "shard_top_k", "shard_workers", "n_hash_shards"}
+        )
