@@ -55,9 +55,6 @@ class OracleResult:
 class GreedyOracle:
     """Greedy knapsack oracle with prefix/covering diversity filtering."""
 
-    def __init__(self, prune_negative_scores: bool = True) -> None:
-        self.prune_negative_scores = prune_negative_scores
-
     def select(
         self,
         scored_arms: list[ScoredArm],
@@ -68,9 +65,7 @@ class GreedyOracle:
         ``None`` means no budget constraint (every positively scored arm that
         survives filtering is selected).
         """
-        candidates = list(scored_arms)
-        if self.prune_negative_scores:
-            candidates = [scored for scored in candidates if scored.score > 0]
+        candidates = [scored for scored in scored_arms if scored.score > 0]
         candidates.sort(key=lambda scored: scored.score, reverse=True)
 
         remaining_budget = memory_budget_bytes

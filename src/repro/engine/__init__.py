@@ -21,7 +21,7 @@ from .backend import (
     resolve_placement,
 )
 from .catalog import ConfigurationChange, Database
-from .cost_model import CostModel, CostModelParameters, pages_touched_by_random_fetches
+from .cost_model import CostModel, pages_touched_by_random_fetches
 from .datagen import (
     Categorical,
     ColumnGenerator,
@@ -71,7 +71,6 @@ __all__ = [
     "ColumnType",
     "ConfigurationChange",
     "CostModel",
-    "CostModelParameters",
     "Database",
     "DataGenerationError",
     "DateRange",

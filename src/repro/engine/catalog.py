@@ -22,7 +22,7 @@ from .backend import (
     resolve_backend,
     resolve_placement,
 )
-from .cost_model import CostModel, CostModelParameters
+from .cost_model import CostModel
 from .datagen import TableSpec
 from .errors import (
     DuplicateIndexError,
@@ -148,7 +148,6 @@ class Database:
         sample_rows: int = 20_000,
         seed: int = 7,
         memory_budget_bytes: int | None = None,
-        cost_model_parameters: CostModelParameters | None = None,
         histogram_buckets: int = 0,
         backend: BackendLike = None,
         table_backends: PlacementLike = None,
@@ -157,14 +156,8 @@ class Database:
 
         ``backend`` selects the default storage tier the cost model prices
         operators with and ``table_backends`` places individual tables on
-        their own tiers (see :mod:`repro.engine.backend`);
-        ``cost_model_parameters`` is the older spelling accepting a raw
-        profile, mutually exclusive with ``backend``.
+        their own tiers (see :mod:`repro.engine.backend`).
         """
-        if backend is not None and cost_model_parameters is not None:
-            raise ValueError("pass either cost_model_parameters or backend, not both")
-        if cost_model_parameters is not None:
-            backend = cost_model_parameters
         rng = np.random.default_rng(seed)
         tables: dict[str, TableData] = {}
         for spec in table_specs:

@@ -29,12 +29,6 @@ from .backend import BackendLike, BackendProfile, resolve_backend
 from .indexes import IndexDefinition
 from .storage import TableData
 
-#: Deprecated alias kept for callers of the pre-backend API; the constants it
-#: used to carry are now the fields of :class:`BackendProfile` (whose defaults
-#: are exactly the old values).
-CostModelParameters = BackendProfile
-
-
 def pages_touched_by_random_fetches(rows_fetched: float, table_pages: int) -> float:
     """Expected number of distinct pages touched when fetching ``rows_fetched`` rows.
 

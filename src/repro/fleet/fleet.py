@@ -258,11 +258,18 @@ class TuningFleet:
         Raises:
             UnknownTenantError: If ``batch`` (or ``events``) names an
                 unregistered tenant.
+            ValueError: If ``events`` names a tenant missing from ``batch``
+                — its events would otherwise never reach its database.
         """
         if events:
             for tenant_id in events:
                 if tenant_id not in self._sessions:
                     raise UnknownTenantError(tenant_id, self._sessions)
+                if tenant_id not in batch:
+                    raise ValueError(
+                        f"events name tenant {tenant_id!r}, which is not in "
+                        "this round's batch; step it with a query batch too"
+                    )
         wave = {
             tenant_id: _PendingRound(
                 queries=queries,

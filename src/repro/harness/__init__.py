@@ -3,11 +3,11 @@ table and figure of the paper's evaluation section.
 
 Public API note
 ---------------
-The harness is the *paper-reproduction* layer.  The supported public surface
-for driving tuners programmatically — sessions, the tuner registry, the
-simulation and competition drivers — is :mod:`repro.api`; the names below are
-re-exported from there (or implemented on top of it) so existing imports keep
-working.
+The harness is the *paper-reproduction* layer, built on top of
+:mod:`repro.api`.  Sessions, the tuner registry and the simulation and
+competition drivers are imported from :mod:`repro.api`; the tuner protocol
+(``Tuner``, ``Recommendation``) from :mod:`repro.interface`.  The harness
+exports only its own experiments, metrics and reporting.
 
 Attributes resolve lazily (PEP 562): the harness depends on :mod:`repro.api`
 while the tuner implementations that register themselves with the API import
@@ -31,8 +31,6 @@ _EXPORTS = {
     "static_experiment": ".experiments",
     "table1_breakdown_experiment": ".experiments",
     "table2_database_size_experiment": ".experiments",
-    "Recommendation": "repro.interface",
-    "Tuner": "repro.interface",
     "FleetSummary": ".metrics",
     "MissingBaselineError": ".metrics",
     "RoundReport": ".metrics",
@@ -49,12 +47,6 @@ _EXPORTS = {
     "table1_breakdown": ".reporting",
     "table2_database_size": ".reporting",
     "totals_summary": ".reporting",
-    "SimulationOptions": "repro.api",
-    "SimulationTrace": "repro.api",
-    "TuningSession": "repro.api",
-    "execute_round": "repro.api",
-    "run_competition": "repro.api",
-    "run_simulation": "repro.api",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -13,7 +13,6 @@ from typing import Callable
 
 from repro.engine.backend import BackendLike, PlacementLike
 from repro.engine.catalog import Database
-from repro.engine.cost_model import CostModelParameters
 from repro.engine.datagen import TableSpec
 from repro.engine.schema import Schema
 
@@ -70,7 +69,6 @@ class Benchmark:
         sample_rows: int = DEFAULT_SAMPLE_ROWS,
         seed: int = 7,
         memory_budget_multiplier: float | None = 1.0,
-        cost_model_parameters: CostModelParameters | None = None,
         histogram_buckets: int = 0,
         backend: BackendLike = None,
         table_backends: PlacementLike = None,
@@ -95,7 +93,6 @@ class Benchmark:
             sample_rows=sample_rows,
             seed=seed,
             memory_budget_bytes=None,
-            cost_model_parameters=cost_model_parameters,
             histogram_buckets=histogram_buckets,
             backend=backend,
             table_backends=table_backends,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import MabConfig, MabTuner
-from repro.harness import SimulationOptions, run_simulation
+from repro.api import SimulationOptions, run_simulation
 from repro.workloads import ShiftingWorkload, StaticWorkload, get_benchmark
 
 

@@ -511,6 +511,33 @@ class TestFleetUnderStress:
             )
         assert outcomes[0] == outcomes[1]
 
+    def test_events_for_a_tenant_missing_from_the_batch_are_rejected(
+        self, stress_rounds
+    ):
+        """Regression: ``step`` used to drop events for a registered tenant
+        left out of ``batch``, so its database never grew.  It must raise
+        before any tenant runs."""
+        fleet = TuningFleet(
+            [
+                TenantSpec("grower", tiny_spec(), tuner="NoIndex"),
+                TenantSpec("bystander", tiny_spec(), tuner="NoIndex"),
+            ]
+        )
+        workload_round = next(
+            r for r in stress_rounds["schema_growth"] if r.events
+        )
+        grower_db = fleet.session("grower").database
+        table = workload_round.events[0].table
+        rows_before = grower_db.table_data(table).full_row_count
+
+        with pytest.raises(ValueError, match="'grower'.*not in this round's batch"):
+            fleet.step(
+                {"bystander": workload_round.queries},
+                events={"grower": workload_round.events},
+            )
+        assert grower_db.table_data(table).full_row_count == rows_before
+        assert fleet.session("bystander").report.n_rounds == 0
+
     def test_interned_tenants_stay_isolated_under_growth_events(self, stress_rounds):
         """Growth events on one tenant's view must not leak into siblings
         sharing the interned statistics snapshot."""

@@ -17,7 +17,6 @@ import pytest
 from repro.engine import (
     BackendProfile,
     CostModel,
-    CostModelParameters,
     Database,
     UnknownBackendError,
     get_backend,
@@ -113,9 +112,6 @@ class TestProfiles:
         assert hdd.covering_cpu_discount == 0.5
         assert hdd.sort_spill_threshold_bytes == 1 << 30
         assert hdd.index_drop_seconds == 0.1
-
-    def test_cost_model_parameters_is_profile_alias(self):
-        assert CostModelParameters is BackendProfile
 
     def test_profiles_are_frozen_and_hashable(self):
         profile = get_backend("ssd")

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.engine import (
+    BackendProfile,
     CostModel,
-    CostModelParameters,
     IndexDefinition,
     pages_touched_by_random_fetches,
 )
@@ -111,7 +111,7 @@ class TestJoinsAndSorts:
         10x cheaper, not billed at the write rate (the old ``2 * bytes /
         write_bw`` formula).  Pinned exactly on an asymmetric profile.
         """
-        profile = CostModelParameters(
+        profile = BackendProfile(
             name="asymmetric",
             sequential_read_bytes_per_second=1000e6,
             sequential_write_bytes_per_second=100e6,
@@ -121,7 +121,7 @@ class TestJoinsAndSorts:
         spill_bytes = rows * width
         assert spill_bytes > profile.sort_spill_threshold_bytes
         cpu = CostModel(
-            CostModelParameters(name="no_spill", sort_spill_threshold_bytes=1 << 62)
+            BackendProfile(name="no_spill", sort_spill_threshold_bytes=1 << 62)
         ).sort_seconds(rows, width)
         io = model.sort_seconds(rows, width) - cpu
         expected_io = spill_bytes / 100e6 + spill_bytes / 1000e6
@@ -134,7 +134,7 @@ class TestJoinsAndSorts:
         rows, width = 50_000_000, 100
         spill_bytes = rows * width
         no_spill_cpu = CostModel(
-            CostModelParameters(sort_spill_threshold_bytes=1 << 62)
+            BackendProfile(sort_spill_threshold_bytes=1 << 62)
         ).sort_seconds(rows, width)
         io = cost_model.sort_seconds(rows, width) - no_spill_cpu
         assert io == pytest.approx(spill_bytes / 150e6 + spill_bytes / 200e6)
@@ -170,11 +170,11 @@ class TestIndexMaintenance:
 
 class TestParameters:
     def test_custom_parameters_change_costs(self, sales_data):
-        slow = CostModel(CostModelParameters(sequential_read_bytes_per_second=10e6))
-        fast = CostModel(CostModelParameters(sequential_read_bytes_per_second=1000e6))
+        slow = CostModel(BackendProfile(sequential_read_bytes_per_second=10e6))
+        fast = CostModel(BackendProfile(sequential_read_bytes_per_second=1000e6))
         assert slow.full_scan_seconds(sales_data) > fast.full_scan_seconds(sales_data)
 
     def test_page_read_and_write_seconds_positive(self):
-        parameters = CostModelParameters()
-        assert parameters.page_read_seconds() > 0
-        assert parameters.page_write_seconds() > 0
+        profile = BackendProfile()
+        assert profile.page_read_seconds() > 0
+        assert profile.page_write_seconds() > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import create_tuner
+from repro.api import SimulationOptions, create_tuner, run_simulation
 from repro.baselines import NoIndexTuner
 from repro.core import MabTuner
 from repro.harness import (
@@ -11,7 +11,6 @@ from repro.harness import (
     RoundReport,
     RunReport,
     SafetyReport,
-    SimulationOptions,
     rank_by_safety,
     safety_reports,
     aggregate_rl_series,
@@ -20,7 +19,6 @@ from repro.harness import (
     exploration_cost_summary,
     final_round_execution_comparison,
     format_table,
-    run_simulation,
     run_workload_experiment,
     speedup_percentage,
     speedup_summary,

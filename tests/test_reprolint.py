@@ -6,7 +6,6 @@ fixture project (written into ``tmp_path`` with the same ``src`` /
 
 * suppression semantics (reasoned suppressions silence findings; reasonless,
   unknown-rule and stale suppressions are RL000);
-* the RL007 call-graph walk from a pool worker into its helpers;
 * the JSON report schema;
 * the meta-test: the repo itself is reprolint-clean;
 * the wall-clock allowlist is *exact* — emptying it produces findings in
@@ -15,6 +14,7 @@ fixture project (written into ``tmp_path`` with the same ``src`` /
 
 from __future__ import annotations
 
+import ast
 import json
 import sys
 import textwrap
@@ -99,17 +99,44 @@ class TestRL001Determinism:
             {
                 "src/pkg/mod.py": """
                     import numpy as xp
+                    import numpy.random as npr
                     from random import randint
+                    from time import perf_counter as clock
 
                     def draw():
-                        return randint(1, 6) + xp.random.rand()
+                        return randint(1, 6) + xp.random.rand() + npr.rand()
+
+                    def stamp():
+                        return clock()
+
+                    def local_import():
+                        from random import shuffle as mix
+
+                        return mix([1, 2])
                     """
             },
         )
-        assert sorted(rules_of(report)) == ["RL001", "RL001"]
-        messages = " ".join(finding.message for finding in report.findings)
-        assert "random.randint" in messages
-        assert "numpy.random.rand" in messages
+        assert rules_of(report) == ["RL001"] * 5
+        messages = [finding.message for finding in report.findings]
+        assert "random.randint" in messages[0]
+        assert "numpy.random.rand" in messages[1]
+        assert "numpy.random.rand" in messages[2]
+        assert "wall-clock read (time.perf_counter)" in messages[3]
+        assert "random.shuffle" in messages[4]
+
+    def test_relative_imports_anchor_at_the_importing_module(self):
+        from tools.reprolint.project import import_aliases
+
+        tree = ast.parse(
+            "from . import registry\n"
+            "from .session import TuningSession as Session\n"
+            "from ..core import tuner\n"
+        )
+        assert import_aliases(tree, "repro.api.competition") == {
+            "registry": "repro.api.registry",
+            "Session": "repro.api.session.TuningSession",
+            "tuner": "repro.core.tuner",
+        }
 
     def test_wall_clock_flagged_in_src_but_not_tests(self, tmp_path):
         report = lint(
@@ -626,284 +653,6 @@ class TestRepoIsClean:
 
 
 # --------------------------------------------------------------------------- #
-# RL007 fork safety
-# --------------------------------------------------------------------------- #
-class TestRL007ForkSafety:
-    def test_worker_mutating_module_global_flagged(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/pool.py": """
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    RESULTS: list[int] = []
-
-                    def worker(block: int) -> int:
-                        RESULTS.append(block)
-                        return block
-
-                    def run(blocks: list[int]) -> list[int]:
-                        with ProcessPoolExecutor(max_workers=2) as pool:
-                            futures = [pool.submit(worker, b) for b in blocks]
-                        return [f.result() for f in futures]
-                    """
-            },
-        )
-        assert "RL007" in rules_of(report)
-        assert any("module-global" in f.message for f in report.findings)
-
-    def test_lambda_submission_flagged(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/pool.py": """
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    def run(items: list[int]) -> list[int]:
-                        pool = ProcessPoolExecutor(max_workers=2)
-                        try:
-                            futures = [pool.submit(lambda item: item + 1, item) for item in items]
-                            return [f.result() for f in futures]
-                        finally:
-                            pool.shutdown()
-                    """
-            },
-        )
-        assert "RL007" in rules_of(report)
-        assert any("lambda" in f.message for f in report.findings)
-
-    def test_wall_clock_reachable_from_worker_flagged(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/pool.py": """
-                    import time
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    def _stamp() -> float:
-                        return time.time()
-
-                    def worker(block: int) -> tuple[float, int]:
-                        return (_stamp(), block)
-
-                    def run(blocks: list[int]) -> list[tuple[float, int]]:
-                        pool = ProcessPoolExecutor(max_workers=2)
-                        try:
-                            return [pool.submit(worker, b).result() for b in blocks]
-                        finally:
-                            pool.shutdown()
-                    """
-            },
-        )
-        rl007 = [f for f in report.findings if f.rule == "RL007"]
-        assert any("wall clock" in f.message for f in rl007)
-
-    def test_thread_constructed_before_pool_flagged(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/pool.py": """
-                    import threading
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    _LOCK = threading.Lock()
-
-                    def make_pool() -> ProcessPoolExecutor:
-                        return ProcessPoolExecutor(max_workers=2)
-                    """
-            },
-        )
-        rl007 = [f for f in report.findings if f.rule == "RL007"]
-        assert any("before the process pool" in f.message for f in rl007)
-
-    def test_module_global_mutation_through_helper_in_other_module_flagged(
-        self, tmp_path
-    ):
-        # The call-graph walk follows the worker into a helper that lives in
-        # another module and mutates that module's global state.
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/registry.py": """
-                    SEEN: dict[int, int] = {}
-
-                    def remember(block: int) -> None:
-                        SEEN[block] = block
-                    """,
-                "src/pkg/pool.py": """
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    from .registry import remember
-
-                    def worker(block: int) -> int:
-                        remember(block)
-                        return block
-
-                    def run(blocks: list[int]) -> list[int]:
-                        with ProcessPoolExecutor(max_workers=2) as pool:
-                            return [pool.submit(worker, b).result() for b in blocks]
-                    """,
-            },
-        )
-        rl007 = [f for f in report.findings if f.rule == "RL007"]
-        assert rl007
-        assert all(f.path == "src/pkg/registry.py" for f in rl007)
-        assert any("module-global" in f.message for f in rl007)
-
-    def test_clean_worker_module_passes(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/pool.py": """
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    def worker(path: str, blocks: tuple[tuple[int, int], ...]) -> int:
-                        with open(path, "rb") as handle:
-                            data = handle.read()
-                        return sum(len(data[start:stop]) for start, stop in blocks)
-
-                    def run(path: str, runs: list[tuple[tuple[int, int], ...]]) -> int:
-                        pool = ProcessPoolExecutor(max_workers=2)
-                        try:
-                            futures = [pool.submit(worker, path, r) for r in runs]
-                            return sum(future.result() for future in futures)
-                        finally:
-                            pool.shutdown()
-                    """
-            },
-        )
-        assert report.findings == []
-
-
-# --------------------------------------------------------------------------- #
-# RL009 exception-safe release
-# --------------------------------------------------------------------------- #
-class TestRL009ExceptionSafety:
-    def test_file_handle_leaked_on_raise_path_flagged(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/io_mod.py": """
-                    def read_header(path: str) -> str:
-                        handle = open(path)
-                        data = handle.read(16)
-                        handle.close()
-                        return data
-                    """
-            },
-        )
-        assert rules_of(report) == ["RL009"]
-        assert "exceptional path" in report.findings[0].message
-
-    def test_with_block_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/io_mod.py": """
-                    def read_header(path: str) -> str:
-                        with open(path) as handle:
-                            return handle.read(16)
-                    """
-            },
-        )
-        assert report.findings == []
-
-    def test_pool_orphaned_on_raise_flagged(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/pool.py": """
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    def job(block: int) -> int:
-                        return block
-
-                    def run(blocks: list[int]) -> list[int]:
-                        pool = ProcessPoolExecutor(max_workers=2)
-                        futures = [pool.submit(job, b) for b in blocks]
-                        results = [f.result() for f in futures]
-                        pool.shutdown()
-                        return results
-                    """
-            },
-        )
-        assert "RL009" in rules_of(report)
-        assert any("process/thread pool" in f.message for f in report.findings)
-
-    def test_finally_release_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/io_mod.py": """
-                    def write_payload(path: str, payload: bytes) -> None:
-                        handle = open(path, "wb")
-                        try:
-                            handle.write(payload)
-                        finally:
-                            handle.close()
-                    """
-            },
-        )
-        assert report.findings == []
-
-    def test_mutation_deleting_finally_release_fires(self, tmp_path):
-        """Drop the shutdown from the finally and RL009 must fire — proof
-        the exceptional-path analysis is live."""
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/pool.py": """
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    def job(block: int) -> int:
-                        return block
-
-                    def run(blocks: list[int]) -> list[int]:
-                        pool = ProcessPoolExecutor(max_workers=2)
-                        try:
-                            return [pool.submit(job, b).result() for b in blocks]
-                        finally:
-                            blocks.clear()
-                    """
-            },
-        )
-        assert rules_of(report) == ["RL009"]
-
-    def test_escape_by_return_is_ownership_transfer(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/io_mod.py": """
-                    def open_log(path: str):
-                        handle = open(path, "a")
-                        return handle
-                    """
-            },
-        )
-        assert report.findings == []
-
-    def test_pool_handed_to_cache_is_ownership_transfer(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/pool.py": """
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    _CACHE: dict[int, ProcessPoolExecutor] = {}
-
-                    def executor(workers: int) -> ProcessPoolExecutor:
-                        pool = _CACHE.get(workers)
-                        if pool is None:
-                            pool = ProcessPoolExecutor(max_workers=workers)
-                            _CACHE[workers] = pool
-                        return pool
-                    """
-            },
-        )
-        assert report.findings == []
-
-
-# --------------------------------------------------------------------------- #
 # multi-rule suppressions (regression) and output formats
 # --------------------------------------------------------------------------- #
 class TestMultiRuleSuppression:
@@ -913,24 +662,17 @@ class TestMultiRuleSuppression:
         report = lint(
             tmp_path,
             {
-                "src/pkg/pool.py": """
+                "examples/stamped.py": """
                     import time
-                    from concurrent.futures import ProcessPoolExecutor
 
-                    def worker(block: int) -> float:
-                        return time.time() + block  # reprolint: disable=RL001,RL007 -- fixture: clock read on a worker line
+                    from repro.api import DatabaseSpec
 
-                    def run(blocks: list[int]) -> list[float]:
-                        pool = ProcessPoolExecutor(max_workers=2)
-                        try:
-                            return [pool.submit(worker, b).result() for b in blocks]
-                        finally:
-                            pool.shutdown()
+                    SPEC = DatabaseSpec(builder=lambda: time.time())  # reprolint: disable=RL001,RL002 -- fixture: clock read in a lambda spec argument
                     """
             },
         )
         assert report.findings == []
-        assert sorted(f.rule for f, _ in report.suppressed) == ["RL001", "RL007"]
+        assert sorted(f.rule for f, _ in report.suppressed) == ["RL001", "RL002"]
 
     def test_duplicate_codes_deduped(self, tmp_path):
         from tools.reprolint.model import parse_suppressions

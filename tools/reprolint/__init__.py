@@ -4,9 +4,8 @@ The runtime test suite pins the paper's parity claims (reset determinism,
 fleet == standalone sessions, uniform placement == seed, parallel == serial)
 by *sampling* a handful of configurations.  ``reprolint`` enforces the same
 invariants *mechanically, on every file, at lint time*: an unseeded RNG, a
-mutable spec crossing a worker boundary, a name-based tuner dispatch or a
-pool worker that mutates module state are all flagged before any benchmark
-runs.
+mutable spec crossing a worker boundary or a name-based tuner dispatch is
+flagged before any benchmark runs.
 
 Rule families (see ``docs/STATIC_ANALYSIS.md`` for the catalog):
 
@@ -21,15 +20,7 @@ RL003     registry discipline: no if/elif dispatch on registered
           tuner/backend name strings outside the registries
 RL005     public-surface hygiene: examples import the documented surface,
           ``repro.api`` ``__all__`` stays in sync with the definitions
-RL007     fork safety: pool workers are module-level, mutate no module
-          globals, reach no clock/ambient-RNG reads, and no threading
-          primitive is constructed before the pool in the same module
-RL009     exception-safe release: executor pools and file handles are
-          shut down / closed on every path out of the function
 ========  ==================================================================
-
-RL009 runs on an intraprocedural CFG/dataflow engine
-(:mod:`tools.reprolint.flow`).
 
 Suppress a single finding inline with a *reasoned* comment::
 

@@ -20,8 +20,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m tools.reprolint",
         description=(
             "Repo-native static analysis: determinism, picklability, registry "
-            "discipline, public-surface hygiene, fork safety, exception-safe "
-            "resource release."
+            "discipline, public-surface hygiene."
         ),
     )
     parser.add_argument(

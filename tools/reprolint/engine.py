@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .model import Finding, SourceFile, Suppression, load_source_file
-from .project import ProjectIndex
-from .rules import RuleContext, registered_rule_ids, registered_rules, rule_titles
+from .rules import registered_rule_ids, registered_rules, rule_titles
 
 #: JSON schema version for the machine-readable report.
 REPORT_VERSION = 1
@@ -255,14 +254,10 @@ def run_reprolint(paths: list[str | Path], root: str | Path | None = None) -> Re
     root_path = root_path.resolve()
     files = collect_files([Path(p) for p in paths], root_path)
 
-    index = ProjectIndex.build(files)
-    context = RuleContext(files=files, index=index)
-
     raw_findings: list[Finding] = []
     for rule in registered_rules():
-        raw_findings.extend(rule.check_project(context))
         for source_file in files:
-            raw_findings.extend(rule.check_file(source_file, context))
+            raw_findings.extend(rule.check_file(source_file))
 
     suppressions_by_path: dict[str, list[Suppression]] = {}
     for source_file in files:

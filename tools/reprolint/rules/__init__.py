@@ -7,12 +7,7 @@ import at the bottom of this file wires the built-ins in.  Adding a rule is
 therefore: write ``rules/rl0xx_name.py`` with a decorated :class:`Rule`
 subclass, import it below, document it in ``docs/STATIC_ANALYSIS.md``.
 
-A rule implements either hook (or both):
-
-* :meth:`Rule.check_file` — called once per scanned file;
-* :meth:`Rule.check_project` — called once per run with the whole-project
-  index (for cross-file analyses such as RL007's call-graph walk).
-
+A rule implements :meth:`Rule.check_file`, called once per scanned file.
 Rules yield :class:`~tools.reprolint.model.Finding` objects and never look at
 suppressions — the engine filters findings against inline suppressions after
 every rule ran.
@@ -20,42 +15,21 @@ every rule ran.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model import Finding, SourceFile
-    from ..project import ProjectIndex
-
-
-@dataclass
-class RuleContext:
-    """Everything a rule may consult: the files, the index, the root."""
-
-    files: list["SourceFile"] = field(default_factory=list)
-    index: "ProjectIndex | None" = None
-
-    def file_by_path(self, relative_path: str) -> "SourceFile | None":
-        for source_file in self.files:
-            if source_file.relative_path == relative_path:
-                return source_file
-        return None
 
 
 class Rule:
-    """Base class: a rule family with an id, a title and two hooks."""
+    """Base class: a rule family with an id, a title and a per-file hook."""
 
     #: Rule family id (``RL001`` ... ); unique across the registry.
     id: str = "RL000"
     #: One-line description shown by ``--list-rules`` and in the JSON output.
     title: str = ""
 
-    def check_file(
-        self, source_file: "SourceFile", context: RuleContext
-    ) -> Iterable["Finding"]:
-        return ()
-
-    def check_project(self, context: RuleContext) -> Iterable["Finding"]:
+    def check_file(self, source_file: "SourceFile") -> Iterable["Finding"]:
         return ()
 
 
@@ -94,12 +68,9 @@ from . import rl001_determinism  # noqa: E402,F401
 from . import rl002_picklability  # noqa: E402,F401
 from . import rl003_registry_discipline  # noqa: E402,F401
 from . import rl005_public_surface  # noqa: E402,F401
-from . import rl007_fork_safety  # noqa: E402,F401
-from . import rl009_exception_safety  # noqa: E402,F401
 
 __all__ = [
     "Rule",
-    "RuleContext",
     "register_rule",
     "registered_rule_ids",
     "registered_rules",

@@ -24,7 +24,8 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from . import Rule, RuleContext, register_rule
+from ..project import dotted_call_name, import_aliases, module_dotted_name
+from . import Rule, register_rule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model import Finding, SourceFile
@@ -81,27 +82,18 @@ class DeterminismRule(Rule):
     id = "RL001"
     title = "unseeded/global RNG streams and wall-clock reads outside the allowlist"
 
-    def check_file(
-        self, source_file: "SourceFile", context: RuleContext
-    ) -> Iterable["Finding"]:
+    def check_file(self, source_file: "SourceFile") -> Iterable["Finding"]:
         if source_file.top_level_dir not in CHECKED_TOP_DIRS:
             return []
-        aliases: dict[str, str] = {}
-        if context.index is not None:
-            from ..project import module_dotted_name
-
-            module = context.index.modules.get(
-                module_dotted_name(source_file.relative_path)
-            )
-            if module is not None:
-                aliases = module.import_aliases
+        aliases = import_aliases(
+            source_file.tree, module_dotted_name(source_file.relative_path)
+        )
         return list(self._scan(source_file, aliases))
 
     def _scan(
         self, source_file: "SourceFile", aliases: dict[str, str]
     ) -> Iterator["Finding"]:
         from ..model import Finding
-        from ..project import dotted_call_name
 
         for node in ast.walk(source_file.tree):
             if not isinstance(node, ast.Call):

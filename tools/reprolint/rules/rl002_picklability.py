@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from . import Rule, RuleContext, register_rule
+from . import Rule, register_rule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model import Finding, SourceFile
@@ -92,9 +92,7 @@ class PicklabilityRule(Rule):
     id = "RL002"
     title = "spec dataclasses must be frozen and free of lambdas/closures"
 
-    def check_file(
-        self, source_file: "SourceFile", context: RuleContext
-    ) -> Iterable["Finding"]:
+    def check_file(self, source_file: "SourceFile") -> Iterable["Finding"]:
         findings: list["Finding"] = []
         if source_file.top_level_dir in DEFINITION_TOP_DIRS:
             findings.extend(self._check_definitions(source_file))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from . import Rule, RuleContext, register_rule
+from . import Rule, register_rule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model import Finding, SourceFile
@@ -83,9 +83,7 @@ class RegistryDisciplineRule(Rule):
     id = "RL003"
     title = "no if/elif dispatch on registered tuner/backend names outside the registries"
 
-    def check_file(
-        self, source_file: "SourceFile", context: RuleContext
-    ) -> Iterable["Finding"]:
+    def check_file(self, source_file: "SourceFile") -> Iterable["Finding"]:
         if source_file.top_level_dir not in CHECKED_TOP_DIRS:
             return []
         if source_file.relative_path in REGISTRY_MODULES:

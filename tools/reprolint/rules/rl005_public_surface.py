@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from . import Rule, RuleContext, register_rule
+from . import Rule, register_rule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model import Finding, SourceFile
@@ -50,9 +50,7 @@ class PublicSurfaceRule(Rule):
     id = "RL005"
     title = "examples stay on the public surface; __all__ in sync"
 
-    def check_file(
-        self, source_file: "SourceFile", context: RuleContext
-    ) -> Iterable["Finding"]:
+    def check_file(self, source_file: "SourceFile") -> Iterable["Finding"]:
         findings: list["Finding"] = []
         if source_file.top_level_dir == "examples":
             findings.extend(self._check_example_imports(source_file))
