@@ -1,15 +1,15 @@
 """Shared configuration for the paper-reproduction benchmark suite.
 
 Every file in this directory regenerates one table or figure of the paper's
-evaluation section (see DESIGN.md section 4 for the index).  The experiments
+evaluation section (docs/BENCHMARKS.md has the index).  The experiments
 run at a reduced default scale — smaller table samples and fewer rounds than
 the paper — so the whole suite finishes in minutes on a laptop; the *shape* of
 each comparison (who wins, rough factors, where crossovers fall) is what the
 suite verifies and reports.
 
 Formatted result tables are written to ``benchmarks/results/`` so they can be
-inspected after a ``pytest benchmarks/ --benchmark-only`` run, and the most
-important series are also echoed to stdout.
+inspected after a ``pytest benchmarks/`` run, and the most important series
+are also echoed to stdout.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: Scale profile: "quick" (default) or "paper" (full parameters), selected via
 #: the REPRO_BENCH_PROFILE environment variable.
 PROFILE = os.environ.get("REPRO_BENCH_PROFILE", "quick")
+if PROFILE not in ("quick", "paper"):
+    raise pytest.UsageError(
+        f"REPRO_BENCH_PROFILE={PROFILE!r} is not a profile; use 'quick' or 'paper'"
+    )
 
 
 def benchmark_settings() -> ExperimentSettings:

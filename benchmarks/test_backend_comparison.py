@@ -18,7 +18,6 @@ measurably different final index sets (or budgets) on ``ssd`` vs ``hdd``.
 from __future__ import annotations
 
 import json
-import os
 
 from repro.api import DatabaseSpec, SimulationOptions, TuningSession, create_tuner
 from repro.engine import get_backend, registered_backend_names
@@ -26,9 +25,7 @@ from repro.workloads import StaticWorkload, get_benchmark
 
 from conftest import write_result
 
-SMOKE_MODE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
-
-ROUNDS = 8 if SMOKE_MODE else 20
+ROUNDS = 20
 SPEC = DatabaseSpec("tpch", scale_factor=1.0, sample_rows=500, seed=7)
 
 
@@ -71,13 +68,12 @@ def test_backend_comparison(results_dir):
     payload = {
         "benchmark": "tpch",
         "rounds": ROUNDS,
-        "smoke_mode": SMOKE_MODE,
         "tuner": "MAB",
         "backends": results,
     }
     (results_dir / "BENCH_backends.json").write_text(json.dumps(payload, indent=2) + "\n")
 
-    lines = [f"MAB on TPC-H quick across storage backends (rounds={ROUNDS}, smoke={SMOKE_MODE})"]
+    lines = [f"MAB on TPC-H quick across storage backends (rounds={ROUNDS})"]
     for name in backends:
         entry = results[name]
         lines.append(

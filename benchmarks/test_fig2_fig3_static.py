@@ -27,13 +27,10 @@ from conftest import write_result
 
 
 @pytest.mark.parametrize("benchmark_name", BENCHMARK_NAMES)
-def test_fig2_fig3_static(benchmark, benchmark_name, settings, results_dir):
+def test_fig2_fig3_static(benchmark_name, settings, results_dir):
     """Regenerate the Figure 2 convergence series and Figure 3 totals."""
 
-    def run():
-        return static_experiment(benchmark_name, settings)
-
-    reports = benchmark.pedantic(run, rounds=1, iterations=1)
+    reports = static_experiment(benchmark_name, settings)
 
     convergence = convergence_series(reports)
     totals = totals_summary(reports)

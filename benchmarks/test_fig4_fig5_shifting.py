@@ -24,13 +24,10 @@ from conftest import write_result
 
 
 @pytest.mark.parametrize("benchmark_name", BENCHMARK_NAMES)
-def test_fig4_fig5_shifting(benchmark, benchmark_name, settings, results_dir):
+def test_fig4_fig5_shifting(benchmark_name, settings, results_dir):
     """Regenerate the Figure 4 convergence series and Figure 5 totals."""
 
-    def run():
-        return shifting_experiment(benchmark_name, settings)
-
-    reports = benchmark.pedantic(run, rounds=1, iterations=1)
+    reports = shifting_experiment(benchmark_name, settings)
 
     write_result(
         results_dir,

@@ -25,13 +25,10 @@ from conftest import write_result
 
 
 @pytest.mark.parametrize("benchmark_name", BENCHMARK_NAMES)
-def test_fig6_fig7_random(benchmark, benchmark_name, settings, results_dir):
+def test_fig6_fig7_random(benchmark_name, settings, results_dir):
     """Regenerate the Figure 6 convergence series and Figure 7 totals."""
 
-    def run():
-        return random_experiment(benchmark_name, settings)
-
-    reports = benchmark.pedantic(run, rounds=1, iterations=1)
+    reports = random_experiment(benchmark_name, settings)
 
     write_result(
         results_dir,

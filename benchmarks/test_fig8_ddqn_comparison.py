@@ -23,13 +23,10 @@ TUNERS = ("PDTool", "MAB", "DDQN", "DDQN_SC")
 
 
 @pytest.mark.parametrize("benchmark_name", ["tpch", "tpch_skew"])
-def test_fig8_rl_comparison(benchmark, benchmark_name, settings, results_dir):
+def test_fig8_rl_comparison(benchmark_name, settings, results_dir):
     """Regenerate Figure 8 (a-d): totals and convergence with repetition spread."""
 
-    def run():
-        return rl_comparison_experiment(benchmark_name, settings, tuners=TUNERS)
-
-    repetition_reports = benchmark.pedantic(run, rounds=1, iterations=1)
+    repetition_reports = rl_comparison_experiment(benchmark_name, settings, tuners=TUNERS)
 
     # Totals broken down by component, averaged over repetitions (Fig. 8 a/b).
     rows = []

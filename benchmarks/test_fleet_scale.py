@@ -1,45 +1,31 @@
-"""Fleet scale benchmark: throughput and memory at 10/100/1000 tenants.
+"""Fleet scale benchmark: memory and interning at 10/100/1000 tenants.
 
 Drives a :class:`~repro.api.TuningFleet` of identical TPC-H quick tenants
 (the paper's DBaaS framing: one control plane tuning a large roster) and
 records, per roster size:
 
-* ``sessions_per_second`` — tenant-rounds completed per wall second of the
-  fleet's batched step loop;
-* ``p50_ms`` — median wall milliseconds per tenant-round (the series the
-  perf trajectory guard tracks from PR to PR);
 * ``bytes_per_tenant`` — traced allocation of fleet construction divided by
   the roster size, which is where database interning shows up: tenants share
-  one statistics snapshot instead of materialising 1000 copies.
+  one statistics snapshot instead of materialising 1000 copies;
+* ``tenant_rounds`` and the interner's hit/miss counts.
 
-Results land in ``benchmarks/results/BENCH_fleet.json`` (guarded by
-``check_perf_trajectory.py``).  ``REPRO_BENCH_SMOKE=1`` keeps the same
-roster sizes — the trajectory guard compares series by key — but runs fewer
-rounds per roster.
+Results land in ``benchmarks/results/BENCH_fleet.json``.  Fleet throughput
+is measured by perfbench's ``fleet_tpch`` workload, not here.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import time
 import tracemalloc
-
-import numpy as np
 
 from repro.api import DatabaseSpec, FleetConfig, TenantSpec, TuningFleet
 from repro.workloads import StaticWorkload, get_benchmark
 
 from conftest import write_result
 
-SMOKE_MODE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
-
-#: Roster sizes (fixed across modes: the trajectory guard matches by key).
 TENANT_COUNTS = (10, 100, 1000)
-ROUNDS = 1 if SMOKE_MODE else 3
+ROUNDS = 3
 N_TEMPLATES = 4
-#: Generous absolute smoke ceiling per tenant-round (shared CI runners).
-SMOKE_P50_CEILING_MS = 250.0
 
 
 def fleet_spec() -> DatabaseSpec:
@@ -63,32 +49,18 @@ def build_fleet(n_tenants: int, intern: bool = True) -> TuningFleet:
 
 def measure_roster(n_tenants: int, rounds) -> dict:
     tracemalloc.start()
-    started = time.perf_counter()
     fleet = build_fleet(n_tenants)
-    startup_seconds = time.perf_counter() - started
     traced_bytes, _ = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert fleet.interner.misses == 1  # the interning satellite's guarantee
     assert fleet.interner.hits == n_tenants - 1
 
-    per_tenant_round_ms = []
-    stepped_seconds = 0.0
     for workload_round in rounds:
-        wave = {tid: workload_round.queries for tid in fleet.tenant_ids}
-        wave_started = time.perf_counter()
-        fleet.step(wave)
-        elapsed = time.perf_counter() - wave_started
-        stepped_seconds += elapsed
-        per_tenant_round_ms.append(elapsed / n_tenants * 1e3)
+        fleet.step({tid: workload_round.queries for tid in fleet.tenant_ids})
 
-    summary = fleet.summary()
-    tenant_rounds = summary.n_rounds
     return {
-        "p50_ms": round(float(np.percentile(per_tenant_round_ms, 50)), 4),
-        "sessions_per_second": round(tenant_rounds / stepped_seconds, 1),
         "bytes_per_tenant": int(traced_bytes / n_tenants),
-        "startup_seconds": round(startup_seconds, 3),
-        "tenant_rounds": tenant_rounds,
+        "tenant_rounds": fleet.summary().n_rounds,
         "interner": {"misses": fleet.interner.misses, "hits": fleet.interner.hits},
     }
 
@@ -100,60 +72,47 @@ def test_fleet_scale(results_dir):
         "tuner": "MAB",
         "rounds": ROUNDS,
         "templates": N_TEMPLATES,
-        "smoke_mode": SMOKE_MODE,
         "tenants": {},
     }
     for n_tenants in TENANT_COUNTS:
         payload["tenants"][str(n_tenants)] = measure_roster(n_tenants, rounds)
 
-    if not SMOKE_MODE:
-        # Show the interning win: construction bytes for a 100-tenant roster
-        # of fully private databases vs the shared-snapshot roster above.
-        tracemalloc.start()
-        private_fleet = build_fleet(100, intern=False)
-        private_bytes, _ = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        del private_fleet
-        interned = payload["tenants"]["100"]["bytes_per_tenant"]
-        payload["interning_comparison"] = {
-            "bytes_per_tenant_private": int(private_bytes / 100),
-            "bytes_per_tenant_interned": interned,
-            "savings_factor": round(private_bytes / 100 / max(interned, 1), 2),
-        }
+    # Show the interning win: construction bytes for a 100-tenant roster
+    # of fully private databases vs the shared-snapshot roster above.
+    tracemalloc.start()
+    private_fleet = build_fleet(100, intern=False)
+    private_bytes, _ = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    del private_fleet
+    interned = payload["tenants"]["100"]["bytes_per_tenant"]
+    comparison = {
+        "bytes_per_tenant_private": int(private_bytes / 100),
+        "bytes_per_tenant_interned": interned,
+        "savings_factor": round(private_bytes / 100 / max(interned, 1), 2),
+    }
+    payload["interning_comparison"] = comparison
 
     path = results_dir / "BENCH_fleet.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
     lines = [
         f"fleet scale benchmark (tpch quick, MAB, {ROUNDS} round(s), "
-        f"{N_TEMPLATES} templates, smoke={SMOKE_MODE})"
+        f"{N_TEMPLATES} templates)"
     ]
     for n_tenants in TENANT_COUNTS:
         entry = payload["tenants"][str(n_tenants)]
         lines.append(
-            f"  {n_tenants:>5} tenants: {entry['sessions_per_second']:>8.1f} "
-            f"sessions/s, p50 {entry['p50_ms']:.3f} ms/tenant-round, "
-            f"{entry['bytes_per_tenant'] / 1024:.0f} KiB/tenant, "
-            f"startup {entry['startup_seconds']:.2f}s"
+            f"  {n_tenants:>5} tenants: {entry['bytes_per_tenant'] / 1024:.0f} KiB/tenant, "
+            f"{entry['tenant_rounds']} tenant-rounds"
         )
-    comparison = payload.get("interning_comparison")
-    if comparison:
-        lines.append(
-            f"  interning at 100 tenants: "
-            f"{comparison['bytes_per_tenant_interned'] / 1024:.0f} KiB/tenant shared vs "
-            f"{comparison['bytes_per_tenant_private'] / 1024:.0f} KiB/tenant private "
-            f"({comparison['savings_factor']:.1f}x)"
-        )
+    lines.append(
+        f"  interning at 100 tenants: "
+        f"{comparison['bytes_per_tenant_interned'] / 1024:.0f} KiB/tenant shared vs "
+        f"{comparison['bytes_per_tenant_private'] / 1024:.0f} KiB/tenant private "
+        f"({comparison['savings_factor']:.1f}x)"
+    )
     write_result(results_dir, "BENCH_fleet", "\n".join(lines))
 
-    largest = payload["tenants"][str(TENANT_COUNTS[-1])]
-    if SMOKE_MODE:
-        assert largest["p50_ms"] < SMOKE_P50_CEILING_MS, (
-            f"fleet tenant-round p50 at {TENANT_COUNTS[-1]} tenants regressed: "
-            f"{largest['p50_ms']:.1f} ms (ceiling {SMOKE_P50_CEILING_MS:.0f} ms)"
-        )
-    else:
-        comparison = payload["interning_comparison"]
-        assert comparison["savings_factor"] > 2.0, (
-            "database interning no longer pays for itself: private construction "
-            f"is only {comparison['savings_factor']:.1f}x the interned bytes/tenant"
-        )
+    assert comparison["savings_factor"] > 2.0, (
+        "database interning no longer pays for itself: private construction "
+        f"is only {comparison['savings_factor']:.1f}x the interned bytes/tenant"
+    )

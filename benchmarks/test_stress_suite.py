@@ -11,8 +11,7 @@ worst-round regression ratio, regression-round count (<1.0x), win count
 (≥1.2x), and rollback count.
 
 Results go to ``benchmarks/results/BENCH_stress.json`` (plus a formatted
-``BENCH_stress.txt``) ranking the tuners by safety per stressor; the
-per-stressor MAB ``wall_step`` p50s feed the CI perf-trajectory guard.
+``BENCH_stress.txt``) ranking the tuners by safety per stressor.
 
 The headline assertion is the ISSUE 8 acceptance bar: at least one stressor
 demonstrably separates the MAB tuner from both DDQN and PDTool on the safety
@@ -22,12 +21,10 @@ ranking.
 from __future__ import annotations
 
 import json
-import os
-import statistics
-import time
 
 from repro.api import (
     DatabaseSpec,
+    RunReport,
     SimulationOptions,
     TuningSession,
     create_tuner,
@@ -39,9 +36,7 @@ from repro.workloads import available_stressors, get_benchmark, get_stressor
 
 from conftest import write_result
 
-SMOKE_MODE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
-
-ROUNDS = 8 if SMOKE_MODE else 16
+ROUNDS = 16
 SPEC = DatabaseSpec("ssb", scale_factor=1.0, sample_rows=400, seed=7)
 BASELINE = "NoIndex"
 
@@ -56,20 +51,17 @@ def materialise_stressor(name: str):
     return sequence.materialise()
 
 
-def run_tuner(tuner_name: str, stressor_name: str, workload_rounds) -> tuple:
-    """One tuner's run over one stressor; returns ``(RunReport, wall p50 ms)``."""
+def run_tuner(tuner_name: str, stressor_name: str, workload_rounds) -> RunReport:
+    """One tuner's run over one stressor; returns its ``RunReport``."""
     database = SPEC.create()
     session = TuningSession(
         database,
         create_tuner(tuner_name, database),
         SimulationOptions(benchmark_name="ssb", workload_type=stressor_name),
     )
-    wall_steps = []
     for workload_round in workload_rounds:
-        started = time.perf_counter()
         session.step_workload_round(workload_round)
-        wall_steps.append(time.perf_counter() - started)
-    return session.report, round(statistics.median(wall_steps) * 1e3, 4)
+    return session.report
 
 
 def test_stress_suite(results_dir):
@@ -81,11 +73,10 @@ def test_stress_suite(results_dir):
     results: dict[str, dict] = {}
     for stressor_name in stressors:
         workload_rounds = materialise_stressor(stressor_name)
-        reports, walls = {}, {}
-        for tuner_name in tuners:
-            report, wall_p50 = run_tuner(tuner_name, stressor_name, workload_rounds)
-            reports[tuner_name] = report
-            walls[tuner_name] = wall_p50
+        reports = {
+            tuner_name: run_tuner(tuner_name, stressor_name, workload_rounds)
+            for tuner_name in tuners
+        }
         safety = safety_reports(reports, baseline_name=BASELINE)
         ranking = rank_by_safety(safety)
         rows = {}
@@ -102,13 +93,11 @@ def test_stress_suite(results_dir):
             "baseline_total_seconds": round(reports[BASELINE].total_seconds, 4),
             "tuners": rows,
             "safety_ranking": ranking,
-            "wall_step": {"p50_ms": walls["MAB"]},
         }
 
     payload = {
         "benchmark": "ssb",
         "rounds": ROUNDS,
-        "smoke_mode": SMOKE_MODE,
         "baseline": BASELINE,
         "stressors": results,
     }
@@ -116,7 +105,7 @@ def test_stress_suite(results_dir):
 
     lines = [
         f"Stress suite on SSB: {len(results)} stressors x {len(tuners)} tuners "
-        f"(rounds={ROUNDS}, smoke={SMOKE_MODE}, baseline={BASELINE})"
+        f"(rounds={ROUNDS}, baseline={BASELINE})"
     ]
     for stressor_name, entry in results.items():
         lines.append(f"  {stressor_name} (safety ranking: {' > '.join(entry['safety_ranking'])})")

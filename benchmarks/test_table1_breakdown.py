@@ -29,18 +29,15 @@ BENCHMARKS = ("ssb", "tpch", "tpch_skew", "tpcds", "imdb") if PROFILE == "paper"
 WORKLOAD_TYPES = ("static", "shifting", "random")
 
 
-def test_table1_breakdown(benchmark, settings, results_dir):
+def test_table1_breakdown(settings, results_dir):
     """Regenerate Table I (and the exploration-cost discussion of Section V-B3)."""
 
-    def run():
-        return table1_breakdown_experiment(
-            benchmark_names=BENCHMARKS,
-            workload_types=WORKLOAD_TYPES,
-            settings=settings,
-            tuners=("PDTool", "MAB"),
-        )
-
-    breakdown = benchmark.pedantic(run, rounds=1, iterations=1)
+    breakdown = table1_breakdown_experiment(
+        benchmark_names=BENCHMARKS,
+        workload_types=WORKLOAD_TYPES,
+        settings=settings,
+        tuners=("PDTool", "MAB"),
+    )
 
     write_result(results_dir, "table1_breakdown", table1_breakdown(breakdown))
     exploration_lines = []

@@ -16,18 +16,15 @@ from conftest import PROFILE, write_result
 SCALE_FACTORS = (1.0, 10.0, 100.0) if PROFILE == "paper" else (1.0, 10.0)
 
 
-def test_table2_database_size(benchmark, settings, results_dir):
+def test_table2_database_size(settings, results_dir):
     """Regenerate Table II."""
 
-    def run():
-        return table2_database_size_experiment(
-            benchmark_names=("tpch", "tpch_skew"),
-            scale_factors=SCALE_FACTORS,
-            settings=settings,
-            tuners=("PDTool", "MAB"),
-        )
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = table2_database_size_experiment(
+        benchmark_names=("tpch", "tpch_skew"),
+        scale_factors=SCALE_FACTORS,
+        settings=settings,
+        tuners=("PDTool", "MAB"),
+    )
 
     sections = []
     for benchmark_name, by_scale in results.items():

@@ -21,16 +21,13 @@ starts all-hdd, ``promote``\\ s ``lineitem`` into memory mid-run, and later
 materialised indexes) change under it without any query change.
 
 Results go to ``benchmarks/results/BENCH_tiered.json`` (plus a formatted
-``BENCH_tiered.txt``); the per-placement ``wall_step`` p50s feed the CI
-perf-trajectory guard.
+``BENCH_tiered.txt``).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import statistics
-import time
 
 from repro.api import (
     DatabaseSpec,
@@ -43,9 +40,7 @@ from repro.workloads import StaticWorkload, get_benchmark
 
 from conftest import write_result
 
-SMOKE_MODE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
-
-ROUNDS = 8 if SMOKE_MODE else 20
+ROUNDS = 20
 SPEC = DatabaseSpec("tpch", scale_factor=1.0, sample_rows=500, seed=7)
 
 HOT_TABLES = ("lineitem", "orders")
@@ -66,11 +61,8 @@ def run_placement(options_kwargs: dict, workload_rounds) -> dict:
         create_tuner("MAB", database),
         SimulationOptions(benchmark_name="tpch", **options_kwargs),
     )
-    wall_steps = []
     for workload_round in workload_rounds:
-        started = time.perf_counter()
         session.step_workload_round(workload_round)
-        wall_steps.append(time.perf_counter() - started)
     report = session.report
     return {
         "backend": database.backend_profile.name,
@@ -86,7 +78,6 @@ def run_placement(options_kwargs: dict, workload_rounds) -> dict:
         ),
         "final_index_count": len(database.materialised_indexes),
         "final_index_bytes": database.used_index_bytes,
-        "wall_step": {"p50_ms": round(statistics.median(wall_steps) * 1e3, 4)},
     }
 
 
@@ -143,7 +134,6 @@ def test_tiered_comparison(results_dir):
     payload = {
         "benchmark": "tpch",
         "rounds": ROUNDS,
-        "smoke_mode": SMOKE_MODE,
         "tuner": "MAB",
         "hot_tables": list(HOT_TABLES),
         "placements": results,
@@ -152,9 +142,7 @@ def test_tiered_comparison(results_dir):
     }
     (results_dir / "BENCH_tiered.json").write_text(json.dumps(payload, indent=2) + "\n")
 
-    lines = [
-        f"MAB on TPC-H quick across placements (rounds={ROUNDS}, smoke={SMOKE_MODE})"
-    ]
+    lines = [f"MAB on TPC-H quick across placements (rounds={ROUNDS})"]
     for name, entry in results.items():
         placement = entry["table_backends"] or f"uniform {entry['backend']}"
         lines.append(

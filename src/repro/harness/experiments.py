@@ -11,7 +11,7 @@ through the registry (:func:`repro.api.create_tuner`) and every run is a
 :class:`repro.api.TuningSession` driven by :func:`repro.api.run_competition`,
 so ``workers > 1`` fans the tuners of one experiment out across processes.
 
-Index of experiments (see DESIGN.md for the full mapping):
+Index of experiments (docs/BENCHMARKS.md maps each to its benchmark file):
 
 * Figures 2 & 3 — :func:`static_experiment`
 * Figures 4 & 5 — :func:`shifting_experiment`
@@ -73,7 +73,7 @@ class ExperimentSettings:
 
     @classmethod
     def quick(cls) -> "ExperimentSettings":
-        """Reduced settings for the pytest-benchmark suite."""
+        """Reduced settings for the ``benchmarks/`` reproduction suite."""
         return cls(
             sample_rows=2000,
             static_rounds=8,

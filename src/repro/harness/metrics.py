@@ -29,7 +29,7 @@ class RoundReport:
     #: Real (wall-clock) time spent in each phase of the simulation loop, as
     #: opposed to the model-seconds above.  These measure *our* overhead —
     #: the paper's Table I claim is that recommendation stays negligible —
-    #: and feed the perf-tracking benchmark.
+    #: and perfbench reads them to split a fleet wave into its phases.
     wall_recommend_seconds: float = 0.0
     wall_apply_seconds: float = 0.0
     wall_execute_seconds: float = 0.0

@@ -1,4 +1,4 @@
-"""Ablations of the MAB design choices called out in DESIGN.md.
+"""Ablations of the MAB design choices discussed in the paper.
 
 These are small-scale versions of the paper's design discussion: covering
 arms, the exploration boost, forgetting on workload shifts and the oracle's

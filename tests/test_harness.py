@@ -1,5 +1,10 @@
 """Tests for the harness: metrics, reporting, simulation driver and experiments."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.api import SimulationOptions, create_tuner, run_simulation
@@ -274,6 +279,17 @@ class TestExperiments:
         settings = ExperimentSettings.quick()
         assert settings.static_rounds < ExperimentSettings().static_rounds
         assert settings.with_overrides(static_rounds=3).static_rounds == 3
+
+    def test_unknown_bench_profile_fails_collection(self):
+        # A misspelt profile must not quietly produce quick-scale "paper" numbers.
+        repo_root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "REPRO_BENCH_PROFILE": "papr", "PYTHONPATH": str(repo_root / "src")}
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "--collect-only", "-q", "benchmarks"],
+            cwd=repo_root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode != 0
+        assert "'quick' or 'paper'" in result.stdout + result.stderr
 
     def test_build_workload_rounds_types(self):
         benchmark = get_benchmark("ssb")
