@@ -52,6 +52,11 @@ class OracleResult:
         return {scored.index_id for scored in self.selected}
 
 
+def _prefix_key(scored: ScoredArm) -> tuple[str, str]:
+    index = scored.arm.index
+    return index.table, index.leading_column()
+
+
 class GreedyOracle:
     """Greedy knapsack oracle with prefix/covering diversity filtering."""
 
@@ -71,6 +76,12 @@ class GreedyOracle:
         remaining_budget = memory_budget_bytes
         selected: list[ScoredArm] = []
         covered_templates: set[str] = set()
+        # (table, leading key column) of every selected arm.  An arm sharing
+        # one is redundant for this round: the selected index already gives
+        # the same (or better) seek capability, so materialising both would
+        # mostly waste the budget.  Per-round only; the arm competes again
+        # next round.
+        selected_prefixes: set[tuple[str, str]] = set()
 
         while candidates:
             chosen = candidates.pop(0)
@@ -79,11 +90,12 @@ class GreedyOracle:
                 # keep looking for a smaller one.
                 continue
             selected.append(chosen)
+            selected_prefixes.add(_prefix_key(chosen))
             if remaining_budget is not None:
                 remaining_budget -= chosen.size_bytes
             if chosen.arm.covering_for_queries:
                 covered_templates |= chosen.arm.source_templates
-            candidates = self._filter(candidates, selected, covered_templates, remaining_budget)
+            candidates = self._filter(candidates, selected_prefixes, covered_templates, remaining_budget)
 
         total_size = sum(scored.size_bytes for scored in selected)
         total_score = sum(scored.score for scored in selected)
@@ -95,7 +107,7 @@ class GreedyOracle:
     def _filter(
         self,
         candidates: list[ScoredArm],
-        selected: list[ScoredArm],
+        selected_prefixes: set[tuple[str, str]],
         covered_templates: set[str],
         remaining_budget: int | None,
     ) -> list[ScoredArm]:
@@ -103,28 +115,12 @@ class GreedyOracle:
         for scored in candidates:
             if remaining_budget is not None and scored.size_bytes > remaining_budget:
                 continue
-            if self._is_prefix_of_selected(scored, selected):
+            if _prefix_key(scored) in selected_prefixes:
                 continue
             if self._covered_by_covering_index(scored, covered_templates):
                 continue
             surviving.append(scored)
         return surviving
-
-    @staticmethod
-    def _is_prefix_of_selected(scored: ScoredArm, selected: list[ScoredArm]) -> bool:
-        """Prefix-matching diversity filter.
-
-        An arm is redundant for the current round when a selected arm on the
-        same table already starts with the same leading key column: the
-        selected index provides the same (or better) seek capability, so
-        materialising both would mostly waste the memory budget.  The filter
-        is per-round only; the arm competes again next round.
-        """
-        return any(
-            scored.arm.index.table == chosen.arm.index.table
-            and scored.arm.index.leading_column() == chosen.arm.index.leading_column()
-            for chosen in selected
-        )
 
     @staticmethod
     def _covered_by_covering_index(scored: ScoredArm, covered_templates: set[str]) -> bool:

@@ -184,9 +184,11 @@ class Database:
         """A lightweight per-tenant clone sharing this database's statistics.
 
         The view shares every structure that is immutable or an
-        idempotent-by-value cache — the table samples, the statistics
-        catalog, the hypothetical-index size cache and the data-size total —
-        so a fleet of identical tenants pays for statistics once.  It gets
+        idempotent-by-value cache — the table samples with their memos of
+        distinct counts and selectivities (see :class:`TableData`), the
+        statistics catalog, the hypothetical-index size cache and the
+        data-size total — so a fleet of identical tenants pays for
+        statistics once, and for each distinct predicate set once.  It gets
         its own index catalog and its own :class:`CostModel` instance, so
         tenants materialise different configurations (and retune placements)
         without touching each other.  :meth:`refresh_statistics` on a view
@@ -359,9 +361,12 @@ class Database:
         volume; this is what makes schema/data growth a workload-visible
         stressor (:mod:`repro.workloads.stress`).
 
-        The table mapping is reassigned, not mutated, so a
-        :meth:`tenant_view` that grows a table detaches from the snapshot it
-        shared with its siblings instead of growing it under them.
+        The grown table is a new :class:`TableData` sharing the read-only
+        sample, so it starts with an empty memo: no distinct count computed
+        from the old row count survives.  The table mapping is reassigned,
+        not mutated, so a :meth:`tenant_view` that grows a table detaches
+        from the snapshot it shared with its siblings instead of growing it
+        under them.
 
         Returns:
             The table's new :class:`TableData`.

@@ -49,6 +49,15 @@ class Predicate:
             raise ValueError("BETWEEN predicate requires a (low, high) tuple value")
         if self.operator is Operator.IN and not isinstance(self.value, tuple):
             raise ValueError("IN predicate requires a tuple of values")
+        # Predicates key the engine's selectivity memo, so an unhashable
+        # value (a list, an array) must fail here rather than mid-execution.
+        try:
+            hash(self.value)
+        except TypeError:
+            raise ValueError(
+                f"predicate {self.table}.{self.column} {self.operator.value}: "
+                f"value {self.value!r} is not hashable; use a number or a tuple"
+            ) from None
 
     def render(self) -> str:
         if self.operator is Operator.BETWEEN:

@@ -9,6 +9,7 @@ sizes are scaled to the full table via ``scale_multiplier``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -63,6 +64,13 @@ class TableData:
         high-cardinality column from a small sample is notoriously unreliable
         (a skewed sample wildly under-counts), so when a hint is available it
         takes precedence.
+
+    The sample arrays are made read-only on construction, so what is
+    computed from them (and the schema) is memoised on the instance: the row
+    width, each column's distinct count and each predicate set's
+    selectivity.  A memo cannot go stale because nothing changes in place:
+    growing a table (:meth:`Database.grow_table`) builds a new ``TableData``
+    with an empty memo, and :meth:`Database.tenant_view` siblings share one.
     """
 
     table: Table
@@ -89,6 +97,13 @@ class TableData:
         if self.full_row_count < self._sample_rows:
             # A sample can never be larger than the table it represents.
             self.full_row_count = self._sample_rows
+        for array in self.columns.values():
+            array.setflags(write=False)
+        self._row_width_bytes = self.table.row_width_bytes
+        self._distinct_counts: dict[str, int] = {}
+        #: Selectivity per set of this table's predicates.  Only the float is
+        #: kept: a selection mask would cost a sample's worth of bytes each.
+        self._selectivities: dict[frozenset[Predicate], float] = {}
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -120,7 +135,7 @@ class TableData:
     # ------------------------------------------------------------------ #
     @property
     def row_width_bytes(self) -> int:
-        return self.table.row_width_bytes
+        return self._row_width_bytes
 
     @property
     def total_bytes(self) -> int:
@@ -129,7 +144,7 @@ class TableData:
     @property
     def pages(self) -> int:
         """Number of heap pages occupied by the full table."""
-        return max(1, int(np.ceil(self.total_bytes / PAGE_SIZE_BYTES)))
+        return max(1, math.ceil(self.total_bytes / PAGE_SIZE_BYTES))
 
     def width_of(self, column_names: tuple[str, ...] | list[str]) -> int:
         """Total byte width of the named columns."""
@@ -155,12 +170,15 @@ class TableData:
         sample matches still map to a small positive row estimate (the full
         table may contain a handful of matching rows the sample missed).
         """
-        relevant = tuple(p for p in predicates if p.table == self.table.name)
+        relevant = frozenset(p for p in predicates if p.table == self.table.name)
         if not relevant:
             return 1.0
-        matched = int(self.selection_mask(relevant).sum())
-        floor = 0.5 / self._sample_rows
-        return max(floor, matched / self._sample_rows)
+        selectivity = self._selectivities.get(relevant)
+        if selectivity is None:
+            matched = int(self.selection_mask(tuple(relevant)).sum())
+            floor = 0.5 / self._sample_rows
+            selectivity = self._selectivities[relevant] = max(floor, matched / self._sample_rows)
+        return selectivity
 
     def true_cardinality(self, predicates: tuple[Predicate, ...]) -> int:
         """Estimated number of full-table rows satisfying the predicates."""
@@ -174,6 +192,12 @@ class TableData:
         conservatively: if the sample looks unique we assume the full column
         is unique.
         """
+        count = self._distinct_counts.get(column_name)
+        if count is None:
+            count = self._distinct_counts[column_name] = self._estimate_distinct(column_name)
+        return count
+
+    def _estimate_distinct(self, column_name: str) -> int:
         hint = self.distinct_hints.get(column_name)
         if hint is not None:
             return max(1, min(int(hint), self.full_row_count))

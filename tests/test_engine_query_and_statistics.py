@@ -28,6 +28,12 @@ class TestPredicate:
         with pytest.raises(ValueError):
             Predicate("t", "a", Operator.IN, 5)
 
+    def test_unhashable_value_fails_at_construction(self):
+        with pytest.raises(ValueError, match=r"t\.a"):
+            Predicate("t", "a", Operator.EQ, [1, 2])
+        with pytest.raises(ValueError, match="not hashable"):
+            Predicate("t", "a", Operator.BETWEEN, ([1], 2))
+
     def test_is_range(self):
         assert Operator.BETWEEN.is_range
         assert not Operator.EQ.is_range

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+import repro.engine.storage as storage
 from repro.engine import (
     Column,
     ColumnType,
+    Database,
     Operator,
     PAGE_SIZE_BYTES,
     Predicate,
+    Schema,
     SchemaError,
     Table,
     TableData,
@@ -141,3 +144,89 @@ class TestValidation:
         table = Table("t", [Column("a"), Column("b")])
         with pytest.raises(SchemaError):
             build_table_data(table, {"a": np.arange(10)}, 100)
+
+
+def sampled_predicate_sets(data: TableData, rng: np.random.Generator, count: int = 40):
+    """Random conjunctions over ``data``'s columns, each drawn from sample values."""
+    names = sorted(data.columns)
+    sets = []
+    for _ in range(count):
+        chosen = rng.choice(names, size=int(rng.integers(1, 4)), replace=False)
+        predicates = []
+        for name in chosen:
+            values = data.column_array(str(name))
+            low, high = sorted(float(v) for v in rng.choice(values, size=2))
+            operator = [Operator.EQ, Operator.LE, Operator.GE, Operator.BETWEEN][int(rng.integers(4))]
+            value = (low, high) if operator is Operator.BETWEEN else low
+            predicates.append(Predicate(data.name, str(name), operator, value))
+        sets.append(tuple(predicates))
+    return sets
+
+
+class TestMemo:
+    def test_memoised_statistics_equal_a_fresh_instance(self, tiny_database):
+        rng = np.random.default_rng(11)
+        for table_name in tiny_database.table_names:
+            data = tiny_database.table_data(table_name)
+            predicate_sets = sampled_predicate_sets(data, rng)
+            first = [data.true_cardinality(predicates) for predicates in predicate_sets]
+            # Second pass: served from the memo, and in another predicate order.
+            again = [data.true_cardinality(predicates[::-1]) for predicates in predicate_sets]
+            counts = {name: (data.distinct_count(name), data.distinct_count(name)) for name in data.columns}
+
+            fresh = TableData(
+                table=data.table,
+                columns={name: array.copy() for name, array in data.columns.items()},
+                full_row_count=data.full_row_count,
+                distinct_hints=dict(data.distinct_hints),
+            )
+            expected = [fresh.true_cardinality(predicates) for predicates in predicate_sets]
+            assert first == again == expected
+            assert counts == {name: (fresh.distinct_count(name),) * 2 for name in fresh.columns}
+
+    def test_second_distinct_count_does_not_call_unique(self, small_table_data, monkeypatch):
+        calls = []
+        unique = np.unique
+
+        def counting_unique(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(storage.np, "unique", counting_unique)
+        first = small_table_data.distinct_count("b")
+        assert len(calls) == 1
+        assert small_table_data.distinct_count("b") == first == 10
+        assert len(calls) == 1
+
+    def test_grown_table_does_not_inherit_a_stale_distinct_count(self):
+        # A near-unique column without a hint reports the full row count, the
+        # one distinct count that depends on the table's size.
+        table = Table("t", [Column("a")])
+        data = TableData(table, {"a": np.arange(500)}, full_row_count=10_000)
+        database = Database(Schema(name="s", tables=[table]), {"t": data})
+        assert data.distinct_count("a") == 10_000
+
+        grown = database.grow_table("t", 3)
+
+        assert grown is database.table_data("t") and grown is not data
+        assert grown.full_row_count == 30_000
+        assert grown.distinct_count("a") == 30_000
+        assert data.distinct_count("a") == 10_000
+
+    def test_growth_in_one_tenant_view_leaves_its_siblings_statistics(self, tiny_database):
+        grower, sibling = tiny_database.tenant_view(), tiny_database.tenant_view()
+        predicates = (Predicate("sales", "channel", Operator.EQ, 2),)
+        before = (sibling.table_data("sales").distinct_count("channel"),
+                  sibling.table_data("sales").true_cardinality(predicates))
+        # Interned views share one TableData, hence one memo.
+        assert grower.table_data("sales") is sibling.table_data("sales")
+
+        grower.grow_table("sales", 4)
+
+        assert grower.table_data("sales").true_cardinality(predicates) > before[1]
+        assert (sibling.table_data("sales").distinct_count("channel"),
+                sibling.table_data("sales").true_cardinality(predicates)) == before
+
+    def test_sample_arrays_are_read_only(self, small_table_data):
+        with pytest.raises(ValueError):
+            small_table_data.column_array("a")[0] = 5

@@ -44,8 +44,16 @@ def scaled(key: str, factor: float) -> dict:
     return {**BASE_METRICS, key: BASE_METRICS[key] * factor}
 
 
-def test_within_bound_passes(tmp_path):
+def test_within_bound_passes(tmp_path, capsys):
     assert gate(tmp_path, result_line(scaled("tpch_static.round_p50_ms", 1.2))) == 0
+    out, err = capsys.readouterr()
+    assert "3 metrics compared, 0 failure(s)" in out
+    assert "tpch_static.round_p50_ms: 15 -> 18 ms, head/base 1.200 (lower is better, bound 25%)" in out
+    assert "tpch_static.rounds_per_s: 65 -> 65 1/s, head/base 1.000 (higher is better, bound 25%)" in out
+    assert "tpch_static.exec_model_s: 2341.4 -> 2341.4 s, head/base 1.000 (lower is better, bound 10%)" in out
+    # A metric without a value on both sides is not compared.
+    assert "fleet_tpch.recommend_p50_ms" not in out
+    assert err == ""
 
 
 def test_lower_is_better_metric_beyond_bound_fails(tmp_path):

@@ -132,6 +132,65 @@ def test_oracle_never_exceeds_budget_and_never_selects_negative(raw_arms, budget
     assert len(leading) == len(set(leading))
 
 
+def reference_select(scored_arms, memory_budget_bytes):
+    """The oracle as it was with a list-scan prefix filter: (ids, size, score)."""
+    candidates = sorted((s for s in scored_arms if s.score > 0), key=lambda s: s.score, reverse=True)
+    remaining, selected, covered = memory_budget_bytes, [], set()
+    while candidates:
+        chosen = candidates.pop(0)
+        if remaining is not None and chosen.size_bytes > remaining:
+            continue
+        selected.append(chosen)
+        if remaining is not None:
+            remaining -= chosen.size_bytes
+        if chosen.arm.covering_for_queries:
+            covered |= chosen.arm.source_templates
+        candidates = [
+            s for s in candidates
+            if not (remaining is not None and s.size_bytes > remaining)
+            and not any(
+                s.arm.index.table == c.arm.index.table
+                and s.arm.index.leading_column() == c.arm.index.leading_column()
+                for c in selected
+            )
+            and not (covered and s.arm.source_templates and s.arm.source_templates <= covered)
+        ]
+    ids = [s.index_id for s in selected]
+    return ids, sum(s.size_bytes for s in selected), sum(s.score for s in selected)
+
+
+parity_arm_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(["t1", "t2"]),
+        st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True),
+        st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.5]), st.floats(-5, 5, allow_nan=False)),
+        st.integers(min_value=1, max_value=400),
+        st.sets(st.sampled_from(["q1", "q2", "q3"]), max_size=2),
+        st.booleans(),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    raw_arms=parity_arm_strategy,
+    budget=st.one_of(st.none(), st.integers(0, 600), st.integers(5_000, 20_000)),
+)
+def test_oracle_set_prefix_filter_matches_the_list_scan(raw_arms, budget):
+    scored_arms = []
+    for table, key, score, size, templates, covering in raw_arms:
+        arm = Arm(index=IndexDefinition(table, tuple(key)), source_templates=set(templates))
+        if covering:
+            arm.covering_for_queries = {"query#1"}
+        scored_arms.append(ScoredArm(arm=arm, score=score, size_bytes=size))
+    expected_ids, expected_size, expected_score = reference_select(scored_arms, budget)
+    result = GreedyOracle().select(scored_arms, memory_budget_bytes=budget)
+    assert [s.index_id for s in result.selected] == expected_ids
+    assert result.total_size_bytes == expected_size
+    assert result.total_score == expected_score
+
+
 # ----------------------------------------------------------------------- #
 # metrics
 # ----------------------------------------------------------------------- #

@@ -18,6 +18,9 @@ Exit status:
   an ``end_to_end`` metric of some workload is worse than base by more than
   ``bound × base`` (the metric's ``better`` direction decides what is worse);
 * 2 — an input cannot be read, or the two results share no bounded metric.
+
+Stdout gets one line per compared metric (base -> head, the ratio head/base
+and the metric's bound); failures go to stderr.
 """
 
 from __future__ import annotations
@@ -51,24 +54,26 @@ def metric_value(result: dict, key: str) -> float | None:
     return value if isinstance(value, (int, float)) else None
 
 
-def regressions(base: dict, head: dict, bounds: dict[str, dict]) -> tuple[int, list[str]]:
-    """``(metrics compared, one message per metric worse than its bound)``.
+def compare(base: dict, head: dict, bounds: dict[str, dict]) -> tuple[list[str], list[str]]:
+    """``(one line per compared metric, one message per metric worse than its bound)``.
 
     Keys are ``<metric>`` for a single-workload run and ``<workload>.<metric>``
     for ``--workload all``; the metric name is the part after the last dot.
     """
-    compared, failures = 0, []
+    lines, failures = [], []
     for key in sorted(base["metrics"]):
         spec = bounds.get(key.rsplit(".", 1)[-1])
         before, after = metric_value(base, key), metric_value(head, key)
         if spec is None or before is None or after is None:
             continue
-        compared += 1
+        change = f"{before:.6g} -> {after:.6g} {spec['unit']}"
+        ratio = f"{after / before:.3f}" if before else "n/a"
+        lines.append(f"{key}: {change}, head/base {ratio} ({spec['better']} is better, bound {spec['bound']:.0%})")
         slack = spec["bound"] * abs(before)
         worse = after > before + slack if spec["better"] == "lower" else after < before - slack
         if worse:
-            failures.append(f"{key}: {before:.6g} -> {after:.6g} {spec['unit']} (bound {spec['bound']:.0%})")
-    return compared, failures
+            failures.append(f"{key}: {change} (bound {spec['bound']:.0%})")
+    return lines, failures
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -83,15 +88,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"perf-gate: cannot read inputs: {error}", file=sys.stderr)
         return 2
 
-    compared, failures = regressions(base, head, bounds)
-    if compared == 0:
+    lines, failures = compare(base, head, bounds)
+    if not lines:
         print("perf-gate: base and head share no bounded metric", file=sys.stderr)
         return 2
     if head.get("correct") is not True:
         failures.insert(0, "head run is not correct")
     if failed_share(head) > failed_share(base):
         failures.insert(0, f"failed share rose: {failed_share(base):.4g} -> {failed_share(head):.4g}")
-    print(f"perf-gate: {compared} metrics compared, {len(failures)} failure(s)")
+    print(f"perf-gate: {len(lines)} metrics compared, {len(failures)} failure(s)")
+    for line in lines:
+        print(f"  {line}")
     for failure in failures:
         print(f"  FAIL {failure}", file=sys.stderr)
     return 1 if failures else 0
