@@ -18,6 +18,7 @@ measurably different final index sets (or budgets) on ``ssd`` vs ``hdd``.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 from repro.api import DatabaseSpec, SimulationOptions, TuningSession, create_tuner
 from repro.engine import get_backend, registered_backend_names
@@ -31,11 +32,11 @@ SPEC = DatabaseSpec("tpch", scale_factor=1.0, sample_rows=500, seed=7)
 
 def run_backend(backend_name: str, workload_rounds) -> dict:
     """One MAB run on one backend; returns the serialisable result record."""
-    database = SPEC.create()
+    database = replace(SPEC, backend=backend_name).create()
     session = TuningSession(
         database,
         create_tuner("MAB", database),
-        SimulationOptions(benchmark_name="tpch", backend=backend_name),
+        SimulationOptions(benchmark_name="tpch"),
     )
     for workload_round in workload_rounds:
         session.step_workload_round(workload_round)

@@ -5,7 +5,7 @@ placements of the same data:
 
 * ``all_hdd`` — every table on spinning disk (PR 4's baseline profile);
 * ``hot_cold`` — the two hottest tables (``lineitem``, ``orders``) pinned in
-  memory via :class:`~repro.api.TieredBackend`, the rest cold on hdd;
+  memory through the spec's ``table_backends``, the rest cold on hdd;
 * ``cloud`` — every table on the object-store profile (latency-dominated
   random reads).
 
@@ -16,9 +16,10 @@ assertion is the ISSUE 5 acceptance bar: at least two *distinct* converged
 index sets across the three placements.
 
 A second scenario turns data movement itself into a workload shift: a run
-starts all-hdd, ``promote``\\ s ``lineitem`` into memory mid-run, and later
-``demote``\\ s it back — the bandit's observed times (and the value of its
-materialised indexes) change under it without any query change.
+starts all-hdd, moves ``lineitem`` into memory mid-run
+(:meth:`~repro.engine.Database.set_table_backend`), and later moves it back —
+the bandit's observed times (and the value of its materialised indexes)
+change under it without any query change.
 
 Results go to ``benchmarks/results/BENCH_tiered.json`` (plus a formatted
 ``BENCH_tiered.txt``).
@@ -28,14 +29,9 @@ from __future__ import annotations
 
 import json
 import statistics
+from dataclasses import replace
 
-from repro.api import (
-    DatabaseSpec,
-    SimulationOptions,
-    TieredBackend,
-    TuningSession,
-    create_tuner,
-)
+from repro.api import DatabaseSpec, SimulationOptions, TuningSession, create_tuner
 from repro.workloads import StaticWorkload, get_benchmark
 
 from conftest import write_result
@@ -45,21 +41,23 @@ SPEC = DatabaseSpec("tpch", scale_factor=1.0, sample_rows=500, seed=7)
 
 HOT_TABLES = ("lineitem", "orders")
 
-#: The three placements of the acceptance bar, as SimulationOptions kwargs.
+#: The three placements of the acceptance bar, as database specs.
 PLACEMENTS = {
-    "all_hdd": {"backend": "hdd"},
-    "hot_cold": {"table_backends": TieredBackend(hot_tables=HOT_TABLES)},
-    "cloud": {"backend": "cloud"},
+    "all_hdd": replace(SPEC, backend="hdd"),
+    "hot_cold": replace(
+        SPEC, backend="hdd", table_backends={t: "inmemory" for t in HOT_TABLES}
+    ),
+    "cloud": replace(SPEC, backend="cloud"),
 }
 
 
-def run_placement(options_kwargs: dict, workload_rounds) -> dict:
+def run_placement(spec: DatabaseSpec, workload_rounds) -> dict:
     """One MAB run under one placement; returns the serialisable record."""
-    database = SPEC.create()
+    database = spec.create()
     session = TuningSession(
         database,
         create_tuner("MAB", database),
-        SimulationOptions(benchmark_name="tpch", **options_kwargs),
+        SimulationOptions(benchmark_name="tpch"),
     )
     for workload_round in workload_rounds:
         session.step_workload_round(workload_round)
@@ -82,12 +80,12 @@ def run_placement(options_kwargs: dict, workload_rounds) -> dict:
 
 
 def run_migration(workload_rounds) -> dict:
-    """Promote/demote ``lineitem`` mid-run: data movement as a workload shift."""
-    database = SPEC.create()
+    """Move ``lineitem`` into memory and back mid-run: data movement as a workload shift."""
+    database = replace(SPEC, backend="hdd").create()
     session = TuningSession(
         database,
         create_tuner("MAB", database),
-        SimulationOptions(benchmark_name="tpch", backend="hdd"),
+        SimulationOptions(benchmark_name="tpch"),
     )
     third = max(1, len(workload_rounds) // 3)
     phases = {
@@ -98,9 +96,9 @@ def run_migration(workload_rounds) -> dict:
     record: dict = {"hot_table": "lineitem", "phases": {}}
     for phase_name, rounds in phases.items():
         if phase_name == "promoted":
-            database.promote("lineitem", "inmemory")
+            database.set_table_backend("lineitem", "inmemory")
         elif phase_name == "demoted":
-            database.demote("lineitem")
+            database.set_table_backend("lineitem", None)
         execution = [
             session.step_workload_round(r).execution_seconds for r in rounds
         ]
@@ -124,8 +122,8 @@ def test_tiered_comparison(results_dir):
     ).materialise()
 
     results = {
-        name: run_placement(kwargs, workload_rounds)
-        for name, kwargs in PLACEMENTS.items()
+        name: run_placement(spec, workload_rounds)
+        for name, spec in PLACEMENTS.items()
     }
     migration = run_migration(workload_rounds)
 

@@ -9,10 +9,8 @@ Everything a downstream caller needs lives here:
   :func:`register_backend`, :func:`get_backend`,
   :func:`registered_backend_names` — selecting the cost-model tier
   (``hdd``/``ssd``/``inmemory``/``cloud``) a database is priced on, via
-  ``DatabaseSpec(backend=...)`` or ``SimulationOptions(backend=...)``,
-  including *per table*: ``table_backends={"lineitem": "inmemory"}`` or a
-  declarative :class:`TieredBackend` hot/cold split, in the same three
-  spellings;
+  ``DatabaseSpec(backend=...)``, including *per table*:
+  ``DatabaseSpec(table_backends={"lineitem": "inmemory"})``;
 * session-based tuning — :class:`TuningSession` with its explicit
   ``recommend() / execute(queries) / observe()`` cycle and one-shot
   ``step(queries)``, for callers streaming their own workload;
@@ -38,7 +36,6 @@ workload.
 
 from repro.engine.backend import (
     BackendProfile,
-    TieredBackend,
     UnknownBackendError,
     UnknownPlacementTableError,
     get_backend,
@@ -104,7 +101,6 @@ __all__ = [
     "SimulationOptions",
     "SimulationTrace",
     "TenantSpec",
-    "TieredBackend",
     "Tuner",
     "TunerSpec",
     "TuningFleet",

@@ -49,10 +49,10 @@ class DatabaseSpec:
     registered profile name or a :class:`~repro.engine.BackendProfile`
     instance — both pickle cleanly); ``None`` keeps the default ``hdd`` tier.
     ``table_backends`` places individual tables on their own tiers — a
-    ``{table: backend}`` mapping of overrides on top of ``backend``, or a
-    :class:`~repro.engine.TieredBackend` hot/cold split (which names both
-    tiers itself; don't combine with ``backend``) — and pickles across
-    workers in every spelling.
+    ``{table: backend}`` mapping of overrides on top of ``backend`` — and
+    pickles across workers.  The spec is the one place that says where
+    tables live; :meth:`repro.engine.Database.set_table_backend` moves a
+    table mid-run.
     """
 
     benchmark_name: str

@@ -29,7 +29,6 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
-from repro.engine.backend import BackendProfile, PlacementLike, TieredBackend
 from repro.engine.catalog import ConfigurationChange, Database
 from repro.engine.execution import ExecutionResult, Executor
 from repro.engine.query import Query
@@ -78,30 +77,9 @@ class SimulationOptions:
             picklable across processes — incompatible with
             ``run_competition(workers>1)``.
         keep_results: Collect per-round execution results in the trace.
-        backend: Storage-backend profile applied to the session's database
-            before the first round (a registered name such as ``"hdd"``,
-            ``"ssd"``, ``"inmemory"``, ``"cloud"``, or a
-            :class:`~repro.engine.BackendProfile` instance).  ``None`` keeps
-            whatever backend the database was built with.  This is a lasting
-            change — the session calls
-            :meth:`repro.engine.Database.set_backend` on *its* database —
-            and both spellings pickle cleanly across
-            ``run_competition(workers>1)`` boundaries.
-        table_backends: Per-table placement applied to the session's database
-            after ``backend`` (a ``{table: backend}`` mapping of overrides,
-            or a :class:`~repro.engine.TieredBackend` hot/cold split that
-            names both tiers itself — combining the latter with ``backend``
-            raises ``ValueError``).  ``None`` keeps the database's current
-            placement.
-            Applied via :meth:`repro.engine.Database.set_table_backends` (a
-            lasting change, like ``backend``); every spelling pickles across
-            ``run_competition(workers>1)`` boundaries.
-        apply_events: Whether :meth:`TuningSession.step_workload_round`
-            applies a round's workload-visible environment events (tier
-            migrations, table growth — see :mod:`repro.workloads.stress`)
-            to the session's database before recommending.  Defaults to
-            ``True``; disable to replay a stress sequence on a frozen
-            environment.
+
+    Where tables live is part of the database recipe
+    (:class:`repro.api.DatabaseSpec`), not of the session's options.
     """
 
     noise_sigma: float = 0.03
@@ -113,15 +91,6 @@ class SimulationOptions:
     on_round: Callable[[RoundReport, list[ExecutionResult]], None] | None = None
     #: Collect per-round execution results in the returned trace.
     keep_results: bool = False
-    #: Storage-backend profile for the session's database (``None`` = keep).
-    backend: "str | BackendProfile | None" = None
-    #: Per-table placement for the session's database (``None`` = keep).
-    table_backends: PlacementLike = None
-    #: Apply :attr:`WorkloadRound.events <repro.workloads.generator.WorkloadRound.events>`
-    #: (tier migrations, table growth — see :mod:`repro.workloads.stress`) to
-    #: the session's database before each round's recommendation.  Disable to
-    #: replay a stress sequence as plain queries on a frozen environment.
-    apply_events: bool = True
 
 
 @dataclass
@@ -183,34 +152,10 @@ class TuningSession:
                 configuration from here on).
             tuner: Any :class:`~repro.interface.Tuner`.
             options: Execution-layer options; defaults are the paper's.
-
-        Raises:
-            ValueError: If ``options.backend`` is combined with a
-                :class:`~repro.engine.TieredBackend` placement (which names
-                both tiers itself).
-            repro.engine.UnknownBackendError: If ``options.backend`` or a
-                backend inside ``options.table_backends`` names a profile
-                nobody registered.
-            repro.engine.UnknownPlacementTableError: If
-                ``options.table_backends`` names a table the database does
-                not have.
         """
         self.database = database
         self.tuner = tuner
         self.options = options or SimulationOptions()
-        if self.options.backend is not None and isinstance(
-            self.options.table_backends, TieredBackend
-        ):
-            # Mirror the Database constructor: a TieredBackend names both
-            # tiers itself, so a separate backend would be silently dropped.
-            raise ValueError(
-                "a TieredBackend names both tiers itself; "
-                "set options.backend or options.table_backends, not both"
-            )
-        if self.options.backend is not None:
-            database.set_backend(self.options.backend)
-        if self.options.table_backends is not None:
-            database.set_table_backends(self.options.table_backends)
         self.planner = Planner(database)
         self.executor = Executor(
             database,
@@ -431,12 +376,11 @@ class TuningSession:
     def step_workload_round(self, workload_round: "WorkloadRound") -> RoundReport:
         """Step over one pre-materialised workload round (the batch protocol).
 
-        When ``options.apply_events`` is set (the default) the round's
-        :attr:`~repro.workloads.generator.WorkloadRound.events` are applied to
-        the session's database first — see :meth:`apply_events`.
+        The round's :attr:`~repro.workloads.generator.WorkloadRound.events`
+        are applied to the session's database first — see
+        :meth:`apply_events`.
         """
-        if self.options.apply_events and workload_round.events:
-            self.apply_events(workload_round.events)
+        self.apply_events(workload_round.events)
         training = (
             workload_round.pdtool_training_queries
             if workload_round.invoke_pdtool
@@ -501,7 +445,7 @@ def run_simulation(
         workload_rounds: Pre-materialised rounds (see
             :func:`repro.harness.build_workload_rounds` or the workload
             generators in :mod:`repro.workloads`).
-        options: Execution-layer options (noise, seeds, labels, backends).
+        options: Execution-layer options (noise, seeds, labels).
 
     Returns:
         A :class:`SimulationTrace` with the run's :class:`RunReport` (and

@@ -11,7 +11,6 @@ from .backend import (
     BackendLike,
     BackendProfile,
     PlacementLike,
-    TieredBackend,
     UnknownBackendError,
     UnknownPlacementTableError,
     get_backend,
@@ -103,7 +102,6 @@ __all__ = [
     "TableData",
     "TableSpec",
     "TableStatistics",
-    "TieredBackend",
     "UniformFloat",
     "UniformInt",
     "UnknownBackendError",

@@ -10,10 +10,10 @@ I/O is cheap (seeks lose their edge over scans, and the CPU-bound sort inside
 index creation stops being amortised by huge I/O savings) or ruinously
 latency-bound (the object store).
 
-Profiles also place *per table*: a ``{table: backend}`` mapping (or the
-declarative :class:`TieredBackend` hot/cold split) resolves through
-:func:`resolve_placement` into per-table overrides the cost model consults on
-every operator, so a join spanning tiers charges each side at its own tier.
+Profiles also place *per table*: a ``{table: backend}`` mapping resolves
+through :func:`resolve_placement` into per-table overrides the cost model
+consults on every operator, so a join spanning tiers charges each side at its
+own tier.
 
 Profiles are looked up by name through a registry that mirrors the tuner
 registry (:func:`repro.api.register_tuner`): built-ins register at import
@@ -27,13 +27,13 @@ time, downstream code adds its own with::
 
 and the name immediately works everywhere a backend is accepted —
 ``Database.from_specs(backend=...)``, :class:`repro.api.DatabaseSpec`,
-:class:`repro.api.SimulationOptions` and the benchmark builders.
+:meth:`repro.engine.Database.set_table_backend` and the benchmark builders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union, overload
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import UnknownTableError
 from .storage import PAGE_SIZE_BYTES
@@ -43,7 +43,6 @@ __all__ = [
     "BackendProfile",
     "BackendLike",
     "PlacementLike",
-    "TieredBackend",
     "UnknownBackendError",
     "UnknownPlacementTableError",
     "get_backend",
@@ -89,6 +88,28 @@ class BackendProfile:
     sort_spill_threshold_bytes: int = 1 << 30
     #: Fixed cost of dropping an index (a metadata operation).
     index_drop_seconds: float = 0.1
+
+    def __post_init__(self) -> None:
+        # Written as ``not x > 0`` so NaN fails too.
+        for field_name in (
+            "sequential_read_bytes_per_second",
+            "sequential_write_bytes_per_second",
+            "sort_spill_threshold_bytes",
+        ):
+            if not getattr(self, field_name) > 0:
+                raise ValueError(f"{field_name} must be positive")
+        for field_name in (
+            "random_page_read_seconds",
+            "cpu_tuple_seconds",
+            "cpu_sort_compare_seconds",
+            "cpu_hash_seconds",
+            "per_query_overhead_seconds",
+            "index_drop_seconds",
+        ):
+            if not getattr(self, field_name) >= 0:
+                raise ValueError(f"{field_name} must not be negative")
+        if not 0 <= self.covering_cpu_discount <= 1:
+            raise ValueError("covering_cpu_discount must lie in [0, 1]")
 
     def page_read_seconds(self) -> float:
         """Sequential cost of reading one page."""
@@ -142,58 +163,31 @@ class UnknownBackendError(KeyError, ValueError):
 
 
 _REGISTRY: dict[str, BackendFactory] = {}
-#: Primary display names in registration order (for error messages/listings).
-_PRIMARY_NAMES: list[str] = []
 
 
 def _normalise(name: str) -> str:
     return name.strip().lower().replace("-", "_")
 
 
-@overload
-def register_backend(
-    name: str, *aliases: str
-) -> Callable[[BackendFactory], BackendFactory]: ...
+def register_backend(name: str) -> Callable[[BackendFactory], BackendFactory]:
+    """Register a zero-argument profile factory under ``name``::
 
-
-@overload
-def register_backend(
-    name: str, *aliases: str, profile: BackendProfile
-) -> BackendProfile: ...
-
-
-def register_backend(
-    name: str, *aliases: str, profile: BackendProfile | None = None
-) -> "Callable[[BackendFactory], BackendFactory] | BackendProfile":
-    """Register a backend profile under ``name`` (and ``aliases``).
-
-    Use as a decorator over a zero-argument factory::
-
-        @register_backend("ssd", "nvme")
+        @register_backend("ssd")
         def _ssd() -> BackendProfile: ...
 
-    or call directly with a ready ``profile`` instance::
-
-        register_backend("tuned_hdd", profile=BackendProfile(name="tuned_hdd", ...))
+    Lookups are case-insensitive and treat ``-`` and ``_`` alike.
     """
 
     def _register(factory: BackendFactory) -> BackendFactory:
-        primary = name
-        if _normalise(primary) not in (_normalise(n) for n in _PRIMARY_NAMES):
-            _PRIMARY_NAMES.append(primary)
-        for key in (name, *aliases):
-            _REGISTRY[_normalise(key)] = factory
+        _REGISTRY[_normalise(name)] = factory
         return factory
 
-    if profile is not None:
-        _register(lambda: profile)
-        return profile
     return _register
 
 
 def registered_backend_names() -> list[str]:
-    """Primary display names of every registered backend, registration order."""
-    return list(_PRIMARY_NAMES)
+    """Every registered backend name, in registration order."""
+    return list(_REGISTRY)
 
 
 def get_backend(name: str) -> BackendProfile:
@@ -273,79 +267,21 @@ def resolve_placement(
     return resolved
 
 
-@dataclass(frozen=True)
-class TieredBackend:
-    """A declarative hot/cold placement: hot tables on one tier, rest on another.
-
-    The classic hybrid deployment — the small, frequently joined dimension
-    tables pinned in memory while the large fact tables stay on disk —
-    expressed as data instead of a hand-built mapping::
-
-        TieredBackend(hot_tables=("nation", "region", "customer"))
-
-    ``hot`` and ``cold`` accept any backend spelling (a registered name or a
-    :class:`BackendProfile`).  Instances are frozen and picklable, so they
-    travel through :func:`repro.api.run_competition` workers exactly like
-    plain profiles, and they slot in anywhere ``table_backends`` is accepted
-    (:class:`~repro.engine.Database`, :class:`repro.api.DatabaseSpec`,
-    :class:`repro.api.SimulationOptions`).
-    """
-
-    hot_tables: tuple[str, ...]
-    hot: "str | BackendProfile" = "inmemory"
-    cold: "str | BackendProfile" = "hdd"
-
-    def __post_init__(self) -> None:
-        if isinstance(self.hot_tables, str):
-            # tuple("lineitem") would silently become per-character "tables"
-            raise TypeError(
-                "hot_tables must be an iterable of table names, not a string; "
-                f"did you mean hot_tables=({self.hot_tables!r},)?"
-            )
-        object.__setattr__(self, "hot_tables", tuple(self.hot_tables))
-
-    @property
-    def hot_profile(self) -> BackendProfile:
-        return resolve_backend(self.hot)
-
-    @property
-    def cold_profile(self) -> BackendProfile:
-        return resolve_backend(self.cold)
-
-    def placement(
-        self, table_names: Iterable[str]
-    ) -> tuple[BackendProfile, dict[str, BackendProfile]]:
-        """Resolve into ``(default profile, per-table overrides)``.
-
-        The cold tier becomes the default profile and every hot table gets an
-        override, validated against ``table_names``.
-
-        Raises:
-            UnknownPlacementTableError: For a hot table the database does not
-                have.
-        """
-        hot = self.hot_profile
-        overrides = resolve_placement(
-            {name: hot for name in self.hot_tables}, table_names
-        )
-        return self.cold_profile, overrides
-
-
 #: Anything accepted where a per-table placement is expected: a
-#: ``{table: backend}`` mapping, a :class:`TieredBackend`, or ``None``.
-PlacementLike = Union[Mapping[str, BackendLike], TieredBackend, None]
+#: ``{table: backend}`` mapping of overrides, or ``None`` for none.
+PlacementLike = Union[Mapping[str, BackendLike], None]
 
 
 # --------------------------------------------------------------------- #
 # built-in profiles
 # --------------------------------------------------------------------- #
-@register_backend("hdd", "disk", "default")
+@register_backend("hdd")
 def _hdd() -> BackendProfile:
     """The paper's testbed: every constant at its historical default."""
     return BackendProfile()
 
 
-@register_backend("ssd", "nvme", "flash")
+@register_backend("ssd")
 def _ssd() -> BackendProfile:
     """Flash storage: ~10x the sequential bandwidth, ~25x cheaper random I/O.
 
@@ -365,7 +301,7 @@ def _ssd() -> BackendProfile:
     )
 
 
-@register_backend("inmemory", "in_memory", "memory", "ram")
+@register_backend("inmemory")
 def _inmemory() -> BackendProfile:
     """Memory-resident data: execution is CPU-bound, I/O terms nearly vanish.
 
@@ -385,7 +321,7 @@ def _inmemory() -> BackendProfile:
     )
 
 
-@register_backend("cloud", "s3", "object_store")
+@register_backend("cloud")
 def _cloud() -> BackendProfile:
     """Cloud object storage: latency-dominated reads over decent bandwidth.
 

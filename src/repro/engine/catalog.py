@@ -17,7 +17,6 @@ from .backend import (
     BackendLike,
     BackendProfile,
     PlacementLike,
-    TieredBackend,
     UnknownPlacementTableError,
     resolve_backend,
     resolve_placement,
@@ -64,24 +63,19 @@ class Database:
         Mapping of table name to :class:`TableData`.
     memory_budget_bytes:
         Space allowance for secondary indexes.  ``None`` means unconstrained.
-    cost_model:
-        The engine's true cost model; shared with the executor.
     histogram_buckets:
         Number of equi-width histogram buckets for optimiser statistics
         (0 reproduces plain uniformity assumptions).
     backend:
         Storage-backend profile (a registered name such as ``"hdd"``,
         ``"ssd"``, ``"inmemory"``, ``"cloud"`` or a :class:`BackendProfile`
-        instance) the cost model prices operators with.  Mutually exclusive
-        with an explicit ``cost_model``; ``None`` keeps the default ``hdd``
-        tier.
+        instance) the engine's true cost model prices operators with;
+        ``None`` keeps the default ``hdd`` tier.
     table_backends:
         Per-table placement: a ``{table: backend}`` mapping of overrides on
-        top of ``backend``'s default tier, or a declarative
-        :class:`~repro.engine.TieredBackend` hot/cold split (which names both
-        tiers itself and is therefore mutually exclusive with ``backend``).
-        Unknown table names raise
-        :class:`~repro.engine.UnknownPlacementTableError`.
+        top of ``backend``'s default tier.  Unknown table names raise
+        :class:`~repro.engine.UnknownPlacementTableError`.  Move a table
+        mid-run with :meth:`set_table_backend`.
     """
 
     def __init__(
@@ -89,7 +83,6 @@ class Database:
         schema: Schema,
         tables: Mapping[str, TableData],
         memory_budget_bytes: int | None = None,
-        cost_model: CostModel | None = None,
         histogram_buckets: int = 0,
         backend: BackendLike = None,
         table_backends: PlacementLike = None,
@@ -100,14 +93,10 @@ class Database:
             if table_name not in self._tables:
                 raise UnknownTableError(table_name)
         self.memory_budget_bytes = memory_budget_bytes
-        if cost_model is not None and (backend is not None or table_backends is not None):
-            raise ValueError(
-                "pass either cost_model or backend/table_backends, not both"
-            )
-        if cost_model is None:
-            default, overrides = self._resolve_placement_spec(backend, table_backends)
-            cost_model = CostModel(default, overrides)
-        self.cost_model = cost_model
+        #: The engine's true cost model; shared with the executor.
+        self.cost_model = CostModel(
+            backend, resolve_placement(table_backends, self._tables)
+        )
         self._indexes: dict[str, IndexDefinition] = {}
         self._index_sizes: dict[str, int] = {}
         self._histogram_buckets = histogram_buckets
@@ -120,22 +109,6 @@ class Database:
         self._statistics = StatisticsCatalog()
         for data in self._tables.values():
             self._statistics.add(build_table_statistics(data, histogram_buckets=histogram_buckets))
-
-    def _resolve_placement_spec(
-        self, backend: BackendLike, table_backends: PlacementLike
-    ) -> tuple[BackendProfile, dict[str, BackendProfile]]:
-        """Resolve ``(backend, table_backends)`` into ``(default, overrides)``."""
-        if isinstance(table_backends, TieredBackend):
-            if backend is not None:
-                raise ValueError(
-                    "a TieredBackend names both tiers itself; "
-                    "pass either backend or a TieredBackend, not both"
-                )
-            return table_backends.placement(self._tables)
-        return (
-            resolve_backend(backend),
-            resolve_placement(table_backends, self._tables),
-        )
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -199,7 +172,7 @@ class Database:
         view._tables = self._tables
         view.memory_budget_bytes = self.memory_budget_bytes
         view.cost_model = CostModel(
-            self.cost_model.parameters, self.cost_model.table_profiles
+            self.cost_model.profile, self.cost_model.table_profiles
         )
         view._indexes = {}
         view._index_sizes = {}
@@ -241,14 +214,14 @@ class Database:
         self.table_data(table_name)  # validates the name
         return self.cost_model.profile_for(table_name)
 
-    def set_backend(self, backend: BackendLike) -> BackendProfile:
-        """Re-time the *whole* database for a uniform storage backend.
+    def set_table_backend(self, table_name: str, backend: BackendLike) -> BackendProfile:
+        """Move one table to another storage tier mid-run.
 
-        Swaps the cost model for one built on ``backend`` (a registered name
-        or a :class:`BackendProfile`) and **clears any per-table placement**
-        — after ``set_backend`` every table prices at the one named tier, so
-        ``set_backend("ssd")`` followed by ``set_backend("hdd")`` restores a
-        fresh-``hdd`` database exactly.
+        ``backend`` is a registered name or a :class:`BackendProfile`;
+        ``None`` returns the table to the default tier.  Takes effect
+        immediately — a live session's very next plan and execution price
+        the table at its new tier, which is what makes a mid-run tier
+        migration a benchmarkable workload shift.
 
         Nothing else needs invalidating: every cached quantity derived from
         the data — the total data size, materialised *and* hypothetical index
@@ -256,24 +229,6 @@ class Database:
         features built from them — is a byte quantity independent of the
         storage tier.  Only the seconds the cost model reports change, and
         those are recomputed from the new profile on every call.
-
-        Returns:
-            The resolved profile now in effect.
-
-        Raises:
-            repro.engine.UnknownBackendError: For an unregistered name.
-        """
-        profile = resolve_backend(backend)
-        self.cost_model = CostModel(profile)
-        return profile
-
-    def set_table_backend(self, table_name: str, backend: BackendLike) -> BackendProfile:
-        """Place one table on its own storage tier (the default tier stays).
-
-        Takes effect immediately — a live session's very next plan and
-        execution price the table at its new tier, which is what makes
-        mid-run :meth:`promote`/:meth:`demote` a benchmarkable workload
-        shift.
 
         Returns:
             The resolved profile the table is now priced at.
@@ -285,44 +240,13 @@ class Database:
         """
         if table_name not in self._tables:
             raise UnknownPlacementTableError(table_name, self._tables)
-        profile = resolve_backend(backend)
         overrides = dict(self.cost_model.table_profiles)
-        overrides[table_name] = profile
-        self.cost_model = CostModel(self.cost_model.parameters, overrides)
-        return profile
-
-    def set_table_backends(self, table_backends: PlacementLike) -> dict[str, BackendProfile]:
-        """Replace the entire per-table placement.
-
-        A ``{table: backend}`` mapping replaces the overrides (keeping the
-        current default tier); a :class:`~repro.engine.TieredBackend` replaces
-        the default tier *and* the overrides with its cold/hot split.
-
-        Returns:
-            The per-table overrides now in effect.
-        """
-        if isinstance(table_backends, TieredBackend):
-            default, overrides = table_backends.placement(self._tables)
+        if backend is None:
+            overrides.pop(table_name, None)
         else:
-            default = self.cost_model.parameters
-            overrides = resolve_placement(table_backends, self._tables)
-        self.cost_model = CostModel(default, overrides)
-        return dict(overrides)
-
-    def promote(self, table_name: str, backend: BackendLike = "inmemory") -> BackendProfile:
-        """Move a table up to a faster tier mid-run (default: into memory)."""
-        return self.set_table_backend(table_name, backend)
-
-    def demote(self, table_name: str, backend: BackendLike = None) -> BackendProfile:
-        """Move a table back down; ``None`` returns it to the default tier."""
-        if backend is not None:
-            return self.set_table_backend(table_name, backend)
-        if table_name not in self._tables:
-            raise UnknownPlacementTableError(table_name, self._tables)
-        overrides = dict(self.cost_model.table_profiles)
-        overrides.pop(table_name, None)
-        self.cost_model = CostModel(self.cost_model.parameters, overrides)
-        return self.cost_model.parameters
+            overrides[table_name] = resolve_backend(backend)
+        self.cost_model = CostModel(self.cost_model.profile, overrides)
+        return self.cost_model.profile_for(table_name)
 
     @property
     def data_size_bytes(self) -> int:

@@ -58,29 +58,22 @@ class CostModel:
     dimension table and a cold on-disk fact table can meet in one join with
     each side billed correctly.  Tables without an override — and operators
     with no table affinity, such as final aggregation and the fixed per-query
-    overhead — use the default profile (``parameters``).
+    overhead — use the default profile (``profile``).
     """
 
     def __init__(
         self,
-        parameters: BackendLike = None,
+        profile: BackendLike = None,
         table_profiles: "Mapping[str, BackendLike] | None" = None,
     ) -> None:
         #: The default backend profile supplying every timing constant for
-        #: tables without a per-table override.  The attribute keeps its
-        #: historical name (``parameters``); ``profile`` is the modern
-        #: accessor.
-        self.parameters = resolve_backend(parameters)
+        #: tables without a per-table override.
+        self.profile = resolve_backend(profile)
         #: Per-table profile overrides (table name -> resolved profile).
         self.table_profiles: dict[str, BackendProfile] = {
             name: resolve_backend(backend)
             for name, backend in (table_profiles or {}).items()
         }
-
-    @property
-    def profile(self) -> BackendProfile:
-        """The default backend profile this model prices operators with."""
-        return self.parameters
 
     def profile_for(self, data: "TableData | str | None") -> BackendProfile:
         """The effective profile for one table (``None`` -> the default tier).
@@ -89,9 +82,9 @@ class CostModel:
         override resolve to the default profile.
         """
         if data is None or not self.table_profiles:
-            return self.parameters
+            return self.profile
         name = data if isinstance(data, str) else data.table.name
-        return self.table_profiles.get(name, self.parameters)
+        return self.table_profiles.get(name, self.profile)
 
     # ------------------------------------------------------------------ #
     # scans and seeks
@@ -234,7 +227,7 @@ class CostModel:
         return probe_cpu + index_io + heap_io + cpu
 
     def aggregation_seconds(self, rows: int) -> float:
-        return max(0, rows) * self.parameters.cpu_hash_seconds
+        return max(0, rows) * self.profile.cpu_hash_seconds
 
     # ------------------------------------------------------------------ #
     # index maintenance

@@ -179,7 +179,7 @@ class Executor:
             base_seconds
             + join_seconds
             + aggregation_seconds
-            + cost_model.parameters.per_query_overhead_seconds
+            + cost_model.profile.per_query_overhead_seconds
         )
         total *= self._noise_factor()
         return ExecutionResult(

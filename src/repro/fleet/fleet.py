@@ -21,7 +21,7 @@ multiplexes their round protocol the way a DBaaS control plane would:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.api.registry import create_tuner
@@ -252,8 +252,7 @@ class TuningFleet:
         tenant ids to this round's workload-visible environment changes
         (see :mod:`repro.workloads.stress`), applied to each tenant's
         database in canonical order *before* any recommendation — exactly
-        where a standalone session applies them — and skipped for sessions
-        whose options disable ``apply_events``.
+        where a standalone session applies them.
 
         Raises:
             UnknownTenantError: If ``batch`` (or ``events``) names an
@@ -285,20 +284,16 @@ class TuningFleet:
     def _run_wave(self, wave: Mapping[str, _PendingRound]) -> dict[str, RoundReport]:
         """Run one round for every tenant in ``wave``, per-tenant protocol.
 
-        Events first (canonical order, honouring each session's
-        ``options.apply_events``), then one batched scoring pass over the
-        MAB tenants, then per-tenant execute/observe — each step
-        using that tenant's own round metadata.
+        Events first (canonical order), then one batched scoring pass over
+        the MAB tenants, then per-tenant execute/observe — each step using
+        that tenant's own round metadata.
         """
         order = sorted(wave)
         for tenant_id in order:
             if tenant_id not in self._sessions:
                 raise UnknownTenantError(tenant_id, self._sessions)
         for tenant_id in order:
-            pending = wave[tenant_id]
-            session = self._sessions[tenant_id]
-            if pending.events and session.options.apply_events:
-                session.apply_events(pending.events)
+            self._sessions[tenant_id].apply_events(wave[tenant_id].events)
         batched = [t for t in order if self._pool_tuner(t) is not None]
         if batched:
             self._adopt_batched_recommendations(
@@ -323,8 +318,7 @@ class TuningFleet:
         """Step every registered tenant over one shared workload round.
 
         The round's :attr:`~repro.workloads.generator.WorkloadRound.events`
-        are applied to every tenant (honouring each session's
-        ``options.apply_events``), mirroring the standalone
+        are applied to every tenant, mirroring the standalone
         :meth:`~repro.api.TuningSession.step_workload_round` protocol.
         """
         training = (
@@ -360,9 +354,16 @@ class TuningFleet:
         UCB scores, ``complete_round`` (tie-break draw, oracle selection) —
         with only the score computation fused across tenants, which is
         bit-identical by :func:`batch_upper_confidence_scores`'s contract.
-        The adopted recommendation carries the tuner-measured wall time, so
-        no clock is read outside the sanctioned instrumentation path.
+
+        Each tuner times its round from its own ``begin_round`` to its own
+        ``complete_round``, a span that also covers every later tenant's arm
+        generation and the shared scoring pass.  So the fleet charges every
+        tenant an even share of the whole pass instead — first
+        ``begin_round`` to last ``complete_round``, both taken from the
+        tuners' own stamps, so no clock is read outside the sanctioned
+        instrumentation path.
         """
+        pools: dict[str, PoolRound] = {}
         open_pools: list[tuple[str, MabTuner, PoolRound]] = []
         finished: dict[str, Recommendation] = {}
         for tenant_id in tenant_ids:
@@ -373,6 +374,7 @@ class TuningFleet:
             pool = tuner.begin_round(
                 round_number if round_number is not None else session.round_number + 1
             )
+            pools[tenant_id] = pool
             if pool.arms is None:
                 finished[tenant_id] = tuner.complete_round(pool, None)
             else:
@@ -388,10 +390,14 @@ class TuningFleet:
             all_scores = batch_upper_confidence_scores(scorers, blocks, alphas)
             for (tenant_id, tuner, pool), scores in zip(open_pools, all_scores):
                 finished[tenant_id] = tuner.complete_round(pool, scores)
+        first = min(pool.started for pool in pools.values())
+        last = max(
+            pools[t].started + finished[t].recommendation_seconds for t in tenant_ids
+        )
+        share = (last - first) / len(tenant_ids)
         for tenant_id in tenant_ids:
-            recommendation = finished[tenant_id]
             self._sessions[tenant_id].adopt_recommendation(
-                recommendation,
+                replace(finished[tenant_id], recommendation_seconds=share),
                 round_number=round_numbers.get(tenant_id),
-                wall_seconds=recommendation.recommendation_seconds,
+                wall_seconds=share,
             )

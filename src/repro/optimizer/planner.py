@@ -69,7 +69,7 @@ class Planner:
             base_cost += accesses[table_name].estimated_seconds
 
         aggregation = self.database.cost_model.aggregation_seconds(int(result_rows))
-        overhead = self.database.cost_model.parameters.per_query_overhead_seconds
+        overhead = self.database.cost_model.profile.per_query_overhead_seconds
         total = base_cost + join_cost + aggregation + overhead
         return QueryPlan(
             query=query,

@@ -83,8 +83,7 @@ class Benchmark:
         name such as ``"hdd"``/``"ssd"``/``"inmemory"``/``"cloud"`` or a
         :class:`~repro.engine.BackendProfile`); ``None`` keeps the paper's
         HDD constants.  ``table_backends`` places individual tables on their
-        own tiers — a ``{table: backend}`` mapping of overrides or a
-        :class:`~repro.engine.TieredBackend` hot/cold split.
+        own tiers — a ``{table: backend}`` mapping of overrides.
         """
         specs = self.table_specs(scale_factor)
         database = Database.from_specs(

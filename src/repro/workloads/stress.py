@@ -17,8 +17,9 @@ named, registered *stressor* — that the safety benchmark
   set starts on a core table subset and expands, each arrival growing the new
   table's data volume and refreshing statistics
   (:class:`TableGrowthEvent` → :meth:`repro.engine.Database.grow_table`);
-* :class:`TierMigrationWorkload` — scheduled mid-run ``promote``/``demote``
-  of a hot table as a workload-visible stressor (:class:`TierMigrationEvent`).
+* :class:`TierMigrationWorkload` — a hot table scheduled to move into memory
+  and back mid-run, as a workload-visible stressor (:class:`TierMigrationEvent`
+  → :meth:`repro.engine.Database.set_table_backend`).
 
 Every stressor is **deterministic under its seed** and safe to re-iterate:
 ``rounds()`` restarts its private RNG on every call, so two instances built
@@ -57,18 +58,15 @@ class TierMigrationEvent:
 
     ``backend=None`` demotes the table back to the database's default tier;
     any registered backend name promotes (or re-places) it.  Applied through
-    :meth:`repro.engine.Database.promote` / :meth:`~repro.engine.Database.demote`,
-    so the very next plan prices the table at its new tier.
+    :meth:`repro.engine.Database.set_table_backend`, so the very next plan
+    prices the table at its new tier.
     """
 
     table: str
     backend: str | None = "inmemory"
 
     def apply(self, database: Database) -> None:
-        if self.backend is None:
-            database.demote(self.table)
-        else:
-            database.promote(self.table, self.backend)
+        database.set_table_backend(self.table, self.backend)
 
     def describe(self) -> str:
         if self.backend is None:

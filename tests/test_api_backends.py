@@ -1,13 +1,13 @@
-"""Backend plumbing through the public API: specs, options, sessions, workers.
+"""Backend plumbing through the public API: specs, sessions, workers.
 
 Two guarantees matter here:
 
-* ``backend="hdd"`` (any spelling: :class:`DatabaseSpec`,
-  :class:`SimulationOptions`, or nothing at all) is **bit-identical** to the
-  pre-backend behaviour, for every registered tuner — the multi-backend axis
-  must not perturb the reproduction;
+* ``backend="hdd"`` on the :class:`DatabaseSpec` (by name, as a profile
+  instance, or not at all) is **bit-identical** to the pre-backend
+  behaviour, for every registered tuner — the multi-backend axis must not
+  perturb the reproduction;
 * backend profiles survive every process boundary the API exposes
-  (``run_competition(workers>1)`` pickles specs and options).
+  (``run_competition(workers>1)`` pickles the spec).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.api import (
     SimulationOptions,
     TunerSpec,
     TuningSession,
-    UnknownBackendError,
     create_tuner,
     get_backend,
     run_competition,
@@ -76,21 +75,16 @@ class TestHddParity:
             ssb_rounds, name, tiny_spec(), options
         )
 
-        via_spec, spec_configuration = run_session(
+        via_name, name_configuration = run_session(
             ssb_rounds, name, tiny_spec(backend="hdd"), options
         )
-        via_options, options_configuration = run_session(
-            ssb_rounds, name, tiny_spec(),
-            SimulationOptions(benchmark_name="ssb", backend="hdd"),
-        )
         via_profile, profile_configuration = run_session(
-            ssb_rounds, name, tiny_spec(),
-            SimulationOptions(benchmark_name="ssb", backend=BackendProfile()),
+            ssb_rounds, name, tiny_spec(backend=BackendProfile()), options
         )
 
-        for report in (via_spec, via_options, via_profile):
+        for report in (via_name, via_profile):
             assert_reports_identical(seed_report, report)
-        for configuration in (spec_configuration, options_configuration, profile_configuration):
+        for configuration in (name_configuration, profile_configuration):
             assert configuration == seed_configuration
 
 
@@ -98,25 +92,6 @@ class TestHddParity:
 # plumbing and serialisation
 # --------------------------------------------------------------------- #
 class TestBackendPlumbing:
-    def test_session_applies_options_backend(self, ssb_rounds):
-        database = tiny_spec().create()
-        assert database.backend_profile.name == "hdd"
-        TuningSession(
-            database,
-            create_tuner("NoIndex", database),
-            SimulationOptions(backend="inmemory"),
-        )
-        assert database.backend_profile.name == "inmemory"
-
-    def test_session_rejects_unknown_backend(self, ssb_rounds):
-        database = tiny_spec().create()
-        with pytest.raises(UnknownBackendError, match="registered backends"):
-            TuningSession(
-                database,
-                create_tuner("NoIndex", database),
-                SimulationOptions(backend="zram"),
-            )
-
     def test_spec_with_backend_is_picklable(self):
         spec = tiny_spec(backend="ssd")
         clone = pickle.loads(pickle.dumps(spec))
@@ -127,23 +102,15 @@ class TestBackendPlumbing:
         clone = pickle.loads(pickle.dumps(spec))
         assert clone.create().backend_profile.name == "inmemory"
 
-    def test_options_with_profile_are_picklable(self):
-        options = SimulationOptions(backend=get_backend("ssd"))
-        clone = pickle.loads(pickle.dumps(options))
-        assert clone.backend == get_backend("ssd")
-
     def test_backend_round_trips_through_competition_workers(self, ssb_rounds):
-        """Specs and options carrying backends must cross process boundaries.
+        """A spec carrying a backend must cross process boundaries.
 
-        The spec names its backend by string and the options carry a full
-        :class:`BackendProfile` instance; with two workers both travel
-        through pickled task submissions, and the merged reports must be
-        identical to a sequential run's.
+        The spec carries a full :class:`BackendProfile` instance; with two
+        workers it travels through pickled task submissions, and the merged
+        reports must be identical to a sequential run's.
         """
-        spec = tiny_spec(backend="ssd")
-        options = SimulationOptions(
-            benchmark_name="ssb", backend=get_backend("ssd")
-        )
+        spec = tiny_spec(backend=get_backend("ssd"))
+        options = SimulationOptions(benchmark_name="ssb")
         entries = {"NoIndex": "NoIndex", "MAB": "MAB"}
         sequential = run_competition(spec, entries, ssb_rounds, options, workers=1)
         parallel = run_competition(spec, entries, ssb_rounds, options, workers=2)

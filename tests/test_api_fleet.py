@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import time
 
 import numpy as np
 import pytest
@@ -272,6 +273,28 @@ class TestFleetParity:
                 reference.report
             )
             assert configuration_of(session) == configuration_of(reference)
+
+    def test_batched_recommendation_time_is_split_across_tenants(self, ssb_rounds):
+        """C_rec of a batched round sums to at most the wall time of the step.
+
+        A tuner's own stopwatch runs from its ``begin_round`` to its
+        ``complete_round`` and so spans every later tenant's work; the fleet
+        must charge each tenant an even share of the pass instead.
+        """
+        fleet = TuningFleet(
+            TenantSpec(f"t{i}", tiny_spec(), tuner="MAB") for i in range(8)
+        )
+        for workload_round in ssb_rounds:
+            started = time.perf_counter()
+            reports = fleet.step(
+                {tid: workload_round.queries for tid in fleet.tenant_ids}
+            )
+            wall_seconds = time.perf_counter() - started
+            charged = [report.recommendation_seconds for report in reports.values()]
+            assert sum(charged) <= wall_seconds
+            assert len(set(charged)) == 1
+            for report in reports.values():
+                assert report.wall_recommend_seconds == report.recommendation_seconds
 
     def test_mixed_tuner_fleet(self, ssb_rounds):
         fleet = TuningFleet(

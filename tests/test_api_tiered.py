@@ -1,16 +1,15 @@
-"""Per-table placement through the public API: specs, options, workers, parity.
+"""Per-table placement through the public API: specs, workers, parity.
 
-The acceptance bars of the tiered-storage PR at the API level:
+The acceptance bars of tiered storage at the API level:
 
 * a *uniform* placement (every table explicitly on ``hdd``) is bit-identical
-  to PR 4's single-profile ``hdd`` behaviour for all five tuners — per-table
+  to the single-profile ``hdd`` behaviour for all five tuners — per-table
   resolution must not perturb the reproduction;
-* placements travel through every spelling (:class:`DatabaseSpec`,
-  :class:`SimulationOptions`, :class:`TieredBackend`) and across
+* placements travel on the :class:`DatabaseSpec` and across
   ``run_competition(workers>1)`` process boundaries;
-* ``set_backend("ssd")`` then ``set_backend("hdd")`` restores a fresh-``hdd``
-  database exactly — bit-identical plans and rewards (the PR's second
-  bugfix satellite);
+* ``set_table_backend(table, "cloud")`` then ``set_table_backend(table,
+  None)`` restores a fresh database exactly — bit-identical plans and
+  rewards;
 * promoting a table mid-run changes the very next round's observed times
   (the migration scenario the benchmark turns into a workload shift).
 """
@@ -24,7 +23,6 @@ import pytest
 from repro.api import (
     DatabaseSpec,
     SimulationOptions,
-    TieredBackend,
     TunerSpec,
     TuningSession,
     UnknownPlacementTableError,
@@ -86,22 +84,16 @@ class TestUniformPlacementParity:
         )
 
         uniform = {table: "hdd" for table in SSB_TABLES}
-        via_spec, spec_configuration = run_session(
+        via_mapping, mapping_configuration = run_session(
             ssb_rounds, name, tiny_spec(table_backends=uniform), options
         )
-        via_options, options_configuration = run_session(
-            ssb_rounds, name, tiny_spec(),
-            SimulationOptions(benchmark_name="ssb", table_backends=uniform),
-        )
-        via_tiered, tiered_configuration = run_session(
-            ssb_rounds, name,
-            tiny_spec(table_backends=TieredBackend(hot_tables=SSB_TABLES, hot="hdd", cold="hdd")),
-            options,
+        via_both, both_configuration = run_session(
+            ssb_rounds, name, tiny_spec(backend="hdd", table_backends=uniform), options
         )
 
-        for report in (via_spec, via_options, via_tiered):
+        for report in (via_mapping, via_both):
             assert_reports_identical(seed_report, report)
-        for configuration in (spec_configuration, options_configuration, tiered_configuration):
+        for configuration in (mapping_configuration, both_configuration):
             assert configuration == seed_configuration
 
 
@@ -109,84 +101,33 @@ class TestUniformPlacementParity:
 # plumbing and serialisation
 # --------------------------------------------------------------------- #
 class TestPlacementPlumbing:
-    def test_session_applies_options_placement(self):
-        database = tiny_spec().create()
-        TuningSession(
-            database,
-            create_tuner("NoIndex", database),
-            SimulationOptions(table_backends={"lineorder": "inmemory"}),
-        )
-        assert database.backend_profile_for("lineorder").name == "inmemory"
-        assert database.backend_profile_for("customer").name == "hdd"
-
-    def test_session_rejects_unknown_placement_table(self):
-        database = tiny_spec().create()
+    def test_spec_rejects_unknown_placement_table(self):
         with pytest.raises(UnknownPlacementTableError, match="orders"):
-            TuningSession(
-                database,
-                create_tuner("NoIndex", database),
-                SimulationOptions(table_backends={"orders": "ssd"}),
-            )
-
-    def test_session_rejects_backend_plus_tiered_backend(self):
-        """Mirrors the Database ctor: a TieredBackend names both tiers itself.
-
-        Without the guard the TieredBackend's cold tier would silently
-        replace the requested ``backend``.
-        """
-        database = tiny_spec().create()
-        with pytest.raises(ValueError, match="not both"):
-            TuningSession(
-                database,
-                create_tuner("NoIndex", database),
-                SimulationOptions(
-                    backend="ssd",
-                    table_backends=TieredBackend(hot_tables=("lineorder",)),
-                ),
-            )
-        # backend + a plain overrides mapping remains a valid combination
-        session = TuningSession(
-            database,
-            create_tuner("NoIndex", database),
-            SimulationOptions(
-                backend="ssd", table_backends={"lineorder": "inmemory"}
-            ),
-        )
-        assert session.database.backend_profile.name == "ssd"
-        assert session.database.backend_profile_for("lineorder").name == "inmemory"
+            tiny_spec(table_backends={"orders": "ssd"}).create()
 
     def test_spec_with_placement_is_picklable(self):
-        tiered = TieredBackend(hot_tables=("lineorder",), cold="ssd")
-        spec = tiny_spec(table_backends=tiered)
+        spec = tiny_spec(backend="ssd", table_backends={"lineorder": "inmemory"})
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
         database = clone.create()
         assert database.backend_profile.name == "ssd"
         assert database.backend_profile_for("lineorder").name == "inmemory"
-        # a raw mapping (with a profile instance inside) travels too
+        # a profile instance inside the mapping travels too
         spec = tiny_spec(table_backends={"lineorder": get_backend("cloud")})
         clone = pickle.loads(pickle.dumps(spec))
         assert clone.create().backend_profile_for("lineorder").name == "cloud"
 
-    def test_options_with_placement_are_picklable(self):
-        options = SimulationOptions(
-            table_backends=TieredBackend(hot_tables=("lineorder",))
-        )
-        clone = pickle.loads(pickle.dumps(options))
-        assert clone.table_backends == options.table_backends
-
-    def test_tiered_backend_round_trips_through_competition_workers(self, ssb_rounds):
+    def test_placement_round_trips_through_competition_workers(self, ssb_rounds):
         """Placements must survive ``run_competition(workers>1)`` pickling.
 
-        The spec carries a :class:`TieredBackend` and the options a raw
-        mapping; with two workers both travel through pickled task
-        submissions, and the merged reports must be identical to a
-        sequential run's.
+        The spec carries a mapping with a profile instance inside; with two
+        workers it travels through pickled task submissions, and the merged
+        reports must be identical to a sequential run's.
         """
-        spec = tiny_spec(table_backends=TieredBackend(hot_tables=("lineorder",)))
-        options = SimulationOptions(
-            benchmark_name="ssb", table_backends={"customer": get_backend("ssd")}
+        spec = tiny_spec(
+            table_backends={"lineorder": "inmemory", "customer": get_backend("ssd")}
         )
+        options = SimulationOptions(benchmark_name="ssb")
         entries = {"NoIndex": "NoIndex", "MAB": "MAB"}
         sequential = run_competition(spec, entries, ssb_rounds, options, workers=1)
         parallel = run_competition(spec, entries, ssb_rounds, options, workers=2)
@@ -206,32 +147,31 @@ class TestPlacementPlumbing:
         flat, _ = run_session(ssb_rounds, "NoIndex", tiny_spec(), options)
         tiered, _ = run_session(
             ssb_rounds, "NoIndex",
-            tiny_spec(table_backends=TieredBackend(hot_tables=("lineorder",))),
+            tiny_spec(table_backends={"lineorder": "inmemory"}),
             options,
         )
         assert tiered.total_execution_seconds < flat.total_execution_seconds
 
 
 # --------------------------------------------------------------------- #
-# set_backend round trip (bugfix satellite)
+# placement round trip
 # --------------------------------------------------------------------- #
-class TestSetBackendRoundTrip:
+class TestPlacementRoundTrip:
     @pytest.mark.parametrize("name", ["MAB", "PDTool"])
-    def test_ssd_then_hdd_equals_fresh_hdd(self, name, ssb_rounds):
-        """``set_backend`` leaves no residue: the round trip is bit-identical.
+    def test_cloud_then_default_equals_fresh(self, name, ssb_rounds):
+        """``set_table_backend`` leaves no residue: the round trip is bit-identical.
 
         Pins the invalidation audit — everything the database caches (data
         size, hypothetical index sizes, statistics) is a byte quantity, and
-        per-table overrides are cleared — by demanding identical plans and
+        ``None`` removes the override — by demanding identical plans and
         rewards from a session on a round-tripped database vs a fresh one.
         """
         fresh = tiny_spec().create()
         toured = tiny_spec().create()
-        toured.set_backend("ssd")
-        toured.set_table_backend("lineorder", "cloud")  # placement residue too
+        toured.set_table_backend("lineorder", "cloud")
         # touch timing-dependent caches while mis-tiered
         toured.cost_model.full_scan_seconds(toured.table_data("lineorder"))
-        toured.set_backend("hdd")
+        toured.set_table_backend("lineorder", None)
         assert toured.backend_profile == fresh.backend_profile
         assert toured.table_backends == {}
 
@@ -261,10 +201,10 @@ class TestMigrationMidRun:
         tuner = create_tuner("NoIndex", database)
         session = TuningSession(database, tuner, SimulationOptions(benchmark_name="ssb"))
         cold = [session.step_workload_round(r).execution_seconds for r in ssb_rounds[:2]]
-        database.promote("lineorder", "inmemory")
+        database.set_table_backend("lineorder", "inmemory")
         hot = [session.step_workload_round(r).execution_seconds for r in ssb_rounds[2:]]
         # lineorder dominates every SSB query; promoting it mid-run must cut
         # the observed round times immediately and decisively
         assert max(hot) < min(cold)
-        database.demote("lineorder")
+        database.set_table_backend("lineorder", None)
         assert database.table_backends == {}

@@ -1,13 +1,17 @@
 """Documentation checks: links resolve, fenced examples don't rot.
 
-Three guards over README.md and every ``docs/*.md`` file, run as part of
+Four guards over README.md and every ``docs/*.md`` file, run as part of
 tier-1 (and as CI's dedicated docs job):
 
 1. every relative markdown link points at a file or directory that exists;
 2. every fenced ``python`` block is valid Python (``compile()``);
 3. every ``import repro...`` / ``from repro... import ...`` statement inside
    a fenced block resolves against the installed package — renaming or
-   removing a public name without updating the docs fails the build.
+   removing a public name without updating the docs fails the build;
+4. every keyword argument a fenced block passes to a name imported from
+   ``repro`` is a parameter of that callable (callables taking
+   ``**kwargs`` are skipped) — removing an option without updating the docs
+   fails the build too.
 
 Syntax-only compilation keeps illustrative snippets (ellipses, undefined
 helper calls like ``my_query_stream()``) legal, while the import check
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -141,3 +146,47 @@ def test_repro_imports_in_snippets_resolve(doc):
             if error is not None:
                 failures.append(f"block {number}: {error}")
     assert not failures, f"{doc} references stale API names:\n" + "\n".join(failures)
+
+
+def iter_repro_keyword_calls(block: str):
+    """Yield (line, module, name, keywords) for calls to names imported from ``repro``."""
+    tree = ast.parse(block)
+    imported: dict[str, tuple[str, str]] = {}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.ImportFrom)
+            and node.level == 0
+            and node.module
+            and node.module.split(".")[0] == "repro"
+        ):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = (node.module, alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            keywords = [keyword.arg for keyword in node.keywords if keyword.arg]
+            if keywords and node.func.id in imported:
+                module, name = imported[node.func.id]
+                yield node.lineno, module, name, keywords
+
+
+def unknown_keywords(module: str, name: str, keywords: list[str]) -> list[str]:
+    """The ``keywords`` that ``module.name`` does not accept."""
+    try:
+        target = getattr(importlib.import_module(module), name)
+        parameters = inspect.signature(target).parameters
+    except Exception:  # noqa: BLE001 - unresolvable names fail the import check
+        return []
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
+        return []
+    return [keyword for keyword in keywords if keyword not in parameters]
+
+
+@pytest.mark.parametrize("doc", doc_ids())
+def test_repro_call_keywords_in_snippets_exist(doc):
+    path = REPO_ROOT / doc
+    failures = []
+    for number, block in enumerate(python_blocks(path), start=1):
+        for line, module, name, keywords in iter_repro_keyword_calls(block):
+            for keyword in unknown_keywords(module, name, keywords):
+                failures.append(f"block {number} line {line}: {name}({keyword}=...)")
+    assert not failures, f"{doc} passes stale keywords:\n" + "\n".join(failures)

@@ -7,18 +7,13 @@ The tentpole guarantees of the tiered-storage PR, pinned at the engine level:
   model;
 * operators spanning tiers charge each side at its own tier (hash join,
   index-nested-loop, and the scan/seek/build family);
-* :class:`TieredBackend` declares hot/cold splits declaratively, validates
-  table names, and pickles;
 * unknown table names in a placement raise the listed-names
   :class:`UnknownPlacementTableError` (mirroring ``UnknownBackendError``);
-* :meth:`Database.set_backend` clears the placement, so a backend round trip
-  restores a fresh database exactly, and :meth:`Database.promote` /
-  :meth:`Database.demote` re-tier a live database mid-run.
+* :meth:`Database.set_table_backend` re-tiers a live database mid-run, and
+  ``backend=None`` returns a table to the default tier exactly.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
@@ -27,7 +22,6 @@ from repro.engine import (
     CostModel,
     Database,
     IndexDefinition,
-    TieredBackend,
     UnknownBackendError,
     UnknownPlacementTableError,
     UnknownTableError,
@@ -181,7 +175,7 @@ class TestCrossTierOperators:
 
 
 # --------------------------------------------------------------------- #
-# placement resolution and TieredBackend
+# placement resolution
 # --------------------------------------------------------------------- #
 class TestPlacementResolution:
     def test_resolve_placement_resolves_names_and_profiles(self):
@@ -204,39 +198,6 @@ class TestPlacementResolution:
         with pytest.raises(UnknownBackendError, match="registered backends"):
             resolve_placement({"a": "floppy"}, ["a"])
 
-    def test_tiered_backend_placement(self):
-        tiered = TieredBackend(hot_tables=("customers",), hot="inmemory", cold="ssd")
-        default, overrides = tiered.placement(["sales", "customers"])
-        assert default.name == "ssd"
-        assert {name: p.name for name, p in overrides.items()} == {
-            "customers": "inmemory"
-        }
-
-    def test_tiered_backend_defaults_and_coercion(self):
-        tiered = TieredBackend(hot_tables=["a", "b"])  # list coerced to tuple
-        assert tiered.hot_tables == ("a", "b")
-        assert tiered.hot_profile.name == "inmemory"
-        assert tiered.cold_profile.name == "hdd"
-        assert hash(tiered) == hash(TieredBackend(hot_tables=("a", "b")))
-
-    def test_tiered_backend_validates_hot_tables(self):
-        tiered = TieredBackend(hot_tables=("nope",))
-        with pytest.raises(UnknownPlacementTableError, match="nope"):
-            tiered.placement(["sales", "customers"])
-
-    def test_tiered_backend_rejects_string_hot_tables(self):
-        """A bare string must not decay into per-character table names."""
-        with pytest.raises(TypeError, match="iterable of table names"):
-            TieredBackend(hot_tables="lineitem")
-
-    def test_tiered_backend_pickles(self):
-        tiered = TieredBackend(
-            hot_tables=("customers",), hot=get_backend("inmemory"), cold="cloud"
-        )
-        clone = pickle.loads(pickle.dumps(tiered))
-        assert clone == tiered
-        assert clone.cold_profile.name == "cloud"
-
 
 # --------------------------------------------------------------------- #
 # database plumbing and migration
@@ -255,28 +216,6 @@ class TestDatabasePlacement:
         assert summary["backend"] == "hdd"
         assert summary["table_backends"] == {"customers": "inmemory"}
 
-    def test_ctor_tiered_backend(self):
-        database = Database.from_specs(
-            schema=build_tiny_schema(),
-            table_specs=build_tiny_specs(),
-            sample_rows=300,
-            seed=3,
-            table_backends=TieredBackend(hot_tables=("customers",), cold="ssd"),
-        )
-        assert database.backend_profile.name == "ssd"
-        assert database.backend_profile_for("customers").name == "inmemory"
-
-    def test_ctor_rejects_backend_plus_tiered_backend(self):
-        with pytest.raises(ValueError, match="not both"):
-            Database.from_specs(
-                schema=build_tiny_schema(),
-                table_specs=build_tiny_specs(),
-                sample_rows=300,
-                seed=3,
-                backend="ssd",
-                table_backends=TieredBackend(hot_tables=("customers",)),
-            )
-
     def test_ctor_rejects_unknown_placement_table(self):
         with pytest.raises(UnknownPlacementTableError, match="orders"):
             Database.from_specs(
@@ -290,42 +229,23 @@ class TestDatabasePlacement:
     def test_promote_and_demote_round_trip(self, tiny_database):
         sales = tiny_database.table_data("sales")
         cold_scan = tiny_database.cost_model.full_scan_seconds(sales)
-        tiny_database.promote("sales")
+        profile = tiny_database.set_table_backend("sales", "inmemory")
+        assert profile.name == "inmemory"
         assert tiny_database.backend_profile_for("sales").name == "inmemory"
         hot_scan = tiny_database.cost_model.full_scan_seconds(sales)
         assert hot_scan < cold_scan
-        tiny_database.demote("sales")
+        # None returns the table to the default tier: the override is gone
+        assert tiny_database.set_table_backend("sales", None).name == "hdd"
         assert tiny_database.table_backends == {}
         assert tiny_database.cost_model.full_scan_seconds(sales) == cold_scan
-        # demote to an explicit tier is a placement, not a removal
-        tiny_database.demote("sales", "cloud")
-        assert tiny_database.backend_profile_for("sales").name == "cloud"
 
     def test_set_table_backend_validates(self, tiny_database):
         with pytest.raises(UnknownPlacementTableError, match="tables: customers, sales"):
             tiny_database.set_table_backend("orders", "ssd")
+        with pytest.raises(UnknownPlacementTableError, match="orders"):
+            tiny_database.set_table_backend("orders", None)
         with pytest.raises(UnknownBackendError):
             tiny_database.set_table_backend("sales", "floppy")
-
-    def test_set_table_backends_replaces_placement(self, tiny_database):
-        tiny_database.set_table_backend("sales", "ssd")
-        tiny_database.set_table_backends({"customers": "inmemory"})
-        # the mapping replaced the overrides wholesale (sales back to default)
-        assert {n: p.name for n, p in tiny_database.table_backends.items()} == {
-            "customers": "inmemory"
-        }
-        assert tiny_database.backend_profile_for("sales").name == "hdd"
-        # a TieredBackend replaces the default tier too
-        tiny_database.set_table_backends(
-            TieredBackend(hot_tables=("customers",), cold="cloud")
-        )
-        assert tiny_database.backend_profile.name == "cloud"
-        assert tiny_database.backend_profile_for("customers").name == "inmemory"
-
-    def test_set_backend_clears_placement(self, tiered_database):
-        tiered_database.set_backend("ssd")
-        assert tiered_database.table_backends == {}
-        assert tiered_database.backend_profile_for("customers").name == "ssd"
 
     def test_live_database_retimes_immediately(self, tiny_database):
         """A materialised index's table can migrate under the same catalog."""
@@ -333,7 +253,7 @@ class TestDatabasePlacement:
         tiny_database.create_index(index)
         size_before = tiny_database.index_size_bytes(index)
         data_size_before = tiny_database.data_size_bytes
-        tiny_database.promote("sales")
+        tiny_database.set_table_backend("sales", "inmemory")
         # byte quantities are tier-independent; only the seconds moved
         assert tiny_database.index_size_bytes(index) == size_before
         assert tiny_database.data_size_bytes == data_size_before

@@ -651,6 +651,39 @@ class TestRepoIsClean:
         # Nothing else may appear when only the allowlist changes.
         assert {finding.rule for finding in report.findings} <= {"RL001"}
 
+    def test_registered_name_lists_match_the_registries(self):
+        """RL003's hand-kept name lists equal the live registries' keys."""
+        from repro.api.registry import _REGISTRY, _ensure_builtin_tuners
+        from repro.engine import registered_backend_names
+        from tools.reprolint.rules.rl003_registry_discipline import (
+            BACKEND_NAMES,
+            TUNER_NAMES,
+        )
+
+        _ensure_builtin_tuners()
+        assert TUNER_NAMES == set(_REGISTRY)
+        assert BACKEND_NAMES == set(registered_backend_names())
+
+    def test_spec_classes_are_frozen_dataclasses_in_src(self):
+        """Every RL002 spec class is a frozen dataclass defined in src/repro."""
+        import dataclasses
+        import importlib
+
+        from tools.reprolint.rules.rl002_picklability import SPEC_CLASSES
+
+        defined: dict[str, str] = {}
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+            module = ".".join(path.relative_to(REPO_ROOT / "src").with_suffix("").parts)
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef) and node.name in SPEC_CLASSES:
+                    defined[node.name] = module.removesuffix(".__init__")
+        assert set(defined) == SPEC_CLASSES, "stale names in SPEC_CLASSES"
+        for name, module in defined.items():
+            cls = getattr(importlib.import_module(module), name)
+            assert dataclasses.is_dataclass(cls), name
+            assert cls.__dataclass_params__.frozen, name
+
 
 # --------------------------------------------------------------------------- #
 # multi-rule suppressions (regression) and output formats

@@ -16,7 +16,7 @@ import pickle
 
 import pytest
 
-from repro.api import SimulationOptions, TuningSession, create_tuner
+from repro.api import TuningSession, create_tuner
 from repro.workloads import (
     ChurnWorkload,
     FlashTrafficWorkload,
@@ -311,22 +311,6 @@ class TestEvents:
             if promote_round <= workload_round.round_number < max(schedule):
                 assert database.backend_profile_for(hot).name == "inmemory"
         assert database.backend_profile_for(hot).name == default_tier
-
-    def test_apply_events_option_disables_application(self, ssb):
-        _, templates = ssb
-        benchmark = get_benchmark("ssb")
-        database = benchmark.create_database(scale_factor=0.1, sample_rows=200, seed=4)
-        session = TuningSession(
-            database,
-            create_tuner("NoIndex", database),
-            SimulationOptions(apply_events=False),
-        )
-        sequence = TierMigrationWorkload(database, templates, n_rounds=6, seed=5)
-        hot = sequence.default_hot_table()
-        default_tier = database.backend_profile_for(hot).name
-        for workload_round in sequence.rounds():
-            session.step_workload_round(workload_round)
-            assert database.backend_profile_for(hot).name == default_tier
 
     def test_apply_events_mid_round_is_rejected(self, ssb):
         _, templates = ssb

@@ -1,8 +1,8 @@
 """RL002 — frozen-spec picklability.
 
 The spec dataclasses (:class:`TunerSpec`, :class:`DatabaseSpec`,
-:class:`BackendProfile`, :class:`TieredBackend`, :class:`SimulationOptions`,
-:class:`TenantSpec`, :class:`FleetConfig`) cross process boundaries:
+:class:`BackendProfile`, :class:`SimulationOptions`, :class:`TenantSpec`,
+:class:`FleetConfig`) cross process boundaries:
 ``run_competition`` pickles them into ``ProcessPoolExecutor`` workers and
 fleet tenant rosters are declared spec-first, so frozen-ness is what makes a
 spec safe to share between the parent and N workers without copy-on-write
@@ -34,7 +34,6 @@ SPEC_CLASSES = frozenset(
         "TunerSpec",
         "DatabaseSpec",
         "BackendProfile",
-        "TieredBackend",
         "SimulationOptions",
         "TenantSpec",
         "FleetConfig",

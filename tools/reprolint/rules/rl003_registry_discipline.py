@@ -25,23 +25,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Canonical names and aliases of registered tuners (normalised: lowercase,
 #: ``-`` -> ``_``), mirroring the ``@register_tuner`` calls in the codebase.
 TUNER_NAMES = frozenset({"mab", "noindex", "pdtool", "ddqn", "ddqn_sc"})
-#: Canonical names and aliases of registered storage backends, mirroring the
+#: Names of registered storage backends (normalised likewise), mirroring the
 #: ``@register_backend`` calls in ``repro.engine.backend``.
-BACKEND_NAMES = frozenset(
-    {
-        "hdd",
-        "disk",
-        "ssd",
-        "nvme",
-        "flash",
-        "inmemory",
-        "in_memory",
-        "ram",
-        "cloud",
-        "s3",
-        "object_store",
-    }
-)
+BACKEND_NAMES = frozenset({"hdd", "ssd", "inmemory", "cloud"})
 REGISTERED_NAMES = TUNER_NAMES | BACKEND_NAMES
 
 #: Modules whose whole purpose is the string -> factory mapping.
