@@ -7,9 +7,10 @@ the paper — so the whole suite finishes in minutes on a laptop; the *shape* of
 each comparison (who wins, rough factors, where crossovers fall) is what the
 suite verifies and reports.
 
-Formatted result tables are written to ``benchmarks/results/`` so they can be
-inspected after a ``pytest benchmarks/`` run, and the most important series
-are also echoed to stdout.
+Formatted result tables are written to a per-run temporary directory, and
+the most important series are also echoed to stdout, so a test run leaves the
+checked-in tables alone.  Set ``REPRO_BENCH_WRITE=1`` to regenerate the
+committed copies under ``benchmarks/results/`` instead.
 """
 
 from __future__ import annotations
@@ -46,9 +47,11 @@ def settings() -> ExperimentSettings:
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    return RESULTS_DIR
+def results_dir(tmp_path_factory: pytest.TempPathFactory) -> Path:
+    if os.environ.get("REPRO_BENCH_WRITE") == "1":
+        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+        return RESULTS_DIR
+    return tmp_path_factory.mktemp("results")
 
 
 def write_result(results_dir: Path, name: str, content: str) -> None:

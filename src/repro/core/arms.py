@@ -7,10 +7,20 @@ with and without the query's payload attributes as INCLUDE columns (covering
 variants).  This is the paper's "dynamic arms from workload predicates"
 mechanism, which keeps the action space small and exploits the natural skew of
 real workloads.
+
+An arm's *structure* — which indexes a (query, table) pair motivates, and
+whether each one covers the query — depends only on that pair's filter, join
+and payload columns and on the generation settings, never on parameter values
+or template ids.  :func:`arm_shapes` computes it once per distinct shape in one
+process-wide cache shared by every generator (tuners, fleet tenants and the
+baselines alike).  The cache holds only frozen :class:`IndexDefinition` values;
+:class:`ArmGenerator` builds fresh, mutable :class:`Arm` objects from it on
+every call, so merging arms can never corrupt it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -42,11 +52,72 @@ class Arm:
         return self.index.table
 
 
+@functools.cache
+def arm_shapes(
+    table: str,
+    predicate_columns: tuple[str, ...],
+    join_columns: tuple[str, ...],
+    payload_columns: tuple[str, ...],
+    max_index_width: int,
+    max_arms_per_query_table: int,
+    include_covering_arms: bool,
+) -> tuple[tuple[IndexDefinition, bool], ...]:
+    """The indexes one (query, table) pair motivates, in generation order.
+
+    Args:
+        table: The table the columns belong to.
+        predicate_columns: The query's filter-predicate columns on ``table``.
+        join_columns: The query's join columns on ``table``.
+        payload_columns: The query's payload columns on ``table``.
+        max_index_width: :attr:`MabConfig.max_index_width`.
+        max_arms_per_query_table: :attr:`MabConfig.max_arms_per_query_table`.
+        include_covering_arms: :attr:`MabConfig.include_covering_arms`.
+
+    Returns:
+        ``(index, covers)`` pairs: every permutation of up to
+        ``max_index_width`` key candidates (predicate columns first, then
+        join columns), each followed by its covering variant when enabled,
+        stopping after ``max_arms_per_query_table``; ``covers`` says whether
+        the index stores every column the query touches on ``table``.
+    """
+    key_candidates = predicate_columns + tuple(
+        column for column in join_columns if column not in predicate_columns
+    )
+    include = tuple(column for column in payload_columns if column not in key_candidates)
+    referenced = set(key_candidates) | set(payload_columns)
+    variants = [()]
+    if include_covering_arms and include:
+        variants.append(include)
+
+    shapes: list[tuple[IndexDefinition, bool]] = []
+    for width in range(1, min(max_index_width, len(key_candidates)) + 1):
+        for combination in itertools.combinations(key_candidates, width):
+            for key_columns in itertools.permutations(combination):
+                for include_columns in variants:
+                    index = IndexDefinition(table, key_columns, include_columns)
+                    shapes.append((index, referenced <= set(index.all_columns)))
+                    if len(shapes) == max_arms_per_query_table:
+                        return tuple(shapes)
+    return tuple(shapes)
+
+
 class ArmGenerator:
     """Generates candidate-index arms from queries of interest."""
 
     def __init__(self, config: MabConfig | None = None) -> None:
         self.config = config or MabConfig()
+
+    def _shapes(self, query: Query, table: str) -> tuple[tuple[IndexDefinition, bool], ...]:
+        config = self.config
+        return arm_shapes(
+            table,
+            query.predicate_columns_for(table),
+            query.join_columns_for(table),
+            query.payload_columns_for(table),
+            config.max_index_width,
+            config.max_arms_per_query_table,
+            config.include_covering_arms,
+        )
 
     # ------------------------------------------------------------------ #
     # public API
@@ -66,7 +137,11 @@ class ArmGenerator:
         """
         arms: list[Arm] = []
         for table in query.tables:
-            arms.extend(self._arms_for_query_table(query, table))
+            for index, covers in self._shapes(query, table):
+                arm = Arm(index=index, source_templates={query.template_id})
+                if covers:
+                    arm.covering_for_queries.add(query.query_id)
+                arms.append(arm)
         return arms
 
     def generate(self, queries: list[Query]) -> dict[str, Arm]:
@@ -76,62 +151,18 @@ class ArmGenerator:
             queries: The current queries of interest.
 
         Returns:
-            ``{index_id: Arm}`` where arms motivated by several queries carry
-            the union of their source templates and covering-query sets.
+            ``{index_id: Arm}`` of fresh arms, where arms motivated by several
+            queries carry the union of their source templates and
+            covering-query sets.
         """
         merged: dict[str, Arm] = {}
         for query in queries:
-            for arm in self.arms_for_query(query):
-                existing = merged.get(arm.index_id)
-                if existing is None:
-                    merged[arm.index_id] = arm
-                else:
-                    existing.source_templates |= arm.source_templates
-                    existing.covering_for_queries |= arm.covering_for_queries
+            for table in query.tables:
+                for index, covers in self._shapes(query, table):
+                    arm = merged.get(index.index_id)
+                    if arm is None:
+                        arm = merged[index.index_id] = Arm(index=index)
+                    arm.source_templates.add(query.template_id)
+                    if covers:
+                        arm.covering_for_queries.add(query.query_id)
         return merged
-
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-    def _arms_for_query_table(self, query: Query, table: str) -> list[Arm]:
-        predicate_columns = list(query.predicate_columns_for(table))
-        join_columns = [
-            column for column in query.join_columns_for(table)
-            if column not in predicate_columns
-        ]
-        key_candidates = predicate_columns + join_columns
-        if not key_candidates:
-            return []
-        payload_columns = tuple(
-            column for column in query.payload_columns_for(table)
-            if column not in key_candidates
-        )
-        referenced = query.referenced_columns_for(table)
-
-        arms: list[Arm] = []
-        seen: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
-        budget = self.config.max_arms_per_query_table
-
-        def add(key_columns: tuple[str, ...], include_columns: tuple[str, ...]) -> None:
-            if len(arms) >= budget:
-                return
-            signature = (key_columns, include_columns)
-            if signature in seen:
-                return
-            seen.add(signature)
-            index = IndexDefinition(table, key_columns, include_columns)
-            arm = Arm(index=index, source_templates={query.template_id})
-            if index.covers_columns(referenced):
-                arm.covering_for_queries.add(query.query_id)
-            arms.append(arm)
-
-        max_width = min(self.config.max_index_width, len(key_candidates))
-        for width in range(1, max_width + 1):
-            for combination in itertools.combinations(key_candidates, width):
-                for permutation in itertools.permutations(combination):
-                    add(tuple(permutation), ())
-                    if self.config.include_covering_arms and payload_columns:
-                        add(tuple(permutation), payload_columns)
-                    if len(arms) >= budget:
-                        return arms
-        return arms

@@ -10,7 +10,8 @@ every experiment in the repository.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -53,20 +54,30 @@ class MabConfig:
     seed: int = 17
 
     def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, float) and math.isnan(value):
+                raise ValueError(f"{spec.name} must not be NaN")
         if self.regularisation <= 0:
             raise ValueError("regularisation must be positive")
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
         if not 0 < self.alpha_decay <= 1:
             raise ValueError("alpha_decay must be in (0, 1]")
+        if not 0 <= self.alpha_floor < math.inf:
+            raise ValueError("alpha_floor must be finite and non-negative")
         if self.max_index_width < 1:
             raise ValueError("max_index_width must be at least 1")
+        if self.max_arms_per_query_table < 1:
+            raise ValueError("max_arms_per_query_table must be at least 1")
         if self.qoi_window_rounds < 1:
             raise ValueError("qoi_window_rounds must be at least 1")
         if not 0 <= self.forgetting_factor <= 1:
             raise ValueError("forgetting_factor must be in [0, 1]")
         if not 0 <= self.shift_detection_threshold <= 1:
             raise ValueError("shift_detection_threshold must be in [0, 1]")
+        if not 0 <= self.creation_cost_weight < math.inf:
+            raise ValueError("creation_cost_weight must be finite and non-negative")
 
     def alpha_at(self, round_number: int) -> float:
         """Exploration boost used in the given (1-based) round."""

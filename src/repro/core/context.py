@@ -122,37 +122,9 @@ class ContextBuilder:
                 table_columns.update(query.join_columns_for(table))
         return columns
 
-    def build(
-        self,
-        arm: Arm,
-        queries: list[Query],
-        database: Database,
-        predicate_columns: dict[str, set[str]] | None = None,
-    ) -> np.ndarray:
+    def build(self, arm: Arm, queries: list[Query], database: Database) -> np.ndarray:
         """Context vector for one arm under the current queries of interest."""
-        if predicate_columns is None:
-            predicate_columns = self.predicate_columns(queries)
-        context = np.zeros(self.dimension)
-        workload_columns = predicate_columns.get(arm.table, set())
-
-        # Part 1: prefix encoding over the arm's key columns (cached slots).
-        for column, slot, value in self._arm_key_slots(arm):
-            if column in workload_columns:
-                context[slot] = value
-
-        # Part 2: derived features.
-        derived_base = self._n_columns
-        is_covering = 1.0 if arm.covering_for_queries else 0.0
-        relative_size = (
-            0.0
-            if database.has_index(arm.index)
-            else self._hypothetical_relative_size(arm, database)
-        )
-        usage = math.log1p(arm.usage_rounds)
-        context[derived_base + 0] = is_covering
-        context[derived_base + 1] = relative_size
-        context[derived_base + 2] = usage
-        return context
+        return self.build_matrix([arm], queries, database)[0]
 
     def build_matrix(
         self,
@@ -160,12 +132,28 @@ class ContextBuilder:
         queries: list[Query],
         database: Database,
     ) -> np.ndarray:
-        """Context matrix (one row per arm) for the current round."""
-        if not arms:
-            return np.zeros((0, self.dimension))
+        """Context matrix (one row per arm, in ``arms`` order) for the current round.
+
+        The matrix is allocated once and each row is written in place from
+        the arm's cached key slots and its derived features; features that
+        are zero are left as allocated.
+        """
         predicate_columns = self.predicate_columns(queries)
-        rows = [
-            self.build(arm, queries, database, predicate_columns=predicate_columns)
-            for arm in arms
-        ]
-        return np.vstack(rows)
+        matrix = np.zeros((len(arms), self.dimension))
+        covering = self.covering_feature_index
+        size = self.size_feature_index
+        usage = self.usage_feature_index
+        for row, arm in zip(matrix, arms):
+            # Part 1: prefix encoding over the arm's key columns (cached slots).
+            workload_columns = predicate_columns.get(arm.table, ())
+            for column, slot, value in self._arm_key_slots(arm):
+                if column in workload_columns:
+                    row[slot] = value
+            # Part 2: derived features.
+            if arm.covering_for_queries:
+                row[covering] = 1.0
+            if not database.has_index(arm.index):
+                row[size] = self._hypothetical_relative_size(arm, database)
+            if arm.usage_rounds:
+                row[usage] = math.log1p(arm.usage_rounds)
+        return matrix

@@ -6,13 +6,17 @@ algorithm is a (1 - 1/e)-approximation oracle.  The implementation follows the
 paper's refinement:
 
 1. arms with negative scores are pruned;
-2. selection and filtering steps alternate until the memory budget is
-   exhausted — after selecting the best remaining arm, arms that no longer fit
-   the remaining budget, arms whose key is a prefix of an already selected arm
-   (redundant seek capability), and — when a covering index was selected for a
-   query — all other arms generated for that query, are filtered out.
+2. the rest are visited once, best score first, and each is selected unless
+   it no longer fits the remaining budget, shares its table and leading key
+   column with an already selected arm (redundant seek capability), or — when
+   a covering index was selected for a query — was generated only for queries
+   that are already covered.
 
-Filtering is per-round only; pruned arms return in later rounds.
+This single pass is the paper's alternation of selection and filtering
+steps: all three filters are monotone (the budget only shrinks, the selected
+prefixes and covered templates only grow), so an arm that a filtering step
+would have dropped is still rejected when the pass reaches it.  Filtering is
+per-round only; pruned arms return in later rounds.
 """
 
 from __future__ import annotations
@@ -83,44 +87,26 @@ class GreedyOracle:
         # next round.
         selected_prefixes: set[tuple[str, str]] = set()
 
-        while candidates:
-            chosen = candidates.pop(0)
-            if remaining_budget is not None and chosen.size_bytes > remaining_budget:
+        for scored in candidates:
+            if remaining_budget is not None and scored.size_bytes > remaining_budget:
                 # The greedy step only considers cost-feasible arms; skip and
                 # keep looking for a smaller one.
                 continue
-            selected.append(chosen)
-            selected_prefixes.add(_prefix_key(chosen))
+            prefix = _prefix_key(scored)
+            if prefix in selected_prefixes:
+                continue
+            if self._covered_by_covering_index(scored, covered_templates):
+                continue
+            selected.append(scored)
+            selected_prefixes.add(prefix)
             if remaining_budget is not None:
-                remaining_budget -= chosen.size_bytes
-            if chosen.arm.covering_for_queries:
-                covered_templates |= chosen.arm.source_templates
-            candidates = self._filter(candidates, selected_prefixes, covered_templates, remaining_budget)
+                remaining_budget -= scored.size_bytes
+            if scored.arm.covering_for_queries:
+                covered_templates |= scored.arm.source_templates
 
         total_size = sum(scored.size_bytes for scored in selected)
         total_score = sum(scored.score for scored in selected)
         return OracleResult(selected=selected, total_size_bytes=total_size, total_score=total_score)
-
-    # ------------------------------------------------------------------ #
-    # filtering
-    # ------------------------------------------------------------------ #
-    def _filter(
-        self,
-        candidates: list[ScoredArm],
-        selected_prefixes: set[tuple[str, str]],
-        covered_templates: set[str],
-        remaining_budget: int | None,
-    ) -> list[ScoredArm]:
-        surviving: list[ScoredArm] = []
-        for scored in candidates:
-            if remaining_budget is not None and scored.size_bytes > remaining_budget:
-                continue
-            if _prefix_key(scored) in selected_prefixes:
-                continue
-            if self._covered_by_covering_index(scored, covered_templates):
-                continue
-            surviving.append(scored)
-        return surviving
 
     @staticmethod
     def _covered_by_covering_index(scored: ScoredArm, covered_templates: set[str]) -> bool:

@@ -10,6 +10,7 @@ component of the reward are grounded in the same accounting.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import SchemaError
@@ -57,9 +58,14 @@ class IndexDefinition:
     # ------------------------------------------------------------------ #
     # identity and structure
     # ------------------------------------------------------------------ #
-    @property
+    @functools.cached_property
     def index_id(self) -> str:
-        """Canonical identifier, e.g. ``ix_lineitem_l_shipdate_l_discount(+l_quantity)``."""
+        """Canonical identifier, e.g. ``ix_lineitem_l_shipdate_l_discount(+l_quantity)``.
+
+        Computed once per instance: the dataclass is frozen, so the id cannot
+        change, and the cached value lives in the instance ``__dict__``
+        outside the compared, hashed and printed fields.
+        """
         key_part = "_".join(self.key_columns)
         include_part = f"(+{'_'.join(self.include_columns)})" if self.include_columns else ""
         return f"ix_{self.table}_{key_part}{include_part}"

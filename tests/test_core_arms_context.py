@@ -1,5 +1,7 @@
 """Tests for workload-driven arm generation and context engineering."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,25 @@ class TestArmGeneration:
         queries = [template.instantiate(tpch_small_database, rng) for template in tpch_benchmark.templates]
         arms = ArmGenerator(MabConfig()).generate(queries)
         assert 100 < len(arms) < 3000
+
+
+def reference_build(builder, arm, queries, database):
+    """One context row as the per-arm builder computed it before the in-place matrix."""
+    context = np.zeros(builder.dimension)
+    workload_columns = builder.predicate_columns(queries).get(arm.table, set())
+    for position, column in enumerate(arm.index.key_columns):
+        slot = builder.column_position(arm.table, column)
+        if slot is not None and column in workload_columns:
+            context[slot] = 10.0 ** (-position)
+    derived_base = builder.column_feature_count
+    context[derived_base + 0] = 1.0 if arm.covering_for_queries else 0.0
+    context[derived_base + 1] = (
+        0.0
+        if database.has_index(arm.index)
+        else database.index_size_bytes(arm.index) / max(1, database.data_size_bytes)
+    )
+    context[derived_base + 2] = math.log1p(arm.usage_rounds)
+    return context
 
 
 class TestContextBuilder:
@@ -146,3 +167,26 @@ class TestContextBuilder:
         assert context[builder.size_feature_index] > 0
         context[builder.size_feature_index] = 0.0
         assert np.allclose(context, 0.0)
+
+    def test_build_matrix_matches_the_per_arm_reference_bytes(self, builder, tiny_database):
+        queries = [make_sales_query(), make_join_query()]
+        arms = list(ArmGenerator(MabConfig()).generate(queries).values())
+        # payload-only key columns and a column no query filters on
+        arms.append(Arm(index=IndexDefinition("sales", ("amount", "day"))))
+        arms.append(Arm(index=IndexDefinition("customers", ("segment",), ("region",))))
+        for number, arm in enumerate(arms):
+            arm.usage_rounds = number % 4
+        materialised = [arm for arm in arms if arm.index.key_columns[0] == "day"][:2]
+        for arm in materialised:
+            tiny_database.create_index(arm.index)
+        assert any(arm.covering_for_queries for arm in arms)
+        assert any(not arm.covering_for_queries for arm in arms)
+        assert materialised
+
+        matrix = builder.build_matrix(arms, queries, tiny_database)
+        expected = np.vstack([reference_build(builder, arm, queries, tiny_database) for arm in arms])
+        assert matrix.tobytes() == expected.tobytes()
+        for row, arm in zip(matrix, arms):
+            single = builder.build_matrix([arm], queries, tiny_database)[0]
+            assert builder.build(arm, queries, tiny_database).tobytes() == single.tobytes()
+            assert single.tobytes() == row.tobytes()

@@ -1,5 +1,7 @@
 """Tests for the MAB tuner (configuration + round loop behaviour)."""
 
+import math
+
 import pytest
 
 from repro.core import MabConfig, MabTuner
@@ -22,10 +24,26 @@ class TestMabConfig:
         ("qoi_window_rounds", 0),
         ("forgetting_factor", 2.0),
         ("shift_detection_threshold", -0.1),
+        ("max_arms_per_query_table", 0),
+        ("alpha_floor", -0.1),
+        ("alpha_floor", math.inf),
+        ("creation_cost_weight", -1.0),
+        ("creation_cost_weight", math.inf),
+        ("regularisation", math.nan),
+        ("alpha", math.nan),
+        ("alpha_decay", math.nan),
+        ("alpha_floor", math.nan),
+        ("shift_detection_threshold", math.nan),
+        ("forgetting_factor", math.nan),
+        ("creation_cost_weight", math.nan),
     ])
     def test_invalid_values_rejected(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             MabConfig(**{field: value})
+
+    def test_zero_exploration_and_free_creation_stay_valid(self):
+        config = MabConfig(alpha=0.0, alpha_floor=0.0, creation_cost_weight=0.0)
+        assert config.alpha_at(5) == 0.0
 
     def test_alpha_decays_to_floor(self):
         config = MabConfig(alpha=1.0, alpha_decay=0.5, alpha_floor=0.2)

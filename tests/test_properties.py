@@ -1,15 +1,19 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Arm, C2UCB, GreedyOracle, ScoredArm
+from repro.core import Arm, ArmGenerator, C2UCB, GreedyOracle, MabConfig, ScoredArm
 from repro.engine import (
     Column,
     IndexDefinition,
+    JoinPredicate,
     Operator,
     Predicate,
+    Query,
     Table,
     TableData,
     evaluate_predicate,
@@ -189,6 +193,157 @@ def test_oracle_set_prefix_filter_matches_the_list_scan(raw_arms, budget):
     assert [s.index_id for s in result.selected] == expected_ids
     assert result.total_size_bytes == expected_size
     assert result.total_score == expected_score
+
+
+# ----------------------------------------------------------------------- #
+# arm generation from the shared shape cache
+# ----------------------------------------------------------------------- #
+def reference_arms_for_query_table(config, query, table):
+    """Arm generation for one (query, table) as it was before the shape cache."""
+    predicate_columns = list(query.predicate_columns_for(table))
+    join_columns = [c for c in query.join_columns_for(table) if c not in predicate_columns]
+    key_candidates = predicate_columns + join_columns
+    if not key_candidates:
+        return []
+    payload_columns = tuple(c for c in query.payload_columns_for(table) if c not in key_candidates)
+    referenced = query.referenced_columns_for(table)
+    arms, seen, budget = [], set(), config.max_arms_per_query_table
+
+    def add(key_columns, include_columns):
+        if len(arms) >= budget or (key_columns, include_columns) in seen:
+            return
+        seen.add((key_columns, include_columns))
+        index = IndexDefinition(table, key_columns, include_columns)
+        arm = Arm(index=index, source_templates={query.template_id})
+        if index.covers_columns(referenced):
+            arm.covering_for_queries.add(query.query_id)
+        arms.append(arm)
+
+    for width in range(1, min(config.max_index_width, len(key_candidates)) + 1):
+        for combination in itertools.combinations(key_candidates, width):
+            for permutation in itertools.permutations(combination):
+                add(tuple(permutation), ())
+                if config.include_covering_arms and payload_columns:
+                    add(tuple(permutation), payload_columns)
+                if len(arms) >= budget:
+                    return arms
+    return arms
+
+
+def reference_generate(config, queries):
+    """``ArmGenerator.generate`` as it was: (index id, templates, covering) in order."""
+    merged = {}
+    for query in queries:
+        for table in query.tables:
+            for arm in reference_arms_for_query_table(config, query, table):
+                existing = merged.get(arm.index_id)
+                if existing is None:
+                    merged[arm.index_id] = arm
+                else:
+                    existing.source_templates |= arm.source_templates
+                    existing.covering_for_queries |= arm.covering_for_queries
+    return arm_summary(merged)
+
+
+def arm_summary(arms):
+    return [
+        (index_id, set(arm.source_templates), set(arm.covering_for_queries))
+        for index_id, arm in arms.items()
+    ]
+
+
+SHAPE_COLUMNS = {"t1": ["a", "b", "c", "d", "e"], "t2": ["a", "b", "c", "d"]}
+
+
+@st.composite
+def query_shapes(draw):
+    """The column structure of a query over a two-table schema (no ids)."""
+    tables = draw(st.lists(st.sampled_from(["t1", "t2"]), min_size=1, max_size=2, unique=True))
+    predicates = tuple(
+        Predicate(table, column, Operator.EQ, 1)
+        for table, column in draw(st.lists(
+            st.tuples(st.sampled_from(tables), st.sampled_from(SHAPE_COLUMNS["t2"])),
+            max_size=4,
+        ))
+    )
+    joins = ()
+    if len(tables) == 2 and draw(st.booleans()):
+        joins = (JoinPredicate(
+            "t1", draw(st.sampled_from(SHAPE_COLUMNS["t1"])),
+            "t2", draw(st.sampled_from(SHAPE_COLUMNS["t2"])),
+        ),)
+    payload = {
+        table: tuple(draw(st.lists(st.sampled_from(SHAPE_COLUMNS[table]), max_size=3, unique=True)))
+        for table in tables
+        if draw(st.booleans())
+    }
+    return tuple(tables), predicates, joins, payload
+
+
+@st.composite
+def arm_workloads(draw):
+    """Queries that reuse a few column structures under different template/query ids."""
+    shapes = draw(st.lists(query_shapes(), min_size=1, max_size=4))
+    queries = []
+    for number in range(draw(st.integers(1, 8))):
+        tables, predicates, joins, payload = draw(st.sampled_from(shapes))
+        template = draw(st.sampled_from(["qa", "qb", "qc"]))
+        queries.append(Query(f"{template}#{number}", template, tables, predicates, joins, dict(payload)))
+    return queries
+
+
+arm_configs = st.builds(
+    MabConfig,
+    max_index_width=st.sampled_from([1, 2, 3]),
+    max_arms_per_query_table=st.sampled_from([1, 5, 24]),
+    include_covering_arms=st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(queries=arm_workloads(), config=arm_configs)
+def test_cached_arm_generation_matches_the_reference(queries, config):
+    generated = ArmGenerator(config).generate(queries)
+    assert arm_summary(generated) == reference_generate(config, queries)
+    assert all(arm.index_id == index_id for index_id, arm in generated.items())
+
+
+def test_mutating_generated_arms_leaves_the_cache_unchanged():
+    queries = [
+        Query("qa#1", "qa", ("t1", "t2"),
+              (Predicate("t1", "a", Operator.EQ, 1), Predicate("t2", "b", Operator.EQ, 2)),
+              (JoinPredicate("t1", "c", "t2", "a"),),
+              {"t1": ("d",), "t2": ("c",)}),
+        Query("qb#2", "qb", ("t1",), (Predicate("t1", "a", Operator.EQ, 3),), (), {"t1": ("e",)}),
+    ]
+    generator = ArmGenerator()
+    first = generator.generate(queries)
+    expected = arm_summary(first)
+    assert any(covering for _, _, covering in expected)
+    for arm in first.values():
+        arm.source_templates.add("intruder")
+        arm.covering_for_queries.clear()
+        arm.usage_rounds += 5
+    second = generator.generate(queries)
+    assert arm_summary(second) == expected
+    assert all(arm.usage_rounds == 0 for arm in second.values())
+    assert not any(second[index_id] is arm for index_id, arm in first.items())
+
+
+def test_generators_with_different_configs_do_not_share_cache_entries():
+    queries = [
+        Query("qa#1", "qa", ("t1",),
+              (Predicate("t1", "a", Operator.EQ, 1), Predicate("t1", "b", Operator.EQ, 2)),
+              (), {"t1": ("c", "d")}),
+        Query("qb#2", "qb", ("t1",), (Predicate("t1", "b", Operator.EQ, 2),), (), {"t1": ("c",)}),
+    ]
+    narrow_config = MabConfig(max_index_width=1, include_covering_arms=False)
+    default_config = MabConfig()
+    narrow, default = ArmGenerator(narrow_config), ArmGenerator(default_config)
+    for _ in range(2):
+        assert arm_summary(narrow.generate(queries)) == reference_generate(narrow_config, queries)
+        assert arm_summary(default.generate(queries)) == reference_generate(default_config, queries)
+    assert len(narrow.generate(queries)) < len(default.generate(queries))
 
 
 # ----------------------------------------------------------------------- #
