@@ -205,6 +205,9 @@ class TuningSession:
         Returns:
             The tuner's :class:`~repro.interface.Recommendation`; the
             configuration is materialised by the following :meth:`execute`.
+            The wall time of the tuner's ``recommend`` call is measured
+            here; a recommendation whose ``recommendation_seconds`` is
+            ``None`` is charged that time as the round's C_rec.
 
         Raises:
             RuntimeError: If the session is not in the ``recommend`` phase.
@@ -234,9 +237,11 @@ class TuningSession:
         hands each tuner's finished :class:`~repro.interface.Recommendation`
         back to its session here, so the phase machine, round counter and
         report accounting stay exactly as if :meth:`recommend` had run.
-        ``wall_seconds`` is the caller-attributed share of the batched pass's
-        wall time (the fleet divides the stacked pass evenly across the
-        tenants it scored).
+        ``wall_seconds`` is the caller-measured wall time attributed to this
+        session (the fleet divides the batched pass evenly across the
+        tenants it scored); like :meth:`recommend`'s own measurement, it is
+        the round's C_rec when ``recommendation.recommendation_seconds`` is
+        ``None``.
 
         Raises:
             RuntimeError: If the session is not in the ``recommend`` phase.
@@ -302,9 +307,10 @@ class TuningSession:
         self.tuner.observe(self.round_number, self._queries, self._results, self._change)
         wall_observe = time.perf_counter() - started
 
+        charged = self._recommendation.recommendation_seconds
         round_report = RoundReport(
             round_number=self.round_number,
-            recommendation_seconds=self._recommendation.recommendation_seconds,
+            recommendation_seconds=self._wall_recommend if charged is None else charged,
             creation_seconds=self._change.creation_seconds + self._change.drop_seconds,
             execution_seconds=self._execution_seconds,
             n_queries=len(self._queries),

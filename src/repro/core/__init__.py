@@ -3,7 +3,7 @@
 from .arms import Arm, ArmGenerator
 from .config import MabConfig
 from .context import DERIVED_FEATURE_NAMES, ContextBuilder
-from .linear_bandit import C2UCB, LinearScorer
+from .linear_bandit import C2UCB
 from .oracle import GreedyOracle, OracleResult, ScoredArm
 from .query_store import QueryStore, RoundSummary, TemplateRecord
 from .rewards import RoundRewards, compute_round_rewards, super_arm_reward
@@ -16,7 +16,6 @@ __all__ = [
     "ContextBuilder",
     "DERIVED_FEATURE_NAMES",
     "GreedyOracle",
-    "LinearScorer",
     "MabConfig",
     "MabTuner",
     "OracleResult",

@@ -64,70 +64,20 @@ def ucb_scores(
     )
 
 
-class LinearScorer:
-    """A frozen, read-only scoring snapshot of a :class:`C2UCB` learner.
-
-    Captures ``theta`` and ``V⁻¹`` once, so the fleet's batched pass
-    (:func:`batch_upper_confidence_scores`) scores every tenant against the
-    exact arrays its learner's own :meth:`C2UCB.upper_confidence_scores`
-    would use, without re-checking the learner's lazy caches per call.  The
-    snapshot does not copy: the learner replaces (never mutates) its arrays
-    on update, so the captured references stay internally consistent for
-    the lifetime of the round.
-
-    Instances are cheap to create (two attribute reads); they cannot observe
-    rewards — updates go through the owning :class:`C2UCB`.
-    """
-
-    __slots__ = ("theta", "v_inverse", "dimension")
-
-    def __init__(self, theta: np.ndarray, v_inverse: np.ndarray) -> None:
-        self.theta = theta
-        self.v_inverse = v_inverse
-        self.dimension = len(theta)
-
-    def upper_confidence_scores(self, contexts: np.ndarray, alpha: float) -> np.ndarray:
-        """UCB scores under the frozen snapshot.
-
-        Args:
-            contexts: ``(k, dimension)`` context matrix (one row per arm).
-            alpha: Non-negative exploration boost.
-
-        Returns:
-            Per-row scores, identical to what the owning learner's
-            :meth:`C2UCB.upper_confidence_scores` would return for the same
-            rows at snapshot time.
-
-        Raises:
-            ValueError: If ``alpha`` is negative or the context width does
-                not match the snapshot dimension.
-        """
-        if alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        contexts = np.asarray(contexts, dtype=float)
-        if contexts.ndim == 1:
-            contexts = contexts.reshape(1, -1)
-        if contexts.ndim != 2 or contexts.shape[1] != self.dimension:
-            raise ValueError(
-                f"contexts must have shape (k, {self.dimension}), got {contexts.shape}"
-            )
-        return ucb_scores(self.theta, self.v_inverse, contexts, alpha)
-
-
 def batch_upper_confidence_scores(
-    scorers: "Sequence[LinearScorer]",
+    learners: "Sequence[C2UCB]",
     context_blocks: "Sequence[np.ndarray]",
     alphas: "Sequence[float]",
 ) -> list[np.ndarray]:
     """Score many independent learners' arm pools in one vectorized pass.
 
     The multi-tenant fleet (:mod:`repro.fleet`) holds one :class:`C2UCB`
-    learner *per tenant*; at recommendation time every tenant contributes a
-    frozen :class:`LinearScorer` snapshot, its context block and its
-    exploration boost.  Rather than scoring the tenants one by one, this
-    entry point stacks same-shaped context blocks into one ``(T, k, d)``
-    tensor and computes every tenant's confidence widths with a single
-    batched ``matmul`` + ``einsum`` pass over the stacked ``V⁻¹`` tensor.
+    learner *per tenant*; at recommendation time every tenant contributes
+    its learner, its context block and its exploration boost.  Rather than
+    scoring the tenants one by one, this entry point stacks same-shaped
+    context blocks into one ``(T, k, d)`` tensor and computes every
+    tenant's confidence widths with a single batched ``matmul`` + ``einsum``
+    pass over the stacked ``V⁻¹`` tensor.  The learners are only read.
 
     Bit-for-bit parity with per-tenant scoring is part of the contract (the
     fleet's fleet-vs-independent-sessions parity test depends on it), so the
@@ -146,53 +96,45 @@ def batch_upper_confidence_scores(
     grouped by shape; each group gets its own stacked pass.
 
     Args:
-        scorers: One frozen scoring snapshot per tenant.
+        learners: One learner per tenant.
         context_blocks: One ``(k_t, dimension)`` context matrix per tenant
             (``k_t`` may differ between tenants).
         alphas: One non-negative exploration boost per tenant.
 
     Returns:
         Per-tenant score vectors, each bit-identical to
-        ``scorers[t].upper_confidence_scores(context_blocks[t], alphas[t])``.
+        ``learners[t].upper_confidence_scores(context_blocks[t], alphas[t])``.
 
     Raises:
         ValueError: On length mismatches, a negative ``alpha``, or a context
-            block whose width does not match its scorer's dimension.
+            block whose width does not match its learner's dimension.
     """
-    if not (len(scorers) == len(context_blocks) == len(alphas)):
+    if not (len(learners) == len(context_blocks) == len(alphas)):
         raise ValueError(
-            f"got {len(scorers)} scorers, {len(context_blocks)} context "
+            f"got {len(learners)} learners, {len(context_blocks)} context "
             f"blocks and {len(alphas)} alphas; all three must align"
         )
     blocks: list[np.ndarray] = []
-    for scorer, raw_block, alpha in zip(scorers, context_blocks, alphas):
+    for learner, block, alpha in zip(learners, context_blocks, alphas):
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
-        block = np.asarray(raw_block, dtype=float)
-        if block.ndim == 1:
-            block = block.reshape(1, -1)
-        if block.ndim != 2 or block.shape[1] != scorer.dimension:
-            raise ValueError(
-                f"contexts must have shape (k, {scorer.dimension}), "
-                f"got {block.shape}"
-            )
-        blocks.append(block)
+        blocks.append(learner._validate_contexts(block))
 
     groups: dict[tuple[int, int], list[int]] = {}
     for position, block in enumerate(blocks):
         groups.setdefault(block.shape, []).append(position)
 
-    results: list[np.ndarray | None] = [None] * len(scorers)
+    results: list[np.ndarray | None] = [None] * len(learners)
     for indices in groups.values():
         stacked = np.stack([blocks[i] for i in indices])  # (T, k, d)
-        v_inverse_stack = np.stack([scorers[i].v_inverse for i in indices])
+        v_inverse_stack = np.stack([learners[i]._inverse() for i in indices])
         projected = stacked @ v_inverse_stack  # (T, k, d): one GEMM per slice
         widths = np.einsum("tkd,tkd->tk", projected, stacked)
         bonuses = np.sqrt(np.maximum(widths, 0.0))
         for row, i in enumerate(indices):
             # Same GEMV as :func:`expected_rewards` — folding the thetas
             # into one GEMM would change the accumulation order.
-            expected = expected_rewards(scorers[i].theta, blocks[i])
+            expected = expected_rewards(learners[i].theta(), blocks[i])
             results[i] = expected + alphas[i] * bonuses[row]
     return [result for result in results if result is not None]
 
@@ -292,15 +234,6 @@ class C2UCB:
             raise ValueError("alpha must be non-negative")
         contexts = self._validate_contexts(contexts)
         return ucb_scores(self.theta(), self._inverse(), contexts, alpha)
-
-    def scorer(self) -> "LinearScorer":
-        """Freeze the current ``theta`` and ``V⁻¹`` into a :class:`LinearScorer`.
-
-        The snapshot scores context batches with bit-identical math to
-        :meth:`upper_confidence_scores`, while keeping all learning (and the
-        Sherman–Morrison ``V⁻¹`` maintenance) on this learner.
-        """
-        return LinearScorer(self.theta(), self._inverse())
 
     # ------------------------------------------------------------------ #
     # updates

@@ -48,10 +48,6 @@ class OracleResult:
     total_score: float
 
     @property
-    def selected_arms(self) -> list[Arm]:
-        return [scored.arm for scored in self.selected]
-
-    @property
     def selected_index_ids(self) -> set[str]:
         return {scored.index_id for scored in self.selected}
 

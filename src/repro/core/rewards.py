@@ -32,13 +32,6 @@ class RoundRewards:
     def reward_for(self, index_id: str) -> float:
         return self.gains.get(index_id, 0.0) - self.creation_costs.get(index_id, 0.0)
 
-    @property
-    def rewarded_index_ids(self) -> set[str]:
-        return set(self.gains) | set(self.creation_costs)
-
-    def as_dict(self) -> dict[str, float]:
-        return {index_id: self.reward_for(index_id) for index_id in self.rewarded_index_ids}
-
 
 def compute_round_rewards(
     results: list[ExecutionResult],

@@ -21,7 +21,6 @@ execution statistics, which is the paper's central design decision.
 from __future__ import annotations
 
 import dataclasses
-import time
 
 import numpy as np
 
@@ -49,13 +48,10 @@ class PoolRound:
     :meth:`MabTuner.recommend` or the fleet's batched scoring pass
     (:mod:`repro.fleet`) — scores the pool however it likes and closes the
     round with :meth:`MabTuner.complete_round`.  ``arms`` is ``None`` when
-    the round has no queries of interest (the empty-QoI fast path).
+    the round has no queries of interest (the empty-QoI fast path).  The
+    handle carries no timing: the caller that drives the round measures it.
     """
 
-    round_number: int
-    #: ``perf_counter`` stamp at :meth:`MabTuner.begin_round` time; the
-    #: completed recommendation charges everything since as its cost.
-    started: float
     #: The round's queries of interest (empty on the no-QoI fast path).
     queries: list[Query]
     #: The round's arm pool, or ``None`` when there are no queries of interest.
@@ -116,8 +112,9 @@ class MabTuner(Tuner):
         Returns:
             A :class:`~repro.interface.Recommendation` whose configuration is
             the selected super arm (or the currently materialised indexes when
-            there are no queries of interest), with the wall-clock cost of the
-            call charged as recommendation time.
+            there are no queries of interest).  Its ``recommendation_seconds``
+            is ``None``: the driving session charges the wall time it measures
+            around this call as the round's C_rec.
         """
         del training_queries  # the bandit never receives a training workload
         pool = self.begin_round(round_number)
@@ -140,8 +137,6 @@ class MabTuner(Tuner):
         ``complete_round(pool, None)`` retains the materialised
         configuration.
         """
-        # reprolint: disable=RL001 -- recommendation_seconds is the paper-reported wall time of the MAB's own scoring pass; no tuning decision reads it
-        started = time.perf_counter()
         self.rounds_recommended += 1
         queries_of_interest = self.query_store.queries_of_interest(
             round_number, window_rounds=self.config.qoi_window_rounds
@@ -152,17 +147,9 @@ class MabTuner(Tuner):
             # eviction).  Retain the current configuration rather than
             # returning [], which would make ``apply_configuration`` drop
             # every materialised index for no reason.
-            return PoolRound(
-                round_number=round_number,
-                started=started,
-                queries=[],
-                arms=None,
-                alpha=0.0,
-            )
+            return PoolRound(queries=[], arms=None, alpha=0.0)
         arms = self._refresh_arms(queries_of_interest, round_number)
         return PoolRound(
-            round_number=round_number,
-            started=started,
             queries=queries_of_interest,
             arms=arms,
             alpha=self.config.alpha_at(round_number),
@@ -189,14 +176,15 @@ class MabTuner(Tuner):
         here (one draw per pool), so single-session and fleet-batched rounds
         consume the tuner's random stream identically.  ``scores=None``
         closes an empty-QoI round.
+
+        The returned recommendation leaves ``recommendation_seconds`` at
+        ``None``: the tuner reads no clock, so whoever drove the round (a
+        :class:`~repro.api.TuningSession`, or the fleet for its batched
+        pass) charges the wall time it measured.
         """
         if pool.arms is None or scores is None:
             self._pending_selection = []
-            return Recommendation(
-                configuration=list(self.database.materialised_indexes),
-                # reprolint: disable=RL001 -- paper-reported recommendation wall time (output only)
-                recommendation_seconds=time.perf_counter() - pool.started,
-            )
+            return Recommendation(configuration=list(self.database.materialised_indexes))
         assert pool.contexts is not None
         scores = scores + self.bandit.tie_break(len(scores))
         candidates = [
@@ -215,11 +203,8 @@ class MabTuner(Tuner):
             (scored.arm, context_rows[scored.arm.index_id])
             for scored in selection.selected
         ]
-        configuration = [scored.arm.index for scored in selection.selected]
         return Recommendation(
-            configuration=configuration,
-            # reprolint: disable=RL001 -- paper-reported recommendation wall time (output only)
-            recommendation_seconds=time.perf_counter() - pool.started,
+            configuration=[scored.arm.index for scored in selection.selected]
         )
 
     def observe(

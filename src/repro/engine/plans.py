@@ -46,10 +46,6 @@ class TableAccessPlan:
     #: Optimiser's estimated cost of the access in model-seconds.
     estimated_seconds: float = 0.0
 
-    @property
-    def uses_index(self) -> bool:
-        return self.index is not None
-
     def describe(self) -> str:
         if self.method is AccessMethod.FULL_SCAN:
             return f"FullScan({self.table})"

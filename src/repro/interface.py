@@ -35,11 +35,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class Recommendation:
-    """A tuner's proposal for one round."""
+    """A tuner's proposal for one round.
+
+    ``recommendation_seconds`` is the round's C_rec.  A tuner that models its
+    recommendation cost (PDTool's tuning time, zero for NoIndex and DDQN)
+    sets it explicitly.  ``None``, the default and what the MAB tuner
+    returns, means "charge the wall time the session measured around the
+    ``recommend`` call" — so C_rec is timed once, by
+    :class:`~repro.api.TuningSession`, and never by the tuner itself.
+    """
 
     configuration: list[IndexDefinition] = field(default_factory=list)
-    #: Time charged as recommendation overhead for this round (model-seconds).
-    recommendation_seconds: float = 0.0
+    #: C_rec charged for this round, or ``None`` for the session's measured
+    #: wall time of the ``recommend`` call.
+    recommendation_seconds: float | None = None
 
 
 class Tuner(ABC):

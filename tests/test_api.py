@@ -32,7 +32,7 @@ from repro.api.registry import _PRIMARY_NAMES, _REGISTRY, _normalise
 from repro.engine.execution import Executor
 from repro.harness import ExperimentSettings, build_workload_rounds
 from repro.optimizer.planner import Planner
-from repro.workloads import StaticWorkload, get_benchmark
+from repro.workloads import ShiftingWorkload, StaticWorkload, get_benchmark
 
 
 def tiny_spec(benchmark_name: str = "ssb", seed: int = 4) -> DatabaseSpec:
@@ -184,6 +184,38 @@ class TestTuningSession:
         assert seen == [1, 2]
         assert len(session.results_by_round) == 2
         assert session.trace.report is session.report
+
+
+# --------------------------------------------------------------------- #
+# C_rec: timed once, by the session
+# --------------------------------------------------------------------- #
+class TestRecommendationClock:
+    def test_mab_is_charged_the_session_measured_recommend_time(self, ssb_rounds):
+        """The MAB tuner reads no clock: every round's C_rec is exactly the
+        wall time the session measured around its ``recommend`` call."""
+        database = tiny_spec().create()
+        trace = run_simulation(database, create_tuner("MAB", database), ssb_rounds)
+        assert trace.report.n_rounds == len(ssb_rounds)
+        for round_report in trace.report.rounds:
+            assert round_report.recommendation_seconds == round_report.wall_recommend_seconds
+            assert round_report.recommendation_seconds > 0
+        assert trace.report.rounds[-1].configuration_size >= 1
+
+    def test_pdtool_keeps_its_modelled_recommendation_time(self):
+        """PDTool's C_rec stays its modelled tuning time on invocation rounds
+        and zero elsewhere, whatever the session's clock reads."""
+        database = tiny_spec().create()
+        rounds = ShiftingWorkload(
+            database, get_benchmark("ssb").templates, n_groups=2, rounds_per_group=3, seed=1
+        ).materialise()
+        tuner = create_tuner("PDTool", database)
+        trace = run_simulation(database, tuner, rounds)
+        charged = [round_report.recommendation_seconds for round_report in trace.report.rounds]
+        assert charged == [0.0, 104.3, 0.0, 0.0, 94.55, 0.0]
+        assert [(round_number, seconds) for round_number, seconds, _ in tuner.invocations] == [
+            (2, 104.3),
+            (5, 94.55),
+        ]
 
 
 # --------------------------------------------------------------------- #

@@ -29,11 +29,7 @@ from repro.api import (
     UnknownTenantError,
     create_tuner,
 )
-from repro.core.linear_bandit import (
-    C2UCB,
-    LinearScorer,
-    batch_upper_confidence_scores,
-)
+from repro.core.linear_bandit import C2UCB, batch_upper_confidence_scores
 from repro.workloads import StaticWorkload, get_benchmark
 
 ALL_TUNERS = ("NoIndex", "MAB", "PDTool", "DDQN", "DDQN_SC")
@@ -277,9 +273,9 @@ class TestFleetParity:
     def test_batched_recommendation_time_is_split_across_tenants(self, ssb_rounds):
         """C_rec of a batched round sums to at most the wall time of the step.
 
-        A tuner's own stopwatch runs from its ``begin_round`` to its
-        ``complete_round`` and so spans every later tenant's work; the fleet
-        must charge each tenant an even share of the pass instead.
+        Tenants' rounds interleave inside the batched pass, so no span of it
+        is one tenant's own work: the fleet times the pass once and charges
+        each tenant an even share.
         """
         fleet = TuningFleet(
             TenantSpec(f"t{i}", tiny_spec(), tuner="MAB") for i in range(8)
@@ -324,25 +320,29 @@ class TestFleetParity:
 # --------------------------------------------------------------------- #
 class TestBatchedScoringContract:
     def test_batch_scores_bit_identical_to_per_scorer_passes(self):
-        """Property: for random snapshots, pools and alphas — including
+        """Property: for random learners, pools and alphas — including
         ragged pool sizes that split the stack into shape groups — the
-        batched pass returns np.array_equal (bitwise) results."""
+        batched pass returns np.array_equal (bitwise) results to each
+        learner scoring its own pool."""
         rng = np.random.default_rng(20210409)
         for _ in range(20):
             tenants = int(rng.integers(1, 9))
             dimension = int(rng.choice([3, 5, 8]))
-            scorers, blocks, alphas = [], [], []
+            learners, blocks, alphas = [], [], []
             for _ in range(tenants):
-                theta = rng.normal(size=dimension)
-                basis = rng.normal(size=(dimension, dimension))
-                v_inverse = basis @ basis.T + np.eye(dimension)
-                scorers.append(LinearScorer(theta, v_inverse))
+                learner = C2UCB(dimension=dimension)
+                for _ in range(int(rng.integers(1, 4))):
+                    observed = int(rng.integers(1, 6))
+                    learner.update(
+                        rng.normal(size=(observed, dimension)), rng.normal(size=observed)
+                    )
+                learners.append(learner)
                 pool_size = int(rng.choice([1, 4, 7]))
                 blocks.append(rng.normal(size=(pool_size, dimension)))
                 alphas.append(float(rng.uniform(0.0, 3.0)))
-            batched = batch_upper_confidence_scores(scorers, blocks, alphas)
-            for scorer, block, alpha, scores in zip(scorers, blocks, alphas, batched):
-                expected = scorer.upper_confidence_scores(block, alpha)
+            batched = batch_upper_confidence_scores(learners, blocks, alphas)
+            for learner, block, alpha, scores in zip(learners, blocks, alphas, batched):
+                expected = learner.upper_confidence_scores(block, alpha)
                 assert np.array_equal(scores, expected)
 
     def test_batch_matches_live_learner_scoring(self):
@@ -356,21 +356,19 @@ class TestBatchedScoringContract:
             learners.append(learner)
         blocks = [rng.normal(size=(6, 4)) for _ in learners]
         alphas = [0.5, 1.0, 2.0]
-        batched = batch_upper_confidence_scores(
-            [learner.scorer() for learner in learners], blocks, alphas
-        )
+        batched = batch_upper_confidence_scores(learners, blocks, alphas)
         for learner, block, alpha, scores in zip(learners, blocks, alphas, batched):
             assert np.array_equal(scores, learner.upper_confidence_scores(block, alpha))
 
     def test_validation_errors(self):
-        scorer = LinearScorer(np.zeros(3), np.eye(3))
+        learner = C2UCB(dimension=3)
         block = np.zeros((2, 3))
         with pytest.raises(ValueError, match="must align"):
-            batch_upper_confidence_scores([scorer], [block, block], [1.0])
+            batch_upper_confidence_scores([learner], [block, block], [1.0])
         with pytest.raises(ValueError, match="non-negative"):
-            batch_upper_confidence_scores([scorer], [block], [-0.1])
+            batch_upper_confidence_scores([learner], [block], [-0.1])
         with pytest.raises(ValueError, match="shape"):
-            batch_upper_confidence_scores([scorer], [np.zeros((2, 4))], [1.0])
+            batch_upper_confidence_scores([learner], [np.zeros((2, 4))], [1.0])
 
 
 # --------------------------------------------------------------------- #

@@ -6,16 +6,6 @@ import pytest
 from repro.core import C2UCB
 
 
-def random_problem(seed: int, n_arms: int, dimension: int):
-    """A random (theta, V⁻¹, contexts) triple with a symmetric PSD inverse."""
-    rng = np.random.default_rng(seed)
-    theta = rng.normal(size=dimension)
-    half = rng.normal(size=(dimension, dimension))
-    v_inverse = half @ half.T / dimension + np.eye(dimension)
-    contexts = rng.normal(size=(n_arms, dimension))
-    return theta, v_inverse, contexts
-
-
 class TestInitialisation:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -59,21 +49,6 @@ class TestScoring:
     def test_one_dimensional_context_accepted(self):
         bandit = C2UCB(dimension=3)
         assert bandit.expected_rewards(np.zeros(3)).shape == (1,)
-
-
-class TestKernels:
-    """The frozen snapshot scores exactly as the live learner it came from."""
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
-    def test_scorer_matches_learner_across_input_dtypes(self, dtype):
-        _, _, contexts = random_problem(5, 40, 6)
-        learner = C2UCB(dimension=6)
-        learner.update(contexts[:8], np.linspace(-1, 1, 8))
-        cast = (contexts * 8).astype(dtype)
-        assert np.array_equal(
-            learner.scorer().upper_confidence_scores(cast, 1.0),
-            learner.upper_confidence_scores(cast, 1.0),
-        )
 
 
 class TestLearning:

@@ -3,11 +3,12 @@
 The load-bearing guarantees:
 
 * **score parity** — :func:`~repro.core.linear_bandit.ucb_scores` is the one
-  kernel behind :class:`~repro.core.linear_bandit.LinearScorer` and the live
-  :class:`~repro.core.linear_bandit.C2UCB` learner, and the fleet's batched
-  pass (:func:`~repro.core.linear_bandit.batch_upper_confidence_scores`,
-  which packs same-shaped blocks into one stacked tensor) scores every block
-  bit-identically to scoring it alone, for any block layout and input dtype;
+  kernel behind the live :class:`~repro.core.linear_bandit.C2UCB` learner,
+  and the fleet's batched pass
+  (:func:`~repro.core.linear_bandit.batch_upper_confidence_scores`, which
+  packs same-shaped blocks into one stacked tensor) scores every block
+  bit-identically to the learner scoring it alone, for any block layout and
+  input dtype;
 * **the process pool** — :func:`repro.api.run_competition`, the one process
   pool in the package, merges bit-identical reports at any worker count;
 * **the pool protocol** — a caller that scores a
@@ -35,21 +36,19 @@ from repro.api import (
 from repro.core import MabConfig, MabTuner
 from repro.core.linear_bandit import (
     C2UCB,
-    LinearScorer,
     batch_upper_confidence_scores,
     ucb_scores,
 )
 from repro.workloads import StaticWorkload, get_benchmark
 
 
-def random_problem(seed: int, n_arms: int, dimension: int):
-    """A random (theta, V⁻¹, contexts) triple with a symmetric PSD inverse."""
+def trained_problem(seed: int, n_arms: int, dimension: int):
+    """A learner trained by ``update`` on random rewards, and contexts to score."""
     rng = np.random.default_rng(seed)
-    theta = rng.normal(size=dimension)
-    half = rng.normal(size=(dimension, dimension))
-    v_inverse = half @ half.T / dimension + np.eye(dimension)
-    contexts = rng.normal(size=(n_arms, dimension))
-    return theta, v_inverse, contexts
+    learner = C2UCB(dimension=dimension)
+    for _ in range(3):
+        learner.update(rng.normal(size=(5, dimension)), rng.normal(size=5))
+    return learner, rng.normal(size=(n_arms, dimension))
 
 
 def split_rows(n_rows: int, n_blocks: int) -> list[tuple[int, int]]:
@@ -59,7 +58,7 @@ def split_rows(n_rows: int, n_blocks: int) -> list[tuple[int, int]]:
 
 
 def score_blocks(
-    scorer: LinearScorer,
+    learner: C2UCB,
     contexts: np.ndarray,
     boundaries: list[tuple[int, int]],
     alpha: float,
@@ -67,7 +66,7 @@ def score_blocks(
     """Score each row block of ``contexts`` in one batched pass."""
     blocks = [contexts[start:stop] for start, stop in boundaries]
     return batch_upper_confidence_scores(
-        [scorer] * len(blocks), blocks, [alpha] * len(blocks)
+        [learner] * len(blocks), blocks, [alpha] * len(blocks)
     )
 
 
@@ -75,16 +74,8 @@ def score_blocks(
 # score parity: batched blocks == monolithic == per-block, bit for bit
 # --------------------------------------------------------------------- #
 class TestPackedParity:
-    def test_kernel_matches_linear_scorer_bitwise(self):
-        theta, v_inverse, contexts = random_problem(0, 200, 12)
-        scorer = LinearScorer(theta, v_inverse)
-        kernel = ucb_scores(theta, v_inverse, contexts, alpha=1.5)
-        assert np.array_equal(kernel, scorer.upper_confidence_scores(contexts, 1.5))
-
     def test_kernel_matches_live_learner_bitwise(self):
-        _, _, contexts = random_problem(1, 50, 8)
-        learner = C2UCB(dimension=8)
-        learner.update(contexts[:10], np.linspace(-1, 1, 10))
+        learner, contexts = trained_problem(1, 50, 8)
         expected = learner.upper_confidence_scores(contexts, 2.0)
         kernel = ucb_scores(learner.theta(), learner._inverse(), contexts, 2.0)
         assert np.array_equal(kernel, expected)
@@ -92,50 +83,48 @@ class TestPackedParity:
     @pytest.mark.parametrize("n_arms", [1, 7, 64, 500])
     @pytest.mark.parametrize("n_blocks", [1, 3, 8])
     def test_packed_blocks_match_monolithic_and_per_shard(self, n_arms, n_blocks):
-        theta, v_inverse, contexts = random_problem(n_arms * 31 + n_blocks, n_arms, 10)
-        scorer = LinearScorer(theta, v_inverse)
+        learner, contexts = trained_problem(n_arms * 31 + n_blocks, n_arms, 10)
         boundaries = split_rows(n_arms, n_blocks)
-        batched = score_blocks(scorer, contexts, boundaries, alpha=0.7)
+        batched = score_blocks(learner, contexts, boundaries, alpha=0.7)
         assert len(batched) == len(boundaries)
 
         # Per-block parity: every block of the stacked pass scores exactly as
-        # the 2-D pass scores that block on its own.
+        # the learner scores that block on its own.
         for (start, stop), scores in zip(boundaries, batched):
             assert np.array_equal(
-                scores, scorer.upper_confidence_scores(contexts[start:stop], 0.7)
+                scores, learner.upper_confidence_scores(contexts[start:stop], 0.7)
             )
         # Monolithic parity: a single-block batch IS the monolithic pass.
         if len(boundaries) == 1:
             assert np.array_equal(
-                batched[0], scorer.upper_confidence_scores(contexts, 0.7)
+                batched[0], learner.upper_confidence_scores(contexts, 0.7)
             )
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
     def test_parity_across_input_dtypes(self, dtype):
-        theta, v_inverse, contexts = random_problem(5, 40, 6)
+        learner, contexts = trained_problem(5, 40, 6)
         cast = (contexts * 8).astype(dtype)
-        scorer = LinearScorer(theta, v_inverse)
-        batched = score_blocks(scorer, cast, split_rows(40, 4), alpha=1.0)
-        # Both passes convert inputs with asarray(dtype=float) — the same
-        # numeric path whatever the caller's dtype.
+        batched = score_blocks(learner, cast, split_rows(40, 4), alpha=1.0)
+        # Both passes convert inputs through C2UCB._validate_contexts — the
+        # same numeric path whatever the caller's dtype.
         assert np.array_equal(
-            np.concatenate(batched), scorer.upper_confidence_scores(cast, 1.0)
+            np.concatenate(batched), learner.upper_confidence_scores(cast, 1.0)
         )
 
     def test_empty_pool_scores_empty(self):
         assert batch_upper_confidence_scores([], [], []) == []
-        scorer = LinearScorer(np.zeros(3), np.eye(3))
-        (scores,) = batch_upper_confidence_scores([scorer], [np.zeros((0, 3))], [1.0])
+        learner = C2UCB(dimension=3)
+        (scores,) = batch_upper_confidence_scores([learner], [np.zeros((0, 3))], [1.0])
         assert scores.shape == (0,)
 
     def test_pack_rejects_misaligned_blocks(self):
-        scorer = LinearScorer(np.zeros(3), np.eye(3))
+        learner = C2UCB(dimension=3)
         with pytest.raises(ValueError):
-            batch_upper_confidence_scores([scorer], [np.zeros((2, 3))], [])
+            batch_upper_confidence_scores([learner], [np.zeros((2, 3))], [])
         with pytest.raises(ValueError):
-            batch_upper_confidence_scores([scorer, scorer], [np.zeros((2, 3))], [1.0])
+            batch_upper_confidence_scores([learner, learner], [np.zeros((2, 3))], [1.0])
         with pytest.raises(ValueError):
-            batch_upper_confidence_scores([scorer], [np.zeros((2, 4))], [1.0])
+            batch_upper_confidence_scores([learner], [np.zeros((2, 4))], [1.0])
 
 
 # --------------------------------------------------------------------- #

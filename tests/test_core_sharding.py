@@ -5,17 +5,15 @@ A caller that drives :class:`~repro.core.MabTuner` through
 may score the round's arm pool however it likes — here split into shards by
 table or by a hash of the index id and scored through the batched pass.  The
 load-bearing guarantee is *selection parity*: such a round recommends the
-same configuration as the tuner's own monolithic pass, because the shards
-share one frozen scorer snapshot of the one global C²UCB state and every
-row's score is computed by the same kernel, while the tie-break jitter is
-still drawn once for the whole pool inside ``complete_round``.
+same configuration as the tuner's own monolithic pass, because every shard
+is scored against the one global C²UCB learner by the same kernel, while
+the tie-break jitter is still drawn once for the whole pool inside
+``complete_round``.
 """
 
 from __future__ import annotations
 
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -44,15 +42,9 @@ def sharded_recommend(
     session: TuningSession,
     round_number: int,
     shard_by: str,
-    workers: int | None = None,
     shard_counts: list[int] | None = None,
 ):
-    """One recommendation with the pool scored shard by shard.
-
-    ``workers=None`` scores every shard in one batched pass; otherwise each
-    shard is scored on its own from a thread pool of that many workers
-    (``0`` = one per CPU).
-    """
+    """One recommendation with the pool's shards scored in one batched pass."""
     tuner = session.tuner
     assert isinstance(tuner, MabTuner)
     pool = tuner.begin_round(round_number)
@@ -60,39 +52,24 @@ def sharded_recommend(
         recommendation = tuner.complete_round(pool, None)
     else:
         contexts = tuner.pool_contexts(pool)
-        scorer = tuner.bandit.scorer()
         shards = shard_positions(pool.arms, shard_by)
         if shard_counts is not None:
             shard_counts.append(len(shards))
         blocks = [contexts[positions] for positions in shards]
-        if workers is None:
-            shard_scores = batch_upper_confidence_scores(
-                [scorer] * len(blocks), blocks, [pool.alpha] * len(blocks)
-            )
-        else:
-            with ThreadPoolExecutor(max_workers=workers or os.cpu_count()) as threads:
-                shard_scores = list(
-                    threads.map(
-                        lambda block: scorer.upper_confidence_scores(block, pool.alpha),
-                        blocks,
-                    )
-                )
+        shard_scores = batch_upper_confidence_scores(
+            [tuner.bandit] * len(blocks), blocks, [pool.alpha] * len(blocks)
+        )
         scores = np.empty(len(pool.arms))
         for positions, block_scores in zip(shards, shard_scores):
             scores[positions] = block_scores
         recommendation = tuner.complete_round(pool, scores)
-    return session.adopt_recommendation(
-        recommendation,
-        round_number=round_number,
-        wall_seconds=recommendation.recommendation_seconds,
-    )
+    return session.adopt_recommendation(recommendation, round_number=round_number)
 
 
 def run_configurations(
     benchmark_name: str,
     shard_by: str | None,
     n_rounds: int = 6,
-    workers: int | None = None,
     shard_counts: list[int] | None = None,
 ):
     """Per-round selected configurations of a MAB session at fixed seeds."""
@@ -112,7 +89,7 @@ def run_configurations(
             recommendation = session.recommend(round_number=workload_round.round_number)
         else:
             recommendation = sharded_recommend(
-                session, workload_round.round_number, shard_by, workers, shard_counts
+                session, workload_round.round_number, shard_by, shard_counts
             )
         configurations.append(
             sorted(index.index_id for index in recommendation.configuration)
@@ -131,16 +108,6 @@ def test_sharded_recommendations_match_monolithic(benchmark_name, shard_by):
     assert sharded == monolithic
     assert max(shard_counts) >= 2
     assert any(index_ids for index_ids in monolithic), "runs must select something"
-
-
-@pytest.mark.parametrize("workers", [2, 0])
-def test_parallel_shard_scoring_matches_serial(workers):
-    """The frozen scorer snapshot is read-only: shards scored from worker
-    threads recommend exactly what the serial batched pass recommends."""
-    serial, _ = run_configurations("ssb", "table")
-    parallel, _ = run_configurations("ssb", "table", workers=workers)
-    assert parallel == serial
-    assert any(index_ids for index_ids in parallel), "runs must select something"
 
 
 def test_sharded_selection_respects_memory_budget(tiny_database):

@@ -735,30 +735,3 @@ class TestOutputFormats:
         assert code == 1
         assert "::error file=src/pkg/mod.py,line=" in out
         assert "title=reprolint RL001::" in out
-
-    def test_sarif_report_written(self, tmp_path, capsys):
-        write_project(tmp_path, self.FIXTURE)
-        sarif_path = tmp_path / "out" / "reprolint.sarif"
-        code = reprolint_main(["--root", str(tmp_path), "--sarif", str(sarif_path), "src"])
-        capsys.readouterr()
-        assert code == 1
-        document = json.loads(sarif_path.read_text(encoding="utf-8"))
-        assert document["version"] == "2.1.0"
-        run = document["runs"][0]
-        assert run["tool"]["driver"]["name"] == "reprolint"
-        rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert set(registered_rule_ids()) <= rule_ids
-        result = run["results"][0]
-        assert result["ruleId"] == "RL001"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "src/pkg/mod.py"
-        assert location["region"]["startLine"] >= 1
-
-    def test_sarif_clean_run_has_no_results(self, tmp_path, capsys):
-        write_project(tmp_path, {"src/pkg/mod.py": "VALUE = 1\n"})
-        sarif_path = tmp_path / "clean.sarif"
-        code = reprolint_main(["--root", str(tmp_path), "--sarif", str(sarif_path), "src"])
-        capsys.readouterr()
-        assert code == 0
-        document = json.loads(sarif_path.read_text(encoding="utf-8"))
-        assert document["runs"][0]["results"] == []

@@ -49,11 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--sarif",
-        metavar="FILE",
-        help="also write a SARIF 2.1.0 report to FILE (code-scanning upload)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list the registered rule families and exit",
@@ -75,8 +70,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"reprolint: error: {error}", file=sys.stderr)
         return 2
 
-    if args.sarif:
-        report.write_sarif(Path(args.sarif))
     if args.json == "-":
         import json
 

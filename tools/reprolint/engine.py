@@ -91,57 +91,9 @@ class Report:
         )
         return "\n".join(lines)
 
-    def to_sarif(self) -> dict[str, object]:
-        """The report as minimal SARIF 2.1.0 (for code-scanning upload)."""
-        titles = rule_titles()
-        return {
-            "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-            "version": "2.1.0",
-            "runs": [
-                {
-                    "tool": {
-                        "driver": {
-                            "name": "reprolint",
-                            "informationUri": "docs/STATIC_ANALYSIS.md",
-                            "rules": [
-                                {
-                                    "id": rule_id,
-                                    "shortDescription": {"text": title},
-                                }
-                                for rule_id, title in sorted(titles.items())
-                            ],
-                        }
-                    },
-                    "results": [
-                        {
-                            "ruleId": finding.rule,
-                            "level": "error",
-                            "message": {"text": finding.message},
-                            "locations": [
-                                {
-                                    "physicalLocation": {
-                                        "artifactLocation": {"uri": finding.path},
-                                        "region": {
-                                            "startLine": finding.line,
-                                            "startColumn": finding.col + 1,
-                                        },
-                                    }
-                                }
-                            ],
-                        }
-                        for finding in self.findings
-                    ],
-                }
-            ],
-        }
-
     def write_json(self, path: Path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(self.to_json(), indent=2) + "\n", encoding="utf-8")
-
-    def write_sarif(self, path: Path) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_sarif(), indent=2) + "\n", encoding="utf-8")
 
 
 def collect_files(paths: list[Path], root: Path) -> list[SourceFile]:
