@@ -28,7 +28,20 @@ class Planner:
 
     def __init__(self, database: Database) -> None:
         self.database = database
-        self.estimator = CardinalityEstimator(database.statistics)
+        self._estimator = CardinalityEstimator(database.statistics)
+
+    @property
+    def estimator(self) -> CardinalityEstimator:
+        """The estimator over the database's *current* statistics.
+
+        :meth:`Database.refresh_statistics` (and so ``grow_table``) replaces
+        the catalog rather than updating it, so the estimator is rebuilt
+        whenever the catalog it reads is no longer the database's.
+        """
+        statistics = self.database.statistics
+        if self._estimator.statistics is not statistics:
+            self._estimator = CardinalityEstimator(statistics)
+        return self._estimator
 
     # ------------------------------------------------------------------ #
     # public API

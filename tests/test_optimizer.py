@@ -8,6 +8,7 @@ from repro.engine import (
     JoinMethod,
     Operator,
     Predicate,
+    Query,
 )
 from repro.optimizer import CardinalityEstimator, Planner, WhatIfOptimizer
 from tests.conftest import make_sales_query
@@ -140,3 +141,28 @@ class TestWhatIf:
         assert what_if.configuration_benefit(queries, [], double) >= what_if.configuration_benefit(
             queries, [], single
         ) - 1e-9
+
+
+class TestEstimatesFollowGrowth:
+    """``grow_table`` replaces the statistics catalog; a planner (and the
+    what-if interface built on one) created before the growth must estimate
+    against the new row count, not the catalog it was constructed with."""
+
+    @staticmethod
+    def unfiltered_sales_query():
+        return Query(query_id="q_all#0", template_id="q_all", tables=("sales",))
+
+    def test_planner_estimates_the_grown_row_count(self, tiny_database):
+        planner = Planner(tiny_database)
+        query = self.unfiltered_sales_query()
+        before = planner.plan(query).accesses["sales"].estimated_rows
+        tiny_database.grow_table("sales", 2.0)
+        after = planner.plan(query).accesses["sales"].estimated_rows
+        assert after == tiny_database.statistics.row_count("sales") == 2 * before
+
+    def test_what_if_costs_the_grown_table(self, tiny_database):
+        what_if = WhatIfOptimizer(tiny_database)
+        query = self.unfiltered_sales_query()
+        tiny_database.grow_table("sales", 2.0)
+        fresh = WhatIfOptimizer(tiny_database)
+        assert what_if.estimate_query(query, []) == fresh.estimate_query(query, [])
