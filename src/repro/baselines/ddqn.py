@@ -119,10 +119,7 @@ class DDQNTuner(Tuner):
             # materialised index.
             self._pending_actions = []
             self._pending_candidate_features = None
-            return Recommendation(
-                configuration=list(self.database.materialised_indexes),
-                recommendation_seconds=0.0,
-            )
+            return Recommendation(configuration=list(self.database.materialised_indexes))
 
         arms = list(self.arm_generator.generate(queries_of_interest).values())
         contexts = self.context_builder.build_matrix(arms, queries_of_interest, self.database)
@@ -134,7 +131,7 @@ class DDQNTuner(Tuner):
         chosen = self._choose_actions(arms, candidate_features, explore)
         self._pending_actions = chosen
         configuration = [arm.index for arm, _ in chosen]
-        return Recommendation(configuration=configuration, recommendation_seconds=0.0)
+        return Recommendation(configuration=configuration)
 
     def observe(
         self,

@@ -38,9 +38,9 @@ class Recommendation:
     """A tuner's proposal for one round.
 
     ``recommendation_seconds`` is the round's C_rec.  A tuner that models its
-    recommendation cost (PDTool's tuning time, zero for NoIndex and DDQN)
-    sets it explicitly.  ``None``, the default and what the MAB tuner
-    returns, means "charge the wall time the session measured around the
+    recommendation cost (PDTool's tuning time, zero for NoIndex) sets it
+    explicitly.  ``None``, the default and what the MAB and DDQN tuners
+    return, means "charge the wall time the session measured around the
     ``recommend`` call" — so C_rec is timed once, by
     :class:`~repro.api.TuningSession`, and never by the tuner itself.
     """

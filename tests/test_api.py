@@ -201,6 +201,16 @@ class TestRecommendationClock:
             assert round_report.recommendation_seconds > 0
         assert trace.report.rounds[-1].configuration_size >= 1
 
+    def test_ddqn_is_charged_the_session_measured_recommend_time(self, ssb_rounds):
+        """DDQN's recommend builds arms, contexts and a network pass; its
+        C_rec is the session's wall time of that call, not a constant."""
+        database = tiny_spec().create()
+        trace = run_simulation(database, create_tuner("DDQN", database), ssb_rounds)
+        assert trace.report.n_rounds == len(ssb_rounds)
+        for round_report in trace.report.rounds:
+            assert round_report.recommendation_seconds == round_report.wall_recommend_seconds
+            assert round_report.recommendation_seconds > 0
+
     def test_pdtool_keeps_its_modelled_recommendation_time(self):
         """PDTool's C_rec stays its modelled tuning time on invocation rounds
         and zero elsewhere, whatever the session's clock reads."""
