@@ -335,7 +335,7 @@ class Database:
             return self._index_sizes[index.index_id]
         size = self._hypothetical_sizes.get(index.index_id)
         if size is None:
-            size = index.size_bytes(self.table_data(index.table))
+            size = index.geometry(self.table_data(index.table)).size_bytes
             self._hypothetical_sizes[index.index_id] = size
         return size
 
@@ -369,7 +369,7 @@ class Database:
             raise DuplicateIndexError(f"index already materialised: {index.index_id}")
         data = self.table_data(index.table)
         self.schema.validate_columns(index.table, index.all_columns)
-        size = index.size_bytes(data)
+        size = index.geometry(data).size_bytes
         available = self.available_index_bytes
         if available is not None and size > available:
             raise MemoryBudgetExceededError(size, available)

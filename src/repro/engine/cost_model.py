@@ -74,6 +74,11 @@ class CostModel:
             name: resolve_backend(backend)
             for name, backend in (table_profiles or {}).items()
         }
+        #: Full-scan seconds per table sample.  A value depends only on the
+        #: table's pages and rows and its profile, none of which change in
+        #: place: growth builds a new ``TableData`` and a placement change
+        #: (:meth:`Database.set_table_backend`) builds a new ``CostModel``.
+        self._full_scan_seconds: dict[TableData, float] = {}
 
     def profile_for(self, data: "TableData | str | None") -> BackendProfile:
         """The effective profile for one table (``None`` -> the default tier).
@@ -91,10 +96,13 @@ class CostModel:
     # ------------------------------------------------------------------ #
     def full_scan_seconds(self, data: TableData) -> float:
         """Sequential scan of the whole heap, at the table's own tier."""
-        profile = self.profile_for(data)
-        io = data.pages * profile.page_read_seconds()
-        cpu = data.full_row_count * profile.cpu_tuple_seconds
-        return io + cpu
+        seconds = self._full_scan_seconds.get(data)
+        if seconds is None:
+            profile = self.profile_for(data)
+            io = data.pages * profile.page_read_seconds()
+            cpu = data.full_row_count * profile.cpu_tuple_seconds
+            seconds = self._full_scan_seconds[data] = io + cpu
+        return seconds
 
     def index_seek_seconds(
         self,
@@ -110,14 +118,15 @@ class CostModel:
         Cardenas/Yao page-touch approximation).
         """
         profile = self.profile_for(data)
+        geometry = index.geometry(data)
         matching_rows = max(0, matching_rows)
-        traversal = index.depth(data) * profile.random_page_read_seconds
+        traversal = geometry.depth * profile.random_page_read_seconds
         if matching_rows == 0:
             # A seek that matches nothing pays the root-to-leaf traversal
             # only — there is no leaf page to read and no row to fetch.
             return traversal
         leaf_fraction = matching_rows / max(1, data.full_row_count)
-        leaf_pages_read = max(1.0, leaf_fraction * index.leaf_pages(data))
+        leaf_pages_read = max(1.0, leaf_fraction * geometry.leaf_pages)
         leaf_io = leaf_pages_read * profile.page_read_seconds()
         cpu = matching_rows * profile.cpu_tuple_seconds
         if covering:
@@ -129,7 +138,7 @@ class CostModel:
     def index_only_scan_seconds(self, index: IndexDefinition, data: TableData) -> float:
         """Scan every leaf of a covering index (no predicate on the key prefix)."""
         profile = self.profile_for(data)
-        io = index.leaf_pages(data) * profile.page_read_seconds()
+        io = index.geometry(data).leaf_pages * profile.page_read_seconds()
         cpu = data.full_row_count * profile.cpu_tuple_seconds * profile.covering_cpu_discount
         return io + cpu
 
@@ -207,13 +216,14 @@ class CostModel:
         term touches the inner table's storage.
         """
         inner_profile = self.profile_for(inner_data)
+        geometry = inner_index.geometry(inner_data)
         outer_rows = max(0, outer_rows)
         probe_cpu = (
             outer_rows
             * self.profile_for(outer_data).cpu_hash_seconds
-            * inner_index.depth(inner_data)
+            * geometry.depth
         )
-        index_pages = inner_index.leaf_pages(inner_data) + inner_index.depth(inner_data)
+        index_pages = geometry.leaf_pages + geometry.depth
         index_io = (
             pages_touched_by_random_fetches(outer_rows, index_pages)
             * inner_profile.random_page_read_seconds
@@ -239,9 +249,10 @@ class CostModel:
         to memory makes its index builds cheap, not just its scans.
         """
         profile = self.profile_for(data)
+        geometry = index.geometry(data)
         scan = self.full_scan_seconds(data)
-        sort = self.sort_seconds(data.full_row_count, index.entry_width_bytes(data), data)
-        write = index.leaf_pages(data) * profile.page_write_seconds()
+        sort = self.sort_seconds(data.full_row_count, geometry.entry_width_bytes, data)
+        write = geometry.leaf_pages * profile.page_write_seconds()
         return scan + sort + write
 
     def index_drop_seconds(self, index: IndexDefinition, data: TableData) -> float:

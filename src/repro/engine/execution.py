@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import Database
+from .cost_model import CostModel
 from .errors import ExecutionError
 from .plans import AccessMethod, JoinMethod, QueryPlan, TableAccessPlan
-from .query import Query
+from .query import Predicate
 from .storage import TableData
 
 
@@ -97,8 +98,10 @@ class Executor:
         query = plan.query
         if not query.tables:
             raise ExecutionError(f"query {query.query_id} references no tables")
-        cost_model = self.database.cost_model
+        database = self.database
+        cost_model = database.cost_model
         access_results: list[TableAccessResult] = []
+        table_data: dict[str, TableData] = {}
         per_table_rows: dict[str, int] = {}
 
         # Base accesses: the driving table plus every hash-joined table.
@@ -108,15 +111,16 @@ class Executor:
             if step.method is JoinMethod.INDEX_NESTED_LOOP
         }
         for table_name in query.tables:
-            data = self.database.table_data(table_name)
-            true_rows = data.true_cardinality(query.predicates_for(table_name))
+            data = table_data[table_name] = database.table_data(table_name)
+            predicates = query.predicates_for(table_name)
+            true_rows = data.true_cardinality(predicates)
             per_table_rows[table_name] = true_rows
             if table_name in inl_tables:
                 continue  # accessed through the join-step index probe instead
             access = plan.access_for(table_name)
             if access is None:
                 access = TableAccessPlan(table=table_name, method=AccessMethod.FULL_SCAN)
-            seconds = self._time_access(access, data, query, true_rows)
+            seconds = self._time_access(cost_model, access, data, predicates, true_rows)
             access_results.append(
                 TableAccessResult(
                     table=table_name,
@@ -132,11 +136,21 @@ class Executor:
         # driving table feeding it (intermediate results inherit that tier);
         # each inner side is priced at its own table's tier.
         join_seconds = 0.0
-        driving_data = self.database.table_data(plan.driving_table or query.tables[0])
+        driving_data = database.table_data(plan.driving_table or query.tables[0])
         current_rows = per_table_rows.get(driving_data.table.name, 1)
         for step in plan.join_steps:
-            inner_data = self.database.table_data(step.inner_table)
+            inner_data = table_data[step.inner_table]
             inner_rows = per_table_rows[step.inner_table]
+            # Containment with the *true* distinct count of the inner join
+            # key (from the generator hints): each outer row matches
+            # ``inner_rows / distinct`` inner rows on average.  Skew and
+            # correlation still shape the single-table cardinalities; keeping
+            # the per-key multiplicity at its true average prevents the
+            # blow-ups a sample-based distinct estimate would produce on
+            # heavily skewed reference columns.  Without a join column the
+            # step is a cross product scaled by the inner full row count.
+            join_columns = query.join_columns_for(step.inner_table)
+            distinct = max(1, inner_data.distinct_count(join_columns[0])) if join_columns else None
             if step.method is JoinMethod.HASH_JOIN:
                 join_seconds += cost_model.hash_join_seconds(
                     inner_rows,
@@ -150,7 +164,12 @@ class Executor:
                         f"query {query.query_id}: index-nested-loop step on "
                         f"{step.inner_table} has no probe index"
                     )
-                rows_per_probe = self._true_rows_per_probe(query, step.inner_table, inner_rows)
+                if distinct is None:
+                    rows_per_probe = float(inner_rows)
+                else:
+                    rows_per_probe = max(
+                        inner_rows / distinct, inner_rows / max(1, inner_data.full_row_count)
+                    )
                 probe_seconds = cost_model.index_nested_loop_seconds(
                     outer_rows=current_rows,
                     inner_index=step.index,
@@ -169,9 +188,9 @@ class Executor:
                         true_rows=inner_rows,
                     )
                 )
-            current_rows = self._true_join_cardinality(
-                query, current_rows, step.inner_table, inner_rows
-            )
+            if distinct is None:
+                distinct = max(1, inner_data.full_row_count)
+            current_rows = max(1, int(current_rows * inner_rows / distinct))
 
         aggregation_seconds = cost_model.aggregation_seconds(current_rows)
         base_seconds = sum(result.actual_seconds for result in access_results)
@@ -200,14 +219,14 @@ class Executor:
             return 1.0
         return float(self._rng.lognormal(mean=0.0, sigma=self.noise_sigma))
 
+    @staticmethod
     def _time_access(
-        self,
+        cost_model: CostModel,
         access: TableAccessPlan,
         data: TableData,
-        query: Query,
+        predicates: tuple[Predicate, ...],
         true_rows: int,
     ) -> float:
-        cost_model = self.database.cost_model
         if access.method is AccessMethod.FULL_SCAN or access.index is None:
             return cost_model.full_scan_seconds(data)
         if access.method is AccessMethod.INDEX_ONLY_SCAN:
@@ -215,45 +234,12 @@ class Executor:
         # Index seek: matching rows are determined by the predicates on the
         # seekable key prefix only (the remaining predicates are residual
         # filters applied after the fetch).
-        prefix_columns = set(access.index.key_prefix(access.seek_prefix_length))
+        prefix_columns = access.index.key_prefix(access.seek_prefix_length)
         prefix_predicates = tuple(
-            predicate
-            for predicate in query.predicates_for(access.table)
-            if predicate.column in prefix_columns
+            predicate for predicate in predicates if predicate.column in prefix_columns
         )
         matching_rows = data.true_cardinality(prefix_predicates) if prefix_predicates else data.full_row_count
         matching_rows = max(matching_rows, true_rows)
         return cost_model.index_seek_seconds(
             access.index, data, matching_rows, covering=access.covering
         )
-
-    def _true_rows_per_probe(self, query: Query, inner_table: str, inner_rows: int) -> float:
-        """Average inner rows returned per index probe, from true statistics."""
-        data = self.database.table_data(inner_table)
-        join_columns = query.join_columns_for(inner_table)
-        if not join_columns:
-            return float(inner_rows)
-        distinct = max(1, data.distinct_count(join_columns[0]))
-        return max(inner_rows / distinct, inner_rows / max(1, data.full_row_count))
-
-    def _true_join_cardinality(
-        self, query: Query, outer_rows: int, inner_table: str, inner_rows: int
-    ) -> int:
-        """True-side estimate of the join result size.
-
-        Uses the containment assumption with the *true* distinct count of the
-        inner join key (from the generator hints), i.e. each outer row matches
-        ``inner_rows / distinct(inner key)`` inner rows on average.  Skew and
-        correlation still shape the single-table cardinalities feeding into
-        this formula; keeping the per-key multiplicity at its true average
-        prevents the pathological blow-ups a naive sample-based distinct
-        estimate would produce on heavily skewed reference columns.
-        """
-        data = self.database.table_data(inner_table)
-        join_columns = query.join_columns_for(inner_table)
-        if not join_columns:
-            return max(1, int(outer_rows * inner_rows / max(1, data.full_row_count)))
-        column = join_columns[0]
-        distinct = max(1, data.distinct_count(column))
-        result = outer_rows * inner_rows / distinct
-        return max(1, int(result))

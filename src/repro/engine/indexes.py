@@ -12,15 +12,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import AbstractSet, Iterable
 
 from .errors import SchemaError
 from .query import Query
-from .storage import PAGE_SIZE_BYTES, TableData
-
-#: B+-tree space overhead (interior nodes, fill factor).
-BTREE_OVERHEAD = 1.35
-#: Bytes of row pointer stored with every index entry.
-ROW_POINTER_BYTES = 8
+from .storage import IndexGeometry, TableData
 
 
 @dataclass(frozen=True)
@@ -70,9 +66,15 @@ class IndexDefinition:
         include_part = f"(+{'_'.join(self.include_columns)})" if self.include_columns else ""
         return f"ix_{self.table}_{key_part}{include_part}"
 
-    @property
+    @functools.cached_property
     def all_columns(self) -> tuple[str, ...]:
+        """Every stored column: the key, then the INCLUDE list (cached like ``index_id``)."""
         return self.key_columns + self.include_columns
+
+    @functools.cached_property
+    def stored_columns(self) -> frozenset[str]:
+        """The stored columns as a set, for covering checks (cached like ``index_id``)."""
+        return frozenset(self.all_columns)
 
     def leading_column(self) -> str:
         return self.key_columns[0]
@@ -92,16 +94,15 @@ class IndexDefinition:
             return False
         return other.key_columns[: len(self.key_columns)] == self.key_columns
 
-    def covers_columns(self, columns: tuple[str, ...]) -> bool:
+    def covers_columns(self, columns: Iterable[str]) -> bool:
         """True if every referenced column is stored in this index."""
-        available = set(self.all_columns)
-        return all(column in available for column in columns)
+        return self.stored_columns.issuperset(columns)
 
     def covers_query(self, query: Query) -> bool:
         """True if the index alone can answer the query's needs for its table."""
         return self.covers_columns(query.referenced_columns_for(self.table))
 
-    def seekable_prefix_length(self, predicate_columns: set[str]) -> int:
+    def seekable_prefix_length(self, predicate_columns: AbstractSet[str]) -> int:
         """Number of leading key columns that are restricted by the given predicates."""
         length = 0
         for column in self.key_columns:
@@ -114,26 +115,9 @@ class IndexDefinition:
     # ------------------------------------------------------------------ #
     # size accounting
     # ------------------------------------------------------------------ #
-    def entry_width_bytes(self, data: TableData) -> int:
-        """Width of a single leaf entry in bytes."""
-        return data.width_of(self.all_columns) + ROW_POINTER_BYTES
-
-    def size_bytes(self, data: TableData) -> int:
-        """Estimated on-disk size of the materialised index."""
-        return int(self.entry_width_bytes(data) * data.full_row_count * BTREE_OVERHEAD)
-
-    def leaf_pages(self, data: TableData) -> int:
-        return max(1, int(self.size_bytes(data) / PAGE_SIZE_BYTES))
-
-    def depth(self, data: TableData) -> int:
-        """Approximate B+-tree depth (root-to-leaf page reads for one seek)."""
-        entries_per_page = max(2, PAGE_SIZE_BYTES // max(1, self.entry_width_bytes(data)))
-        depth = 1
-        pages = self.leaf_pages(data)
-        while pages > 1:
-            pages = max(1, pages // entries_per_page)
-            depth += 1
-        return min(depth, 6)
+    def geometry(self, data: TableData) -> IndexGeometry:
+        """Entry width, size, leaf pages and depth over ``data`` (memoised there)."""
+        return data.index_geometry(self.all_columns)
 
 
 def deduplicate(indexes: list[IndexDefinition]) -> list[IndexDefinition]:

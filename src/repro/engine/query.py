@@ -28,6 +28,11 @@ class Operator(Enum):
     BETWEEN = "between"
     IN = "in"
 
+    # Members are singletons (pickling restores them by name), so identity
+    # hashing is exact; it runs in C, where ``Enum.__hash__`` hashes the
+    # member's name in Python on every ``Predicate`` hash.
+    __hash__ = object.__hash__
+
     @property
     def is_range(self) -> bool:
         return self in (Operator.LT, Operator.LE, Operator.GT, Operator.GE, Operator.BETWEEN)
@@ -147,14 +152,19 @@ class Query:
 
     def predicates_for(self, table: str) -> tuple[Predicate, ...]:
         """Filter predicates that apply to ``table``."""
-        return tuple(p for p in self.predicates if p.table == table)
+        return tuple([p for p in self.predicates if p.table == table])
 
     def join_columns_for(self, table: str) -> tuple[str, ...]:
         """Columns of ``table`` used in join predicates, in query order."""
         columns: list[str] = []
         for join in self.joins:
-            column = join.column_for(table)
-            if column is not None and column not in columns:
+            if join.left_table == table:
+                column = join.left_column
+            elif join.right_table == table:
+                column = join.right_column
+            else:
+                continue
+            if column not in columns:
                 columns.append(column)
         return tuple(columns)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -21,6 +21,22 @@ from .schema import Table
 
 #: Logical page size used for all page-count accounting (bytes).
 PAGE_SIZE_BYTES = 8192
+#: B+-tree space overhead (interior nodes, fill factor).
+BTREE_OVERHEAD = 1.35
+#: Bytes of row pointer stored with every index entry.
+ROW_POINTER_BYTES = 8
+
+
+class IndexGeometry(NamedTuple):
+    """The B+-tree figures of one index over one table's full row count."""
+
+    #: Width of a single leaf entry (stored columns plus a row pointer).
+    entry_width_bytes: int
+    #: Estimated on-disk size of the materialised index.
+    size_bytes: int
+    leaf_pages: int
+    #: Approximate root-to-leaf page reads for one seek.
+    depth: int
 
 
 def evaluate_predicate(values: np.ndarray, predicate: Predicate) -> np.ndarray:
@@ -44,7 +60,7 @@ def evaluate_predicate(values: np.ndarray, predicate: Predicate) -> np.ndarray:
     raise ValueError(f"unsupported operator: {operator}")
 
 
-@dataclass
+@dataclass(eq=False)
 class TableData:
     """A table's materialised sample plus scale metadata.
 
@@ -67,10 +83,13 @@ class TableData:
 
     The sample arrays are made read-only on construction, so what is
     computed from them (and the schema) is memoised on the instance: the row
-    width, each column's distinct count and each predicate set's
-    selectivity.  A memo cannot go stale because nothing changes in place:
-    growing a table (:meth:`Database.grow_table`) builds a new ``TableData``
-    with an empty memo, and :meth:`Database.tenant_view` siblings share one.
+    width, each column's distinct count, each predicate set's selectivity
+    and each index's B+-tree geometry.  A memo cannot go stale because
+    nothing changes in place: growing a table (:meth:`Database.grow_table`)
+    builds a new ``TableData`` with an empty memo, and
+    :meth:`Database.tenant_view` siblings share one.  Equality and hashing
+    are by identity, so an instance can key a memo held elsewhere (the cost
+    model's full-scan times).
     """
 
     table: Table
@@ -104,6 +123,7 @@ class TableData:
         #: Selectivity per set of this table's predicates.  Only the float is
         #: kept: a selection mask would cost a sample's worth of bytes each.
         self._selectivities: dict[frozenset[Predicate], float] = {}
+        self._index_geometry: dict[tuple[str, ...], IndexGeometry] = {}
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -146,9 +166,31 @@ class TableData:
         """Number of heap pages occupied by the full table."""
         return max(1, math.ceil(self.total_bytes / PAGE_SIZE_BYTES))
 
-    def width_of(self, column_names: tuple[str, ...] | list[str]) -> int:
+    def width_of(self, column_names: Iterable[str]) -> int:
         """Total byte width of the named columns."""
         return sum(self.table.column(name).width for name in column_names)
+
+    def index_geometry(self, columns: tuple[str, ...]) -> IndexGeometry:
+        """Geometry of a B+-tree index storing ``columns`` (key, then INCLUDE).
+
+        Memoised per column tuple: the figures depend only on those
+        columns' widths and the full row count.
+        """
+        geometry = self._index_geometry.get(columns)
+        if geometry is None:
+            entry_width = self.width_of(columns) + ROW_POINTER_BYTES
+            size = int(entry_width * self.full_row_count * BTREE_OVERHEAD)
+            leaf_pages = max(1, int(size / PAGE_SIZE_BYTES))
+            entries_per_page = max(2, PAGE_SIZE_BYTES // max(1, entry_width))
+            depth = 1
+            pages = leaf_pages
+            while pages > 1:
+                pages = max(1, pages // entries_per_page)
+                depth += 1
+            geometry = self._index_geometry[columns] = IndexGeometry(
+                entry_width, size, leaf_pages, min(depth, 6)
+            )
+        return geometry
 
     # ------------------------------------------------------------------ #
     # true statistics measured on the sample

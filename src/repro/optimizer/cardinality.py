@@ -16,7 +16,7 @@ which is exactly what makes the what-if-driven PDTool mis-recommend indexes.
 
 from __future__ import annotations
 
-from repro.engine.query import Operator, Predicate, Query
+from repro.engine.query import Operator, Predicate
 from repro.engine.statistics import ColumnStatistics, StatisticsCatalog
 
 #: Selectivity assumed for a predicate on a column with no statistics at all.
@@ -46,18 +46,21 @@ class CardinalityEstimator:
         self, predicate: Predicate, column: ColumnStatistics
     ) -> float:
         operator = predicate.operator
+        value = predicate.value
         if operator is Operator.EQ:
             return column.equality_selectivity()
         if operator is Operator.IN:
-            values = predicate.value if isinstance(predicate.value, tuple) else (predicate.value,)
+            values = value if isinstance(value, tuple) else (value,)
             return len(values) * column.equality_selectivity()
-        if operator is Operator.BETWEEN:
-            low, high = predicate.value
-            return column.range_fraction(low, high)
-        if operator in (Operator.LT, Operator.LE):
-            return column.range_fraction(None, float(predicate.value))
-        if operator in (Operator.GT, Operator.GE):
-            return column.range_fraction(float(predicate.value), None)
+        if isinstance(value, tuple):
+            # ``Predicate`` guarantees BETWEEN a (low, high) pair.
+            if operator is Operator.BETWEEN:
+                low, high = value
+                return column.range_fraction(low, high)
+        elif operator in (Operator.LT, Operator.LE):
+            return column.range_fraction(None, float(value))
+        elif operator in (Operator.GT, Operator.GE):
+            return column.range_fraction(float(value), None)
         return DEFAULT_UNKNOWN_SELECTIVITY
 
     # ------------------------------------------------------------------ #
@@ -70,13 +73,10 @@ class CardinalityEstimator:
             selectivity *= self.predicate_selectivity(predicate)
         return float(min(1.0, max(MIN_SELECTIVITY, selectivity)))
 
-    def table_selectivity(self, query: Query, table: str) -> float:
-        return self.conjunctive_selectivity(query.predicates_for(table))
-
-    def table_cardinality(self, query: Query, table: str) -> float:
-        """Estimated rows produced by ``table`` after its filter predicates."""
+    def filtered_cardinality(self, table: str, predicates: tuple[Predicate, ...]) -> float:
+        """Estimated rows of ``table`` satisfying ``predicates`` (its own filters)."""
         row_count = self.statistics.row_count(table)
-        return max(1.0, row_count * self.table_selectivity(query, table))
+        return max(1.0, row_count * self.conjunctive_selectivity(predicates))
 
     # ------------------------------------------------------------------ #
     # joins

@@ -14,13 +14,42 @@ which mirrors how real systems reuse the optimiser for hypothetical analysis.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.engine.catalog import Database
+from repro.engine.cost_model import CostModel
 from repro.engine.indexes import IndexDefinition
 from repro.engine.plans import AccessMethod, JoinMethod, JoinStep, QueryPlan, TableAccessPlan
-from repro.engine.query import Query
+from repro.engine.query import Predicate, Query
 from repro.engine.storage import TableData
 
 from .cardinality import CardinalityEstimator
+
+
+class _TableFacts(NamedTuple):
+    """What one :meth:`Planner.plan` call derives once per referenced table.
+
+    Built per call and dropped with it: queries of a materialised workload
+    live for a whole run, so a memo on the query would outlive its use.
+    """
+
+    data: TableData
+    #: The query's filter predicates on the table.
+    predicates: tuple[Predicate, ...]
+    #: Their columns: a seekable index key prefix is made of these.
+    predicate_columns: frozenset[str]
+    #: Every column the query touches on the table (covering checks).
+    referenced_columns: frozenset[str]
+
+
+def _table_facts(database: Database, query: Query, table_name: str) -> _TableFacts:
+    """The per-table lookups one plan needs, from the query and the database."""
+    predicates = query.predicates_for(table_name)
+    predicate_columns = frozenset(predicate.column for predicate in predicates)
+    referenced = predicate_columns.union(
+        query.join_columns_for(table_name), query.payload.get(table_name, ())
+    )
+    return _TableFacts(database.table_data(table_name), predicates, predicate_columns, referenced)
 
 
 class Planner:
@@ -53,21 +82,25 @@ class Planner:
 
         ``configuration`` defaults to the currently materialised indexes.
         """
+        database = self.database
         if configuration is None:
-            configuration = self.database.materialised_indexes
+            configuration = database.materialised_indexes
         indexes_by_table: dict[str, list[IndexDefinition]] = {}
         for index in configuration:
             indexes_by_table.setdefault(index.table, []).append(index)
+        estimator = self.estimator
+        cost_model = database.cost_model
 
-        accesses: dict[str, TableAccessPlan] = {}
-        estimated_rows: dict[str, float] = {}
-        for table_name in query.tables:
-            access = self._best_access(query, table_name, indexes_by_table.get(table_name, []))
-            accesses[table_name] = access
-            estimated_rows[table_name] = access.estimated_rows
+        facts = {name: _table_facts(database, query, name) for name in query.tables}
+        accesses = {
+            name: self._best_access(
+                estimator, cost_model, name, facts[name], indexes_by_table.get(name, ())
+            )
+            for name in query.tables
+        }
 
         driving_table, join_steps, join_cost, result_rows = self._plan_joins(
-            query, accesses, estimated_rows, indexes_by_table
+            query, estimator, cost_model, facts, accesses, indexes_by_table
         )
 
         base_cost = accesses[driving_table].estimated_seconds
@@ -81,8 +114,8 @@ class Planner:
                 continue
             base_cost += accesses[table_name].estimated_seconds
 
-        aggregation = self.database.cost_model.aggregation_seconds(int(result_rows))
-        overhead = self.database.cost_model.profile.per_query_overhead_seconds
+        aggregation = cost_model.aggregation_seconds(int(result_rows))
+        overhead = cost_model.profile.per_query_overhead_seconds
         total = base_cost + join_cost + aggregation + overhead
         return QueryPlan(
             query=query,
@@ -95,14 +128,16 @@ class Planner:
     # ------------------------------------------------------------------ #
     # access-path selection
     # ------------------------------------------------------------------ #
+    @staticmethod
     def _best_access(
-        self, query: Query, table_name: str, indexes: list[IndexDefinition]
+        estimator: CardinalityEstimator,
+        cost_model: CostModel,
+        table_name: str,
+        facts: _TableFacts,
+        indexes: "list[IndexDefinition] | tuple[()]",
     ) -> TableAccessPlan:
-        data = self.database.table_data(table_name)
-        cost_model = self.database.cost_model
-        filtered_rows = self.estimator.table_cardinality(query, table_name)
-        predicate_columns = set(query.predicate_columns_for(table_name))
-        referenced = query.referenced_columns_for(table_name)
+        data, predicates, predicate_columns, referenced = facts
+        filtered_rows = estimator.filtered_cardinality(table_name, predicates)
 
         best = TableAccessPlan(
             table=table_name,
@@ -114,38 +149,35 @@ class Planner:
             covering = index.covers_columns(referenced)
             prefix_length = index.seekable_prefix_length(predicate_columns)
             if prefix_length > 0:
-                prefix_columns = set(index.key_prefix(prefix_length))
+                prefix_columns = index.key_prefix(prefix_length)
                 prefix_predicates = tuple(
-                    predicate
-                    for predicate in query.predicates_for(table_name)
-                    if predicate.column in prefix_columns
+                    predicate for predicate in predicates if predicate.column in prefix_columns
                 )
-                matching = self.estimator.conjunctive_selectivity(prefix_predicates) * data.full_row_count
-                estimated_seconds = cost_model.index_seek_seconds(
+                matching = estimator.conjunctive_selectivity(prefix_predicates) * data.full_row_count
+                seconds = cost_model.index_seek_seconds(
                     index, data, int(max(1.0, matching)), covering=covering
                 )
-                candidate = TableAccessPlan(
-                    table=table_name,
-                    method=AccessMethod.INDEX_SEEK,
-                    index=index,
-                    seek_prefix_length=prefix_length,
-                    covering=covering,
-                    estimated_rows=filtered_rows,
-                    estimated_seconds=estimated_seconds,
-                )
+                if seconds < best.estimated_seconds:
+                    best = TableAccessPlan(
+                        table=table_name,
+                        method=AccessMethod.INDEX_SEEK,
+                        index=index,
+                        seek_prefix_length=prefix_length,
+                        covering=covering,
+                        estimated_rows=filtered_rows,
+                        estimated_seconds=seconds,
+                    )
             elif covering:
-                candidate = TableAccessPlan(
-                    table=table_name,
-                    method=AccessMethod.INDEX_ONLY_SCAN,
-                    index=index,
-                    covering=True,
-                    estimated_rows=filtered_rows,
-                    estimated_seconds=cost_model.index_only_scan_seconds(index, data),
-                )
-            else:
-                continue
-            if candidate.estimated_seconds < best.estimated_seconds:
-                best = candidate
+                seconds = cost_model.index_only_scan_seconds(index, data)
+                if seconds < best.estimated_seconds:
+                    best = TableAccessPlan(
+                        table=table_name,
+                        method=AccessMethod.INDEX_ONLY_SCAN,
+                        index=index,
+                        covering=True,
+                        estimated_rows=filtered_rows,
+                        estimated_seconds=seconds,
+                    )
         return best
 
     # ------------------------------------------------------------------ #
@@ -154,24 +186,26 @@ class Planner:
     def _plan_joins(
         self,
         query: Query,
+        estimator: CardinalityEstimator,
+        cost_model: CostModel,
+        facts: dict[str, _TableFacts],
         accesses: dict[str, TableAccessPlan],
-        estimated_rows: dict[str, float],
         indexes_by_table: dict[str, list[IndexDefinition]],
     ) -> tuple[str, list[JoinStep], float, float]:
         """Greedy left-deep join order: start from the smallest estimated input."""
         tables = list(query.tables)
         if len(tables) == 1:
             only = tables[0]
-            return only, [], 0.0, estimated_rows[only]
+            return only, [], 0.0, accesses[only].estimated_rows
 
-        ordered = sorted(tables, key=lambda name: estimated_rows[name])
+        ordered = sorted(tables, key=lambda name: accesses[name].estimated_rows)
         driving_table = ordered[0]
         joined: set[str] = {driving_table}
         remaining = [name for name in ordered if name != driving_table]
-        current_rows = estimated_rows[driving_table]
+        current_rows = accesses[driving_table].estimated_rows
         # The probe/outer stream of every join step prices at the driving
         # table's tier (matching the executor's cross-tier accounting).
-        driving_data = self.database.table_data(driving_table)
+        driving_data = facts[driving_table].data
         join_steps: list[JoinStep] = []
         total_join_cost = 0.0
 
@@ -181,12 +215,13 @@ class Planner:
             remaining.remove(next_table)
             step, step_cost, current_rows = self._best_join_step(
                 query,
+                estimator,
+                cost_model,
                 joined,
-                next_table,
                 current_rows,
-                estimated_rows[next_table],
                 accesses[next_table],
-                indexes_by_table.get(next_table, []),
+                facts[next_table],
+                indexes_by_table.get(next_table, ()),
                 driving_data,
             )
             join_steps.append(step)
@@ -194,9 +229,8 @@ class Planner:
             joined.add(next_table)
         return driving_table, join_steps, total_join_cost, current_rows
 
-    def _pick_next_table(
-        self, query: Query, joined: set[str], remaining: list[str]
-    ) -> str:
+    @staticmethod
+    def _pick_next_table(query: Query, joined: set[str], remaining: list[str]) -> str:
         for table_name in remaining:
             for join in query.joins:
                 if join.involves(table_name) and (
@@ -205,8 +239,9 @@ class Planner:
                     return table_name
         return remaining[0]
 
+    @staticmethod
     def _join_connection(
-        self, query: Query, joined: set[str], inner_table: str
+        query: Query, joined: set[str], inner_table: str
     ) -> tuple[str, str, str] | None:
         """Return ``(outer_table, outer_column, inner_column)`` linking the sets, if any."""
         for join in query.joins:
@@ -219,23 +254,25 @@ class Planner:
     def _best_join_step(
         self,
         query: Query,
+        estimator: CardinalityEstimator,
+        cost_model: CostModel,
         joined: set[str],
-        inner_table: str,
         outer_rows: float,
-        inner_rows: float,
         inner_access: TableAccessPlan,
-        inner_indexes: list[IndexDefinition],
-        outer_data: "TableData | None" = None,
+        inner_facts: _TableFacts,
+        inner_indexes: "list[IndexDefinition] | tuple[()]",
+        outer_data: TableData,
     ) -> tuple[JoinStep, float, float]:
-        cost_model = self.database.cost_model
-        inner_data = self.database.table_data(inner_table)
+        inner_table = inner_access.table
+        inner_rows = inner_access.estimated_rows
+        inner_data = inner_facts.data
         connection = self._join_connection(query, joined, inner_table)
 
         if connection is None:
             result_rows = max(1.0, outer_rows * inner_rows / max(1.0, inner_data.full_row_count))
         else:
             outer_table, outer_column, inner_column = connection
-            result_rows = self.estimator.join_cardinality(
+            result_rows = estimator.join_cardinality(
                 outer_rows, outer_table, outer_column, inner_rows, inner_table, inner_column
             )
 
@@ -257,12 +294,11 @@ class Planner:
         # Option 2: index nested loop, if an index leads with the join column.
         if connection is not None:
             _, _, inner_column = connection
-            referenced = query.referenced_columns_for(inner_table)
-            rows_per_probe = self.estimator.rows_per_join_key(inner_table, inner_column)
+            rows_per_probe = estimator.rows_per_join_key(inner_table, inner_column)
             for index in inner_indexes:
                 if index.leading_column() != inner_column:
                     continue
-                covering = index.covers_columns(referenced)
+                covering = index.covers_columns(inner_facts.referenced_columns)
                 inl_cost = cost_model.index_nested_loop_seconds(
                     outer_rows=int(outer_rows),
                     inner_index=index,

@@ -51,7 +51,7 @@ class TestScanAndSeek:
     def test_zero_matching_rows_pays_traversal_only(self, cost_model, sales_data):
         """A seek that matches nothing must not be charged a leaf-page read."""
         index = IndexDefinition("sales", ("day",), ("amount",))
-        traversal = index.depth(sales_data) * cost_model.profile.random_page_read_seconds
+        traversal = index.geometry(sales_data).depth * cost_model.profile.random_page_read_seconds
         for covering in (True, False):
             cost = cost_model.index_seek_seconds(index, sales_data, 0, covering=covering)
             assert cost == pytest.approx(traversal)

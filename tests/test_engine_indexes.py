@@ -56,22 +56,22 @@ class TestSizing:
         data = tiny_database_readonly.table_data("sales")
         narrow = IndexDefinition("sales", ("day",))
         wide = IndexDefinition("sales", ("day",), ("amount", "channel", "product_id"))
-        assert wide.size_bytes(data) > narrow.size_bytes(data)
+        assert wide.geometry(data).size_bytes > narrow.geometry(data).size_bytes
 
     def test_size_smaller_than_heap_for_narrow_index(self, tiny_database_readonly):
         data = tiny_database_readonly.table_data("sales")
         narrow = IndexDefinition("sales", ("day",))
-        assert narrow.size_bytes(data) < data.total_bytes
+        assert narrow.geometry(data).size_bytes < data.total_bytes
 
     def test_depth_is_bounded(self, tiny_database_readonly):
         data = tiny_database_readonly.table_data("sales")
         index = IndexDefinition("sales", ("day", "channel"))
-        assert 1 <= index.depth(data) <= 6
+        assert 1 <= index.geometry(data).depth <= 6
 
     def test_leaf_pages_positive(self, tiny_database_readonly):
         data = tiny_database_readonly.table_data("customers")
         index = IndexDefinition("customers", ("region",))
-        assert index.leaf_pages(data) >= 1
+        assert index.geometry(data).leaf_pages >= 1
 
 
 class TestHelpers:

@@ -149,8 +149,8 @@ class TestCrossTierOperators:
         )
         # only the probe-CPU term moved between the two models (the inner
         # side is pinned on hdd in both), and it moved by the cpu_hash ratio
-        probe_fast = outer_rows * FAST_CPU.cpu_hash_seconds * index.depth(sales)
-        probe_slow = outer_rows * SLOW_CPU.cpu_hash_seconds * index.depth(sales)
+        probe_fast = outer_rows * FAST_CPU.cpu_hash_seconds * index.geometry(sales).depth
+        probe_slow = outer_rows * SLOW_CPU.cpu_hash_seconds * index.geometry(sales).depth
         assert cost_slow_outer - cost_fast_outer == pytest.approx(
             probe_slow - probe_fast
         )

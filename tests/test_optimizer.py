@@ -66,7 +66,7 @@ class TestCardinalityEstimator:
 
     def test_table_cardinality(self, estimator):
         query = make_sales_query(channel=None, day_high=364)
-        assert estimator.table_cardinality(query, "sales") > 100_000
+        assert estimator.filtered_cardinality("sales", query.predicates_for("sales")) > 100_000
 
 
 class TestPlanner:
