@@ -66,7 +66,8 @@ class SimulationOptions:
     """Execution-layer options for one session or simulation run.
 
     Attributes:
-        noise_sigma: Relative noise applied to simulated execution times.
+        noise_sigma: Relative noise applied to simulated execution times;
+            finite and non-negative (0 disables the noise).
         executor_seed: Seed of the executor's noise stream (sessions built
             with the same options replay identically).
         benchmark_name: Label recorded in the resulting :class:`RunReport`.

@@ -6,7 +6,7 @@ from .context import DERIVED_FEATURE_NAMES, ContextBuilder
 from .linear_bandit import C2UCB
 from .oracle import GreedyOracle, OracleResult, ScoredArm
 from .query_store import QueryStore, RoundSummary, TemplateRecord
-from .rewards import RoundRewards, compute_round_rewards, super_arm_reward
+from .rewards import RoundRewards, compute_round_rewards
 from .tuner import MabTuner
 
 __all__ = [
@@ -25,5 +25,4 @@ __all__ = [
     "ScoredArm",
     "TemplateRecord",
     "compute_round_rewards",
-    "super_arm_reward",
 ]

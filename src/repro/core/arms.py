@@ -122,28 +122,6 @@ class ArmGenerator:
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
-    def arms_for_query(self, query: Query) -> list[Arm]:
-        """All arms motivated by a single query.
-
-        Args:
-            query: One parsed query; its per-table filter/join predicate
-                columns seed the key permutations and its payload columns the
-                covering (INCLUDE) variants.
-
-        Returns:
-            Fresh :class:`Arm` objects (at most
-            :attr:`MabConfig.max_arms_per_query_table` per referenced table),
-            each tagged with the query's template id.
-        """
-        arms: list[Arm] = []
-        for table in query.tables:
-            for index, covers in self._shapes(query, table):
-                arm = Arm(index=index, source_templates={query.template_id})
-                if covers:
-                    arm.covering_for_queries.add(query.query_id)
-                arms.append(arm)
-        return arms
-
     def generate(self, queries: list[Query]) -> dict[str, Arm]:
         """Arms for a set of queries of interest, merged by index identity.
 

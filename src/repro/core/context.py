@@ -53,10 +53,6 @@ class ContextBuilder:
     # dimensions
     # ------------------------------------------------------------------ #
     @property
-    def column_feature_count(self) -> int:
-        return self._n_columns
-
-    @property
     def derived_feature_count(self) -> int:
         return len(DERIVED_FEATURE_NAMES)
 

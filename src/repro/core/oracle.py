@@ -47,10 +47,6 @@ class OracleResult:
     total_size_bytes: int
     total_score: float
 
-    @property
-    def selected_index_ids(self) -> set[str]:
-        return {scored.index_id for scored in self.selected}
-
 
 def _prefix_key(scored: ScoredArm) -> tuple[str, str]:
     index = scored.arm.index

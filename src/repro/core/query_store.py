@@ -1,8 +1,8 @@
 """Query store: workload summarisation by template (Algorithm 2, lines 1-11).
 
-The store tracks, per query template, how often and how recently it was seen,
-and keeps the most recent instance so that arms and contexts can be generated
-for the *queries of interest* (QoI) — the templates observed in a recent
+The store tracks, per query template, the last round it was seen in and its
+most recent instance, so that arms and contexts can be generated for the
+*queries of interest* (QoI) — the templates observed in a recent
 window of rounds.  It also measures the round's shift intensity (fraction of
 previously unseen templates), which the tuner uses to decide how much learned
 knowledge to forget.
@@ -10,24 +10,17 @@ knowledge to forget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.engine.query import Query
 
 
 @dataclass
 class TemplateRecord:
-    """Aggregated information about one query template."""
+    """The latest instance of one query template and the round it was seen in."""
 
-    template_id: str
-    frequency: int = 0
-    first_seen_round: int = 0
-    last_seen_round: int = 0
-    #: The most recent instances of the template (bounded history).
-    recent_instances: list[Query] = field(default_factory=list)
-
-    def latest_instance(self) -> Query | None:
-        return self.recent_instances[-1] if self.recent_instances else None
+    last_seen_round: int
+    latest_query: Query
 
 
 @dataclass
@@ -35,7 +28,6 @@ class RoundSummary:
     """What the store learned from one round of queries."""
 
     round_number: int
-    total_queries: int
     new_templates: int
     known_templates: int
 
@@ -49,10 +41,7 @@ class RoundSummary:
 class QueryStore:
     """Keeps per-template statistics across rounds."""
 
-    def __init__(self, max_instances_per_template: int = 3) -> None:
-        if max_instances_per_template < 1:
-            raise ValueError("max_instances_per_template must be at least 1")
-        self.max_instances_per_template = max_instances_per_template
+    def __init__(self) -> None:
         self._templates: dict[str, TemplateRecord] = {}
 
     # ------------------------------------------------------------------ #
@@ -64,26 +53,19 @@ class QueryStore:
         known_templates = 0
         seen_this_round: set[str] = set()
         for query in queries:
-            record = self._templates.get(query.template_id)
+            template_id = query.template_id
+            record = self._templates.get(template_id)
             if record is None:
-                record = TemplateRecord(
-                    template_id=query.template_id, first_seen_round=round_number
-                )
-                self._templates[query.template_id] = record
-                if query.template_id not in seen_this_round:
-                    new_templates += 1
+                self._templates[template_id] = TemplateRecord(round_number, query)
+                new_templates += 1
             else:
-                if query.template_id not in seen_this_round:
+                if template_id not in seen_this_round:
                     known_templates += 1
-            seen_this_round.add(query.template_id)
-            record.frequency += 1
-            record.last_seen_round = round_number
-            record.recent_instances.append(query)
-            if len(record.recent_instances) > self.max_instances_per_template:
-                record.recent_instances.pop(0)
+                record.last_seen_round = round_number
+                record.latest_query = query
+            seen_this_round.add(template_id)
         return RoundSummary(
             round_number=round_number,
-            total_queries=len(queries),
             new_templates=new_templates,
             known_templates=known_templates,
         )
@@ -93,12 +75,6 @@ class QueryStore:
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return len(self._templates)
-
-    def template(self, template_id: str) -> TemplateRecord | None:
-        return self._templates.get(template_id)
-
-    def known_template_ids(self) -> set[str]:
-        return set(self._templates)
 
     def queries_of_interest(self, current_round: int, window_rounds: int = 2) -> list[Query]:
         """Latest instance of every template seen within the recency window.
@@ -111,26 +87,13 @@ class QueryStore:
         which helps under partially repeating (dynamic random) workloads.
         """
         horizon = current_round - window_rounds
-        queries: list[Query] = []
-        for record in self._templates.values():
-            if record.last_seen_round < horizon:
-                continue
-            instance = record.latest_instance()
-            if instance is not None:
-                queries.append(instance)
+        queries = [
+            record.latest_query
+            for record in self._templates.values()
+            if record.last_seen_round >= horizon
+        ]
         queries.sort(key=lambda query: query.template_id)
         return queries
-
-    def evict_stale(self, current_round: int, max_idle_rounds: int) -> int:
-        """Drop templates not seen for ``max_idle_rounds`` rounds; returns the count."""
-        stale = [
-            template_id
-            for template_id, record in self._templates.items()
-            if current_round - record.last_seen_round > max_idle_rounds
-        ]
-        for template_id in stale:
-            del self._templates[template_id]
-        return len(stale)
 
     def clear(self) -> None:
         self._templates.clear()

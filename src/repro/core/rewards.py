@@ -62,8 +62,3 @@ def compute_round_rewards(
     for index_id, seconds in change.creation_seconds_by_index.items():
         rewards.creation_costs[index_id] = creation_cost_weight * seconds
     return rewards
-
-
-def super_arm_reward(rewards: RoundRewards, configuration_index_ids: set[str]) -> float:
-    """The round's super-arm reward: the sum of per-arm rewards of played arms."""
-    return sum(rewards.reward_for(index_id) for index_id in configuration_index_ids)

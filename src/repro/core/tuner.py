@@ -143,10 +143,10 @@ class MabTuner(Tuner):
         )
         if not queries_of_interest:
             # No queries of interest — either a cold start (nothing
-            # materialised yet) or a store that went empty mid-run (e.g. after
-            # eviction).  Retain the current configuration rather than
-            # returning [], which would make ``apply_configuration`` drop
-            # every materialised index for no reason.
+            # materialised yet) or recent rounds that carried no queries.
+            # Retain the current configuration rather than returning [],
+            # which would make ``apply_configuration`` drop every
+            # materialised index for no reason.
             return PoolRound(queries=[], arms=None, alpha=0.0)
         arms = self._refresh_arms(queries_of_interest, round_number)
         return PoolRound(
@@ -329,8 +329,3 @@ class MabTuner(Tuner):
     @property
     def known_arm_count(self) -> int:
         return len(self.known_arms)
-
-    def theta_norm(self) -> float:
-        """L2 norm of the learned weight vector (a convergence diagnostic)."""
-        theta = self.bandit.theta()
-        return float((theta @ theta) ** 0.5)

@@ -46,9 +46,9 @@ from .errors import (
     UnknownTableError,
 )
 from .execution import ExecutionResult, Executor, TableAccessResult
-from .indexes import IndexDefinition, deduplicate, remove_prefix_redundant
+from .indexes import IndexDefinition, deduplicate
 from .plans import AccessMethod, JoinMethod, JoinStep, QueryPlan, TableAccessPlan
-from .query import JoinPredicate, Operator, Predicate, Query, merge_queries
+from .query import JoinPredicate, Operator, Predicate, Query
 from .schema import Column, ColumnType, ForeignKey, Schema, Table
 from .statistics import (
     ColumnStatistics,
@@ -116,11 +116,9 @@ __all__ = [
     "deduplicate",
     "evaluate_predicate",
     "get_backend",
-    "merge_queries",
     "pages_touched_by_random_fetches",
     "register_backend",
     "registered_backend_names",
-    "remove_prefix_redundant",
     "resolve_backend",
     "resolve_placement",
     "scale_rows",

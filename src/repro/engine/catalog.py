@@ -1,9 +1,10 @@
 """The database catalog: tables, materialised indexes and the memory budget.
 
 :class:`Database` is the single mutable object of the engine layer.  It owns
-the materialised table samples, the optimiser statistics and the set of
-currently materialised secondary indexes, and it enforces the index memory
-budget the paper grants to both tuners (1x the data size by default).
+the materialised table samples, the optimiser statistics (per-column row
+count, distinct count and min/max; see :mod:`repro.engine.statistics`) and the
+set of currently materialised secondary indexes, and it enforces the index
+memory budget the paper grants to both tuners (1x the data size by default).
 """
 
 from __future__ import annotations
@@ -63,9 +64,6 @@ class Database:
         Mapping of table name to :class:`TableData`.
     memory_budget_bytes:
         Space allowance for secondary indexes.  ``None`` means unconstrained.
-    histogram_buckets:
-        Number of equi-width histogram buckets for optimiser statistics
-        (0 reproduces plain uniformity assumptions).
     backend:
         Storage-backend profile (a registered name such as ``"hdd"``,
         ``"ssd"``, ``"inmemory"``, ``"cloud"`` or a :class:`BackendProfile`
@@ -83,7 +81,6 @@ class Database:
         schema: Schema,
         tables: Mapping[str, TableData],
         memory_budget_bytes: int | None = None,
-        histogram_buckets: int = 0,
         backend: BackendLike = None,
         table_backends: PlacementLike = None,
     ) -> None:
@@ -99,7 +96,6 @@ class Database:
         )
         self._indexes: dict[str, IndexDefinition] = {}
         self._index_sizes: dict[str, int] = {}
-        self._histogram_buckets = histogram_buckets
         #: Size estimates for hypothetical (not materialised) indexes.  Sizes
         #: derive from table statistics, so the cache lives until the next
         #: :meth:`refresh_statistics`; the tuner asks for the same candidate
@@ -108,7 +104,7 @@ class Database:
         self._data_size_bytes: int | None = None
         self._statistics = StatisticsCatalog()
         for data in self._tables.values():
-            self._statistics.add(build_table_statistics(data, histogram_buckets=histogram_buckets))
+            self._statistics.add(build_table_statistics(data))
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -121,7 +117,6 @@ class Database:
         sample_rows: int = 20_000,
         seed: int = 7,
         memory_budget_bytes: int | None = None,
-        histogram_buckets: int = 0,
         backend: BackendLike = None,
         table_backends: PlacementLike = None,
     ) -> "Database":
@@ -148,7 +143,6 @@ class Database:
             schema=schema,
             tables=tables,
             memory_budget_bytes=memory_budget_bytes,
-            histogram_buckets=histogram_buckets,
             backend=backend,
             table_backends=table_backends,
         )
@@ -176,7 +170,6 @@ class Database:
         )
         view._indexes = {}
         view._index_sizes = {}
-        view._histogram_buckets = self._histogram_buckets
         view._hypothetical_sizes = self._hypothetical_sizes
         view._data_size_bytes = self._data_size_bytes
         view._statistics = self._statistics
@@ -255,19 +248,15 @@ class Database:
             self._data_size_bytes = sum(data.total_bytes for data in self._tables.values())
         return self._data_size_bytes
 
-    def refresh_statistics(self, histogram_buckets: int | None = None) -> None:
+    def refresh_statistics(self) -> None:
         """Rebuild optimiser statistics from the current table data.
 
         Invalidates every derived cache (hypothetical index sizes, the total
         data size) so callers holding cached estimates observe the new world.
         """
-        if histogram_buckets is not None:
-            self._histogram_buckets = histogram_buckets
         self._statistics = StatisticsCatalog()
         for data in self._tables.values():
-            self._statistics.add(
-                build_table_statistics(data, histogram_buckets=self._histogram_buckets)
-            )
+            self._statistics.add(build_table_statistics(data))
         # Reassign (rather than .clear()) so a refreshed tenant_view detaches
         # from the cache it shared with its siblings instead of emptying it
         # under them.
@@ -326,9 +315,6 @@ class Database:
     def has_index(self, index: IndexDefinition) -> bool:
         return index.index_id in self._indexes
 
-    def indexes_for_table(self, table_name: str) -> list[IndexDefinition]:
-        return [ix for ix in self._indexes.values() if ix.table == table_name]
-
     def index_size_bytes(self, index: IndexDefinition) -> int:
         """Size of an index (materialised or hypothetical, cached)."""
         if index.index_id in self._index_sizes:
@@ -384,12 +370,6 @@ class Database:
         del self._indexes[index.index_id]
         del self._index_sizes[index.index_id]
         return self.cost_model.index_drop_seconds(index, self.table_data(index.table))
-
-    def drop_all_indexes(self) -> float:
-        total = 0.0
-        for index in list(self._indexes.values()):
-            total += self.drop_index(index)
-        return total
 
     def apply_configuration(self, target: Iterable[IndexDefinition]) -> ConfigurationChange:
         """Transition the materialised set to ``target``.

@@ -15,6 +15,7 @@ quantities the paper's reward definition (Section IV, "Reward shaping") needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +59,6 @@ class ExecutionResult:
     total_seconds: float
     access_results: list[TableAccessResult] = field(default_factory=list)
     join_seconds: float = 0.0
-    plan_description: str = ""
     estimated_seconds: float = 0.0
 
     @property
@@ -73,19 +73,18 @@ class ExecutionResult:
                 return result
         return None
 
-    def gain_for_index(self, index_id: str) -> float:
-        """Total observed gain for one index across all accesses of this query."""
-        return sum(
-            result.index_gain_seconds
-            for result in self.access_results
-            if result.index_id == index_id
-        )
-
 
 class Executor:
     """Times query plans against a :class:`Database` using true cardinalities."""
 
     def __init__(self, database: Database, noise_sigma: float = 0.03, seed: int = 11) -> None:
+        """Bind the executor to ``database``.
+
+        Raises:
+            ValueError: If ``noise_sigma`` is negative or not finite.
+        """
+        if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+            raise ValueError("noise_sigma must be finite and non-negative")
         self.database = database
         self.noise_sigma = noise_sigma
         self._rng = np.random.default_rng(seed)
@@ -207,7 +206,6 @@ class Executor:
             total_seconds=total,
             access_results=access_results,
             join_seconds=join_seconds,
-            plan_description=plan.describe(),
             estimated_seconds=plan.estimated_seconds,
         )
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import AbstractSet, Iterable
 
 from .errors import SchemaError
-from .query import Query
 from .storage import IndexGeometry, TableData
 
 
@@ -98,10 +97,6 @@ class IndexDefinition:
         """True if every referenced column is stored in this index."""
         return self.stored_columns.issuperset(columns)
 
-    def covers_query(self, query: Query) -> bool:
-        """True if the index alone can answer the query's needs for its table."""
-        return self.covers_columns(query.referenced_columns_for(self.table))
-
     def seekable_prefix_length(self, predicate_columns: AbstractSet[str]) -> int:
         """Number of leading key columns that are restricted by the given predicates."""
         length = 0
@@ -129,26 +124,4 @@ def deduplicate(indexes: list[IndexDefinition]) -> list[IndexDefinition]:
             continue
         seen.add(index)
         result.append(index)
-    return result
-
-
-def remove_prefix_redundant(indexes: list[IndexDefinition]) -> list[IndexDefinition]:
-    """Drop indexes whose key is a strict prefix of another index on the same table
-    and whose stored columns are a subset of that wider index."""
-    result: list[IndexDefinition] = []
-    for index in indexes:
-        redundant = False
-        for other in indexes:
-            if other is index or other == index:
-                continue
-            same_key_wider = (
-                index.is_prefix_of(other)
-                and len(other.key_columns) >= len(index.key_columns)
-                and set(index.all_columns) <= set(other.all_columns)
-            )
-            if same_key_wider and not (other.is_prefix_of(index) and len(other.key_columns) == len(index.key_columns)):
-                redundant = True
-                break
-        if not redundant:
-            result.append(index)
     return result

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
 
 
 class Operator(Enum):
@@ -32,10 +31,6 @@ class Operator(Enum):
     # hashing is exact; it runs in C, where ``Enum.__hash__`` hashes the
     # member's name in Python on every ``Predicate`` hash.
     __hash__ = object.__hash__
-
-    @property
-    def is_range(self) -> bool:
-        return self in (Operator.LT, Operator.LE, Operator.GT, Operator.GE, Operator.BETWEEN)
 
 
 @dataclass(frozen=True)
@@ -91,13 +86,6 @@ class JoinPredicate:
 
     def involves(self, table: str) -> bool:
         return table in (self.left_table, self.right_table)
-
-    def column_for(self, table: str) -> str | None:
-        if table == self.left_table:
-            return self.left_column
-        if table == self.right_table:
-            return self.right_column
-        return None
 
 
 @dataclass
@@ -206,15 +194,3 @@ class Query:
         if where_parts:
             sql += " WHERE " + " AND ".join(where_parts)
         return sql
-
-
-def merge_queries(queries: Iterable[Query]) -> list[Query]:
-    """Return the queries as a list, de-duplicating identical query ids."""
-    seen: set[str] = set()
-    result: list[Query] = []
-    for query in queries:
-        if query.query_id in seen:
-            continue
-        seen.add(query.query_id)
-        result.append(query)
-    return result

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import SchemaError, UnknownColumnError, UnknownTableError
 
@@ -174,26 +174,8 @@ class Schema:
         except KeyError:
             raise UnknownTableError(name) from None
 
-    def has_table(self, name: str) -> bool:
-        return name in self._tables_by_name
-
-    def add_table(self, table: Table) -> None:
-        if table.name in self._tables_by_name:
-            raise SchemaError(f"schema {self.name!r}: duplicate table {table.name!r}")
-        self.tables.append(table)
-        self._tables_by_name[table.name] = table
-
-    def foreign_keys_of(self, table_name: str) -> list[ForeignKey]:
-        """Foreign keys whose child side is ``table_name``."""
-        return [fk for fk in self.foreign_keys if fk.child_table == table_name]
-
     def columns_of(self, table_name: str) -> list[Column]:
         return list(self.table(table_name).columns)
-
-    def iter_columns(self) -> Iterator[tuple[Table, Column]]:
-        for table in self.tables:
-            for column in table.columns:
-                yield table, column
 
     def validate_columns(self, table_name: str, column_names: Iterable[str]) -> None:
         """Raise if any of ``column_names`` is not a column of ``table_name``."""

@@ -8,32 +8,17 @@ two views of the data:
 
 * the *true* view — selectivities measured directly on the materialised
   sample (:class:`repro.engine.storage.TableData`); and
-* the *optimiser* view — the per-column summaries in this module, which
-  deliberately discard skew and correlation information.
-
-:class:`ColumnStatistics` optionally carries a small equi-width histogram;
-even with the histogram enabled the optimiser still multiplies per-column
-selectivities (AVI), so correlated predicates remain misestimated, matching
-the paper's observation that "even with more complex statistics ... the issue
-remains".
+* the *optimiser* view — the per-column summaries in this module: row count,
+  distinct count and min/max, with no histograms.  They deliberately discard
+  skew and correlation information, so the optimiser assumes uniformity within
+  a column and independence across columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .storage import TableData
-
-
-@dataclass(frozen=True)
-class HistogramBucket:
-    """A single equi-width histogram bucket ``[low, high)`` with a row fraction."""
-
-    low: float
-    high: float
-    fraction: float
 
 
 @dataclass
@@ -46,11 +31,6 @@ class ColumnStatistics:
     distinct_count: int
     min_value: float
     max_value: float
-    histogram: tuple[HistogramBucket, ...] = ()
-
-    @property
-    def is_unique(self) -> bool:
-        return self.distinct_count >= self.row_count
 
     @property
     def value_span(self) -> float:
@@ -65,23 +45,12 @@ class ColumnStatistics:
     def range_fraction(self, low: float | None, high: float | None) -> float:
         """Estimated fraction of rows with value in ``[low, high]``.
 
-        Uses the histogram when available, otherwise interpolates linearly
-        over ``[min, max]`` (the uniformity assumption).
+        Interpolates linearly over ``[min, max]`` (the uniformity assumption).
         """
         low_bound = self.min_value if low is None else low
         high_bound = self.max_value if high is None else high
         if high_bound < low_bound:
             return 0.0
-        if self.histogram:
-            fraction = 0.0
-            for bucket in self.histogram:
-                overlap_low = max(bucket.low, low_bound)
-                overlap_high = min(bucket.high, high_bound)
-                if overlap_high <= overlap_low:
-                    continue
-                bucket_span = max(bucket.high - bucket.low, 1e-12)
-                fraction += bucket.fraction * (overlap_high - overlap_low) / bucket_span
-            return min(1.0, max(0.0, fraction))
         span = self.value_span
         if span <= 0:
             return 1.0
@@ -130,45 +99,28 @@ class StatisticsCatalog:
         return sorted(self._tables)
 
 
-def build_column_statistics(
-    data: TableData, column_name: str, histogram_buckets: int = 0
-) -> ColumnStatistics:
+def build_column_statistics(data: TableData, column_name: str) -> ColumnStatistics:
     """Build optimiser statistics for one column from the materialised sample.
 
     The distinct count and min/max come from the sample (scaled for unique
     columns), mirroring how real systems build statistics from row samples.
-    When ``histogram_buckets`` > 0 an equi-width histogram is attached.
     """
-    values = data.column_array(column_name)
-    distinct = data.distinct_count(column_name)
     min_value, max_value = data.value_range(column_name)
-    histogram: tuple[HistogramBucket, ...] = ()
-    if histogram_buckets > 0 and max_value > min_value:
-        edges = np.linspace(min_value, max_value, histogram_buckets + 1)
-        counts, _ = np.histogram(values, bins=edges)
-        total = max(1, counts.sum())
-        histogram = tuple(
-            HistogramBucket(low=float(edges[i]), high=float(edges[i + 1]), fraction=float(counts[i]) / total)
-            for i in range(histogram_buckets)
-        )
     return ColumnStatistics(
         table_name=data.name,
         column_name=column_name,
         row_count=data.full_row_count,
-        distinct_count=distinct,
+        distinct_count=data.distinct_count(column_name),
         min_value=min_value,
         max_value=max_value,
-        histogram=histogram,
     )
 
 
-def build_table_statistics(data: TableData, histogram_buckets: int = 0) -> TableStatistics:
+def build_table_statistics(data: TableData) -> TableStatistics:
     """Build optimiser statistics for every column of a table."""
     statistics = TableStatistics(table_name=data.name, row_count=data.full_row_count)
     for column in data.table.columns:
         if not data.has_column_data(column.name):
             continue
-        statistics.columns[column.name] = build_column_statistics(
-            data, column.name, histogram_buckets=histogram_buckets
-        )
+        statistics.columns[column.name] = build_column_statistics(data, column.name)
     return statistics

@@ -41,7 +41,6 @@ _EXPORTS = {
     "speedup_percentage": ".metrics",
     "convergence_series": ".reporting",
     "exploration_cost_summary": ".reporting",
-    "final_round_execution_comparison": ".reporting",
     "format_table": ".reporting",
     "speedup_summary": ".reporting",
     "table1_breakdown": ".reporting",

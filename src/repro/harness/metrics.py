@@ -40,16 +40,6 @@ class RoundReport:
         """The paper's per-round total (recommendation + creation + execution)."""
         return self.recommendation_seconds + self.creation_seconds + self.execution_seconds
 
-    @property
-    def wall_total_seconds(self) -> float:
-        """Measured wall-clock time of the whole round loop body."""
-        return (
-            self.wall_recommend_seconds
-            + self.wall_apply_seconds
-            + self.wall_execute_seconds
-            + self.wall_observe_seconds
-        )
-
 
 @dataclass
 class RunReport:
@@ -110,9 +100,6 @@ class RunReport:
 
     def per_round_execution(self) -> list[float]:
         return [round_report.execution_seconds for round_report in self.rounds]
-
-    def final_round_execution_seconds(self) -> float:
-        return self.rounds[-1].execution_seconds if self.rounds else 0.0
 
     def breakdown_minutes(self) -> dict[str, float]:
         """Table I style breakdown in minutes."""

@@ -131,13 +131,3 @@ def exploration_cost_summary(reports: dict[str, RunReport]) -> str:
             f"{report.total_seconds:.1f}",
         ])
     return format_table(headers, rows)
-
-
-def final_round_execution_comparison(reports: dict[str, RunReport]) -> str:
-    """Last-round execution time per tuner (the paper's converged-quality check)."""
-    headers = ["tuner", "final_round_execution_s"]
-    rows = [
-        [name, f"{report.final_round_execution_seconds():.2f}"]
-        for name, report in reports.items()
-    ]
-    return format_table(headers, rows)

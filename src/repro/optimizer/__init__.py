@@ -2,7 +2,7 @@
 
 from .cardinality import DEFAULT_UNKNOWN_SELECTIVITY, MIN_SELECTIVITY, CardinalityEstimator
 from .planner import Planner
-from .whatif import WhatIfOptimizer, WhatIfResult
+from .whatif import WhatIfOptimizer
 
 __all__ = [
     "CardinalityEstimator",
@@ -10,5 +10,4 @@ __all__ = [
     "MIN_SELECTIVITY",
     "Planner",
     "WhatIfOptimizer",
-    "WhatIfResult",
 ]

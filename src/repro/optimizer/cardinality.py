@@ -1,9 +1,10 @@
 """Cardinality estimation under the optimiser's simplifying assumptions.
 
-This module implements the estimation behaviour the paper criticises:
+This module implements the estimation behaviour the paper criticises, from
+per-column row count, distinct count and min/max alone (no histograms):
 
 * **uniformity** — within a column, values are assumed evenly spread over
-  ``[min, max]`` (optionally refined by an equi-width histogram);
+  ``[min, max]``;
 * **attribute-value independence (AVI)** — the selectivities of predicates on
   different columns of the same table are multiplied together;
 * **join uniformity / containment** — equi-join selectivity is

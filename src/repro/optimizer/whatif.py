@@ -6,13 +6,10 @@ the optimiser to cost queries *as if* a set of hypothetical indexes existed
 data, so they inherit every cardinality misestimate of the optimiser — which
 is the Achilles' heel the paper exploits.
 
-:class:`WhatIfOptimizer` is consumed by the PDTool baseline and can also be
-used to warm-start the bandit (Section VII, "Cold-start problem").
+:class:`WhatIfOptimizer` is consumed by the PDTool baseline.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.engine.catalog import Database
 from repro.engine.indexes import IndexDefinition
@@ -22,18 +19,8 @@ from repro.engine.query import Query
 from .planner import Planner
 
 
-@dataclass
-class WhatIfResult:
-    """Estimated cost of one query under a hypothetical configuration."""
-
-    query_id: str
-    estimated_seconds: float
-    indexes_used: tuple[str, ...]
-    plan_description: str
-
-
 class WhatIfOptimizer:
-    """Estimates query and workload costs under hypothetical configurations."""
+    """Estimates query costs under hypothetical configurations."""
 
     def __init__(self, database: Database) -> None:
         self.database = database
@@ -41,55 +28,9 @@ class WhatIfOptimizer:
         #: Number of optimiser calls made; used to model recommendation time.
         self.calls = 0
 
-    # ------------------------------------------------------------------ #
-    # single-query estimates
-    # ------------------------------------------------------------------ #
     def plan_query(
         self, query: Query, configuration: list[IndexDefinition]
     ) -> QueryPlan:
         """Plan a query as if ``configuration`` were materialised."""
         self.calls += 1
         return self.planner.plan(query, configuration=configuration)
-
-    def estimate_query(
-        self, query: Query, configuration: list[IndexDefinition]
-    ) -> WhatIfResult:
-        plan = self.plan_query(query, configuration)
-        return WhatIfResult(
-            query_id=query.query_id,
-            estimated_seconds=plan.estimated_seconds,
-            indexes_used=tuple(index.index_id for index in plan.indexes_used),
-            plan_description=plan.describe(),
-        )
-
-    # ------------------------------------------------------------------ #
-    # workload-level estimates
-    # ------------------------------------------------------------------ #
-    def estimate_workload(
-        self, queries: list[Query], configuration: list[IndexDefinition]
-    ) -> float:
-        """Total estimated cost of a workload under a hypothetical configuration."""
-        return sum(
-            self.plan_query(query, configuration).estimated_seconds for query in queries
-        )
-
-    def configuration_benefit(
-        self,
-        queries: list[Query],
-        baseline: list[IndexDefinition],
-        candidate: list[IndexDefinition],
-    ) -> float:
-        """Estimated workload-seconds saved by ``candidate`` relative to ``baseline``."""
-        baseline_cost = self.estimate_workload(queries, baseline)
-        candidate_cost = self.estimate_workload(queries, candidate)
-        return baseline_cost - candidate_cost
-
-    def index_benefit(
-        self,
-        queries: list[Query],
-        index: IndexDefinition,
-        existing: list[IndexDefinition] | None = None,
-    ) -> float:
-        """Marginal estimated benefit of adding one index to an existing configuration."""
-        existing = list(existing or [])
-        return self.configuration_benefit(queries, existing, existing + [index])

@@ -8,6 +8,7 @@ the query-template families.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -52,10 +53,6 @@ class Benchmark:
     default_scale_factor: float = 10.0
     description: str = ""
 
-    @property
-    def template_count(self) -> int:
-        return len(self.templates)
-
     def template_ids(self) -> list[str]:
         return [template.template_id for template in self.templates]
 
@@ -69,7 +66,6 @@ class Benchmark:
         sample_rows: int = DEFAULT_SAMPLE_ROWS,
         seed: int = 7,
         memory_budget_multiplier: float | None = 1.0,
-        histogram_buckets: int = 0,
         backend: BackendLike = None,
         table_backends: PlacementLike = None,
     ) -> Database:
@@ -84,7 +80,17 @@ class Benchmark:
         :class:`~repro.engine.BackendProfile`); ``None`` keeps the paper's
         HDD constants.  ``table_backends`` places individual tables on their
         own tiers — a ``{table: backend}`` mapping of overrides.
+
+        Raises:
+            ValueError: If ``scale_factor`` is not finite and positive, or
+                ``memory_budget_multiplier`` is not finite and non-negative.
         """
+        if scale_factor is not None and not (math.isfinite(scale_factor) and scale_factor > 0):
+            raise ValueError("scale_factor must be finite and positive")
+        if memory_budget_multiplier is not None and not (
+            math.isfinite(memory_budget_multiplier) and memory_budget_multiplier >= 0
+        ):
+            raise ValueError("memory_budget_multiplier must be finite and non-negative")
         specs = self.table_specs(scale_factor)
         database = Database.from_specs(
             schema=self.schema,
@@ -92,7 +98,6 @@ class Benchmark:
             sample_rows=sample_rows,
             seed=seed,
             memory_budget_bytes=None,
-            histogram_buckets=histogram_buckets,
             backend=backend,
             table_backends=table_backends,
         )

@@ -127,10 +127,6 @@ class ShiftingWorkload(WorkloadSequence):
         for position, template_index in enumerate(order):
             self.groups[position % self.n_groups].append(self.templates[template_index])
 
-    @property
-    def total_rounds(self) -> int:
-        return self.n_groups * self.rounds_per_group
-
     def rounds(self) -> Iterator[WorkloadRound]:
         round_number = 0
         for group_number, group in enumerate(self.groups):

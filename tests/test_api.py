@@ -10,6 +10,7 @@ to a fresh tuner, for every registered tuner.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import pickle
 
 import pytest
@@ -184,6 +185,41 @@ class TestTuningSession:
         assert seen == [1, 2]
         assert len(session.results_by_round) == 2
         assert session.trace.report is session.report
+
+    @pytest.mark.parametrize("sigma", [float("nan"), -0.5])
+    def test_invalid_noise_sigma_rejected(self, sigma):
+        # NaN would make every round's execution total NaN; a negative sigma
+        # would silently run without noise.
+        database = tiny_spec().create()
+        with pytest.raises(ValueError, match="noise_sigma"):
+            TuningSession(
+                database, create_tuner("NoIndex", database), SimulationOptions(noise_sigma=sigma)
+            )
+
+
+# --------------------------------------------------------------------- #
+# database recipes
+# --------------------------------------------------------------------- #
+class TestDatabaseSpecValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("scale_factor", -1.0),
+        ("scale_factor", 0.0),
+        ("scale_factor", float("nan")),
+        ("scale_factor", float("inf")),
+        ("memory_budget_multiplier", -1.0),
+        ("memory_budget_multiplier", float("nan")),
+        ("memory_budget_multiplier", float("inf")),
+    ])
+    def test_invalid_size_rejected(self, field, value):
+        spec = dataclasses.replace(tiny_spec(), **{field: value})
+        with pytest.raises(ValueError, match=field):
+            spec.create()
+
+    def test_zero_and_absent_budget_accepted(self):
+        zero = dataclasses.replace(tiny_spec(), memory_budget_multiplier=0.0).create()
+        assert zero.memory_budget_bytes == 0
+        unbounded = dataclasses.replace(tiny_spec(), memory_budget_multiplier=None).create()
+        assert unbounded.memory_budget_bytes is None
 
 
 # --------------------------------------------------------------------- #
@@ -405,3 +441,25 @@ class TestResetBitIdentity:
             assert a.configuration_bytes == b.configuration_bytes
             assert a.indexes_created == b.indexes_created
             assert a.indexes_dropped == b.indexes_dropped
+
+
+# --------------------------------------------------------------------- #
+# package exports
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("module_name", [
+    "repro",
+    "repro.api",
+    "repro.engine",
+    "repro.core",
+    "repro.harness",
+    "repro.optimizer",
+    "repro.workloads",
+    "repro.baselines",
+    "repro.fleet",
+])
+def test_every_export_resolves(module_name):
+    """Each ``__all__`` entry resolves; a stale name in the harness's lazy
+    export table would otherwise fail only when someone first uses it."""
+    module = importlib.import_module(module_name)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []

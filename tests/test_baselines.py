@@ -194,7 +194,7 @@ class TestDDQN:
             tuner.observe(round_number, queries, results, change)
         materialised = set(tiny_database.materialised_index_ids)
         assert materialised, "rounds 1-3 should have materialised at least one index"
-        tuner.query_store.evict_stale(current_round=4, max_idle_rounds=0)
+        tuner.query_store.clear()
         recommendation = tuner.recommend(4)
         assert {index.index_id for index in recommendation.configuration} == materialised
         change = tiny_database.apply_configuration(recommendation.configuration)

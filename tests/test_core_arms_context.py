@@ -13,9 +13,9 @@ from tests.conftest import make_join_query, make_sales_query
 class TestArmGeneration:
     def test_arms_only_for_tables_with_predicates(self):
         generator = ArmGenerator(MabConfig())
-        arms = generator.arms_for_query(make_sales_query())
+        arms = generator.generate([make_sales_query()])
         assert arms
-        assert all(arm.table == "sales" for arm in arms)
+        assert all(arm.table == "sales" for arm in arms.values())
 
     def test_single_and_multi_column_permutations(self):
         generator = ArmGenerator(MabConfig())
@@ -52,7 +52,7 @@ class TestArmGeneration:
     def test_per_query_table_budget_respected(self):
         config = MabConfig(max_arms_per_query_table=5)
         generator = ArmGenerator(config)
-        arms = generator.arms_for_query(make_sales_query())
+        arms = generator.generate([make_sales_query()])
         assert len(arms) <= 5
 
     def test_merge_across_queries_unions_templates(self):
@@ -79,7 +79,7 @@ def reference_build(builder, arm, queries, database):
         slot = builder.column_position(arm.table, column)
         if slot is not None and column in workload_columns:
             context[slot] = 10.0 ** (-position)
-    derived_base = builder.column_feature_count
+    derived_base = builder.dimension - builder.derived_feature_count
     context[derived_base + 0] = 1.0 if arm.covering_for_queries else 0.0
     context[derived_base + 1] = (
         0.0
@@ -98,7 +98,7 @@ class TestContextBuilder:
     def test_dimension_is_columns_plus_derived(self, builder, tiny_schema):
         n_columns = sum(len(table.columns) for table in tiny_schema.tables)
         assert builder.dimension == n_columns + 3
-        assert builder.column_feature_count == n_columns
+        assert builder.derived_feature_count == 3
 
     def test_prefix_encoding_values(self, builder, tiny_database_readonly):
         query = make_sales_query()

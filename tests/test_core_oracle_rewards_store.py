@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Arm, GreedyOracle, QueryStore, ScoredArm, compute_round_rewards, super_arm_reward
+from repro.core import Arm, GreedyOracle, QueryStore, ScoredArm, compute_round_rewards
 from repro.engine import ConfigurationChange, ExecutionResult, IndexDefinition, TableAccessResult
 from tests.conftest import make_sales_query
 
@@ -55,7 +55,7 @@ class TestGreedyOracle:
         other_same_template = scored("sales", ("channel",), 4.0, 10, templates={"t1"})
         other_template = scored("customers", ("region",), 3.0, 10, templates={"t2"})
         result = GreedyOracle().select([covering, other_same_template, other_template], None)
-        ids = result.selected_index_ids
+        ids = {s.index_id for s in result.selected}
         assert covering.index_id in ids
         assert other_same_template.index_id not in ids
         assert other_template.index_id in ids
@@ -133,12 +133,6 @@ class TestRewards:
         rewards = compute_round_rewards([], change, creation_cost_weight=0.5)
         assert rewards.reward_for("ix_a") == pytest.approx(-5.0)
 
-    def test_super_arm_reward_sums_played_arms(self):
-        results = [execution_result_with_access("ix_a", 4.0)]
-        change = ConfigurationChange(creation_seconds_by_index={"ix_b": 5.0})
-        rewards = compute_round_rewards(results, change)
-        assert super_arm_reward(rewards, {"ix_a", "ix_b"}) == pytest.approx(-1.0)
-
 
 class TestQueryStore:
     def test_add_round_tracks_templates(self):
@@ -189,27 +183,18 @@ class TestQueryStore:
         assert store.queries_of_interest(3)[0].query_id == newest.query_id
 
     def test_instance_history_bounded(self):
-        store = QueryStore(max_instances_per_template=2)
-        for round_number in range(1, 6):
-            store.add_round([make_sales_query(f"a#{round_number}", "a")], round_number)
-        record = store.template("a")
-        assert len(record.recent_instances) == 2
-        assert record.frequency == 5
-
-    def test_evict_stale(self):
+        """A template keeps only its latest instance, within a round too."""
         store = QueryStore()
-        store.add_round([make_sales_query("a#1", "a")], 1)
-        store.add_round([make_sales_query("b#1", "b")], 10)
-        evicted = store.evict_stale(current_round=12, max_idle_rounds=5)
-        assert evicted == 1
-        assert store.known_template_ids() == {"b"}
+        for round_number in range(1, 6):
+            summary = store.add_round(
+                [make_sales_query(f"a#{round_number}.{i}", "a") for i in range(3)], round_number
+            )
+        assert summary.known_templates == 1 and summary.new_templates == 0
+        assert len(store) == 1
+        assert [query.query_id for query in store.queries_of_interest(6)] == ["a#5.2"]
 
     def test_clear(self):
         store = QueryStore()
         store.add_round([make_sales_query()], 1)
         store.clear()
         assert len(store) == 0
-
-    def test_invalid_history_size(self):
-        with pytest.raises(ValueError):
-            QueryStore(max_instances_per_template=0)

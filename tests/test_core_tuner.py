@@ -118,29 +118,22 @@ class TestMabTuner:
         run_round(tuner, tiny_database, [make_sales_query()], 1)
         run_round(tuner, tiny_database, [make_sales_query()], 2)
         tuner.reset()
-        tiny_database.drop_all_indexes()
+        tiny_database.apply_configuration([])
         assert tuner.known_arm_count == 0
         assert tuner.rounds_recommended == 0
         assert tuner.recommend(1).configuration == []
 
     def test_empty_qoi_retains_current_configuration(self, tiny_database):
-        """An eviction-emptied query store must not drop materialised indexes."""
+        """An emptied query store must not drop materialised indexes."""
         tuner = MabTuner(tiny_database)
         run_round(tuner, tiny_database, [make_sales_query("s#1", "s")], 1)
         run_round(tuner, tiny_database, [make_sales_query("s#2", "s")], 2)
         materialised = set(tiny_database.materialised_index_ids)
         assert materialised, "rounds 1-2 should have built at least one index"
-        # Every template is evicted (e.g. an aggressive idle-eviction policy):
-        # the next recommendation has no queries of interest.
-        tuner.query_store.evict_stale(current_round=3, max_idle_rounds=0)
+        # With every template forgotten the next recommendation has no
+        # queries of interest.
+        tuner.query_store.clear()
         recommendation = tuner.recommend(3)
         assert {index.index_id for index in recommendation.configuration} == materialised
         change = tiny_database.apply_configuration(recommendation.configuration)
         assert change.dropped == [] and change.created == []
-
-    def test_theta_norm_diagnostic(self, tiny_database):
-        tuner = MabTuner(tiny_database)
-        assert tuner.theta_norm() == 0.0
-        for round_number in range(1, 4):
-            run_round(tuner, tiny_database, [make_sales_query(f"s#{round_number}", "s")], round_number)
-        assert tuner.theta_norm() >= 0.0

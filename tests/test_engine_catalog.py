@@ -89,18 +89,13 @@ class TestIndexDDL:
         with pytest.raises(MemoryBudgetExceededError):
             tiny_database.create_index(IndexDefinition("sales", ("day",)))
 
-    def test_indexes_for_table(self, tiny_database):
-        sales_index = IndexDefinition("sales", ("day",))
-        customer_index = IndexDefinition("customers", ("region",))
-        tiny_database.create_index(sales_index)
-        tiny_database.create_index(customer_index)
-        assert tiny_database.indexes_for_table("sales") == [sales_index]
-
     def test_drop_all_indexes(self, tiny_database):
         tiny_database.create_index(IndexDefinition("sales", ("day",)))
         tiny_database.create_index(IndexDefinition("customers", ("region",)))
-        tiny_database.drop_all_indexes()
+        change = tiny_database.apply_configuration([])
+        assert len(change.dropped) == 2
         assert tiny_database.materialised_indexes == []
+        assert tiny_database.used_index_bytes == 0
 
 
 class TestApplyConfiguration:

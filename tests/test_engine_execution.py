@@ -34,7 +34,7 @@ class TestExecution:
         result = executor.execute(planner.plan(query))
         assert result.total_seconds < baseline
         assert index.index_id in result.indexes_used
-        assert result.gain_for_index(index.index_id) > 0
+        assert result.access_for("sales").index_gain_seconds > 0
 
     def test_join_query_execution(self, tiny_database, planner, executor):
         result = executor.execute(planner.plan(make_join_query()))
@@ -54,12 +54,18 @@ class TestExecution:
         second = Executor(tiny_database, noise_sigma=0.1, seed=5).execute(plan)
         assert first.total_seconds == pytest.approx(second.total_seconds)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+    def test_invalid_noise_sigma_rejected(self, tiny_database, sigma):
+        # NaN would make every execution time NaN; a negative sigma would
+        # silently turn the noise off.
+        with pytest.raises(ValueError, match="noise_sigma"):
+            Executor(tiny_database, noise_sigma=sigma)
+
     def test_result_metadata(self, tiny_database, planner, executor):
         query = make_sales_query()
         result = executor.execute(planner.plan(query))
         assert result.query_id == query.query_id
         assert result.template_id == query.template_id
-        assert result.plan_description
         assert result.estimated_seconds > 0
 
     def test_access_full_scan_reference_matches_cost_model(
@@ -97,5 +103,5 @@ class TestExecution:
         if plan.accesses["sales"].index is None:
             pytest.skip("optimiser did not pick the index under this data seed")
         result = executor.execute(plan)
-        assert result.gain_for_index(index.index_id) < 0
+        assert result.access_for("sales").index_gain_seconds < 0
         assert result.total_seconds > baseline

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import IndexDefinition, SchemaError, deduplicate, remove_prefix_redundant
+from repro.engine import IndexDefinition, SchemaError, deduplicate
 from tests.conftest import make_sales_query
 
 
@@ -42,7 +42,7 @@ class TestDefinition:
         assert index.covers_columns(("day", "amount"))
         assert not index.covers_columns(("day", "product_id"))
         query = make_sales_query()  # references amount, day, channel
-        assert index.covers_query(query)
+        assert index.covers_columns(query.referenced_columns_for("sales"))
 
     def test_seekable_prefix_length(self):
         index = IndexDefinition("sales", ("day", "channel", "amount"))
@@ -79,11 +79,3 @@ class TestHelpers:
         a = IndexDefinition("sales", ("day",))
         b = IndexDefinition("sales", ("channel",))
         assert deduplicate([a, b, a]) == [a, b]
-
-    def test_remove_prefix_redundant(self):
-        narrow = IndexDefinition("sales", ("day",))
-        wide = IndexDefinition("sales", ("day", "channel"))
-        unrelated = IndexDefinition("sales", ("channel",))
-        survivors = remove_prefix_redundant([narrow, wide, unrelated])
-        assert narrow not in survivors
-        assert wide in survivors and unrelated in survivors

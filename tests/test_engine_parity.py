@@ -302,7 +302,7 @@ def reference_execute(world: Snapshot, plan: QueryPlan, noise: float) -> Executi
     ) * noise
     return ExecutionResult(
         query_id=query.query_id, template_id=query.template_id, total_seconds=total,
-        access_results=results, join_seconds=join_seconds, plan_description=plan.describe(),
+        access_results=results, join_seconds=join_seconds,
         estimated_seconds=plan.estimated_seconds,
     )
 

@@ -9,7 +9,6 @@ from repro.engine import (
     Query,
     build_column_statistics,
     build_table_statistics,
-    merge_queries,
 )
 from tests.conftest import make_join_query, make_sales_query
 
@@ -34,18 +33,11 @@ class TestPredicate:
         with pytest.raises(ValueError, match="not hashable"):
             Predicate("t", "a", Operator.BETWEEN, ([1], 2))
 
-    def test_is_range(self):
-        assert Operator.BETWEEN.is_range
-        assert not Operator.EQ.is_range
-
 
 class TestJoinPredicate:
     def test_involvement_and_column_lookup(self):
         join = JoinPredicate("a", "x", "b", "y")
         assert join.involves("a") and join.involves("b") and not join.involves("c")
-        assert join.column_for("a") == "x"
-        assert join.column_for("b") == "y"
-        assert join.column_for("c") is None
         assert join.render() == "a.x = b.y"
 
 
@@ -95,10 +87,6 @@ class TestQuery:
         query = Query(query_id="q", template_id="q", tables=("sales",))
         assert "COUNT(*)" in query.render()
 
-    def test_merge_queries_deduplicates(self):
-        query = make_sales_query()
-        assert len(merge_queries([query, query])) == 1
-
 
 class TestStatistics:
     def test_column_statistics_basics(self, tiny_database_readonly):
@@ -111,7 +99,7 @@ class TestStatistics:
     def test_unique_column_statistics(self, tiny_database_readonly):
         data = tiny_database_readonly.table_data("sales")
         statistics = build_column_statistics(data, "sale_id")
-        assert statistics.is_unique
+        assert statistics.distinct_count >= statistics.row_count
         assert statistics.equality_selectivity() < 1e-4
 
     def test_range_fraction_uniformity(self, tiny_database_readonly):
@@ -119,14 +107,6 @@ class TestStatistics:
         statistics = build_column_statistics(data, "day")
         fraction = statistics.range_fraction(None, statistics.min_value + 0.25 * statistics.value_span)
         assert 0.2 < fraction < 0.3
-
-    def test_range_fraction_with_histogram(self, tiny_database_readonly):
-        data = tiny_database_readonly.table_data("sales")
-        statistics = build_column_statistics(data, "day", histogram_buckets=10)
-        assert len(statistics.histogram) == 10
-        total = sum(bucket.fraction for bucket in statistics.histogram)
-        assert total == pytest.approx(1.0, abs=1e-6)
-        assert 0.0 <= statistics.range_fraction(0, 100) <= 1.0
 
     def test_range_fraction_empty_range(self, tiny_database_readonly):
         data = tiny_database_readonly.table_data("sales")

@@ -75,7 +75,7 @@ class TestSchema:
     def test_table_lookup_and_unknown(self):
         schema = Schema("s", [Table("t", [Column("a")])])
         assert schema.table("t").name == "t"
-        assert schema.has_table("t")
+        assert schema.table_names == ["t"]
         with pytest.raises(UnknownTableError):
             schema.table("missing")
 
@@ -87,7 +87,7 @@ class TestSchema:
         parent = Table("p", [Column("id")])
         child = Table("c", [Column("p_id")])
         schema = Schema("s", [parent, child], [ForeignKey("c", "p_id", "p", "id")])
-        assert schema.foreign_keys_of("c")[0].parent_table == "p"
+        assert schema.foreign_keys[0].parent_table == "p"
 
     def test_invalid_foreign_key_column_rejected(self):
         parent = Table("p", [Column("id")])
@@ -95,24 +95,11 @@ class TestSchema:
         with pytest.raises(UnknownColumnError):
             Schema("s", [parent, child], [ForeignKey("c", "nope", "p", "id")])
 
-    def test_add_table(self):
-        schema = Schema("s", [Table("t", [Column("a")])])
-        schema.add_table(Table("u", [Column("b")]))
-        assert schema.has_table("u")
-        with pytest.raises(SchemaError):
-            schema.add_table(Table("u", [Column("b")]))
-
     def test_validate_columns(self):
         schema = Schema("s", [Table("t", [Column("a"), Column("b")])])
         schema.validate_columns("t", ["a", "b"])
         with pytest.raises(UnknownColumnError):
             schema.validate_columns("t", ["a", "zzz"])
-
-    def test_iter_columns(self):
-        schema = Schema("s", [Table("t", [Column("a"), Column("b")])])
-        pairs = list(schema.iter_columns())
-        assert len(pairs) == 2
-        assert pairs[0][0].name == "t"
 
 
 class TestBenchmarkSchemas:

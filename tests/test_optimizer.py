@@ -109,26 +109,34 @@ class TestPlanner:
         assert 0 < plan.estimated_seconds < 1e9
 
 
+def estimated_cost(what_if, queries, configuration):
+    return sum(what_if.plan_query(query, configuration).estimated_seconds for query in queries)
+
+
 class TestWhatIf:
     def test_index_benefit_positive_for_useful_index(self, tiny_database_readonly, sales_query):
         what_if = WhatIfOptimizer(tiny_database_readonly)
         useful = IndexDefinition("sales", ("day", "channel"), ("amount",))
-        assert what_if.index_benefit([sales_query], useful) > 0
+        assert estimated_cost(what_if, [sales_query], [useful]) < estimated_cost(
+            what_if, [sales_query], []
+        )
 
     def test_index_benefit_zero_for_irrelevant_index(self, tiny_database_readonly, sales_query):
         what_if = WhatIfOptimizer(tiny_database_readonly)
         useless = IndexDefinition("customers", ("segment",))
-        assert what_if.index_benefit([sales_query], useless) == pytest.approx(0.0, abs=1e-6)
+        assert estimated_cost(what_if, [sales_query], [useless]) == pytest.approx(
+            estimated_cost(what_if, [sales_query], []), abs=1e-6
+        )
 
     def test_estimates_do_not_materialise_anything(self, tiny_database_readonly, sales_query):
         what_if = WhatIfOptimizer(tiny_database_readonly)
-        what_if.estimate_query(sales_query, [IndexDefinition("sales", ("day",))])
+        what_if.plan_query(sales_query, [IndexDefinition("sales", ("day",))])
         assert tiny_database_readonly.materialised_indexes == []
 
     def test_call_counter_increments(self, tiny_database_readonly, sales_query):
         what_if = WhatIfOptimizer(tiny_database_readonly)
         before = what_if.calls
-        what_if.estimate_workload([sales_query, sales_query], [])
+        estimated_cost(what_if, [sales_query, sales_query], [])
         assert what_if.calls == before + 2
 
     def test_configuration_benefit_monotone_for_nested_configs(
@@ -138,9 +146,9 @@ class TestWhatIf:
         queries = [sales_query, join_query]
         single = [IndexDefinition("sales", ("day", "channel"), ("amount",))]
         double = single + [IndexDefinition("customers", ("region",), ("segment", "customer_id"))]
-        assert what_if.configuration_benefit(queries, [], double) >= what_if.configuration_benefit(
-            queries, [], single
-        ) - 1e-9
+        assert estimated_cost(what_if, queries, double) <= estimated_cost(
+            what_if, queries, single
+        ) + 1e-9
 
 
 class TestEstimatesFollowGrowth:
@@ -165,4 +173,7 @@ class TestEstimatesFollowGrowth:
         query = self.unfiltered_sales_query()
         tiny_database.grow_table("sales", 2.0)
         fresh = WhatIfOptimizer(tiny_database)
-        assert what_if.estimate_query(query, []) == fresh.estimate_query(query, [])
+        assert (
+            what_if.plan_query(query, []).estimated_seconds
+            == fresh.plan_query(query, []).estimated_seconds
+        )

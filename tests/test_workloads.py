@@ -37,7 +37,7 @@ class TestBenchmarkDefinitions:
         ("imdb", 33),
     ])
     def test_template_counts_match_paper(self, name, template_count):
-        assert get_benchmark(name).template_count == template_count
+        assert len(get_benchmark(name).templates) == template_count
 
     @pytest.mark.parametrize("name", ["tpch", "ssb", "tpcds", "imdb"])
     def test_templates_reference_real_schema_columns(self, name):
@@ -46,7 +46,7 @@ class TestBenchmarkDefinitions:
         schema = benchmark.schema
         for template in benchmark.templates:
             for table in template.tables:
-                assert schema.has_table(table)
+                schema.table(table)
             for predicate in template.predicates:
                 schema.validate_columns(predicate.table, [predicate.column])
                 assert predicate.table in template.tables
@@ -153,7 +153,7 @@ class TestSequencers:
     def test_shifting_groups_are_disjoint(self, database, templates):
         sequence = ShiftingWorkload(database, templates, n_groups=3, rounds_per_group=2)
         rounds = sequence.materialise()
-        assert len(rounds) == sequence.total_rounds == 6
+        assert len(rounds) == 6
         group_templates = [
             {query.template_id for query in rounds[i].queries} for i in (0, 2, 4)
         ]
