@@ -15,8 +15,8 @@ Quick start::
     print(reports["MAB"].summary())
 
 The supported programmatic surface is :mod:`repro.api` — sessions
-(:class:`TuningSession`), the tuner registry (:func:`create_tuner` /
-:func:`register_tuner`) and the simulation/competition drivers — re-exported
+(:class:`TuningSession`), the tuner table (:func:`create_tuner` /
+:func:`registered_tuner_names`) and the simulation/competition drivers — re-exported
 here for convenience.  See ``examples/`` for richer scenarios and
 ``benchmarks/`` for the scripts that regenerate every table and figure of the
 paper.
@@ -31,7 +31,6 @@ from .api import (
     TunerSpec,
     TuningSession,
     create_tuner,
-    register_tuner,
     registered_tuner_names,
     run_competition,
     run_simulation,
@@ -65,7 +64,6 @@ __all__ = [
     "create_tuner",
     "get_benchmark",
     "quickstart",
-    "register_tuner",
     "registered_tuner_names",
     "run_competition",
     "run_simulation",

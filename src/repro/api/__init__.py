@@ -3,10 +3,9 @@
 Everything a downstream caller needs lives here:
 
 * the tuner protocol — :class:`Tuner`, :class:`Recommendation`;
-* the tuner registry — :func:`register_tuner`, :func:`create_tuner`,
-  :class:`TunerSpec`, :func:`registered_tuner_names`;
-* the storage-backend registry — :class:`BackendProfile`,
-  :func:`register_backend`, :func:`get_backend`,
+* the tuner table — :func:`create_tuner`, :class:`TunerSpec`,
+  :func:`registered_tuner_names`;
+* the storage-backend table — :class:`BackendProfile`, :func:`get_backend`,
   :func:`registered_backend_names` — selecting the cost-model tier
   (``hdd``/``ssd``/``inmemory``/``cloud``) a database is priced on, via
   ``DatabaseSpec(backend=...)``, including *per table*:
@@ -39,7 +38,6 @@ from repro.engine.backend import (
     UnknownBackendError,
     UnknownPlacementTableError,
     get_backend,
-    register_backend,
     registered_backend_names,
 )
 from repro.harness.metrics import (
@@ -50,15 +48,9 @@ from repro.harness.metrics import (
     rank_by_safety,
     safety_reports,
 )
-from repro.interface import Recommendation, Tuner
+from repro.interface import Recommendation, Tuner, TunerSpec
 
-from .registry import (
-    TunerSpec,
-    UnknownTunerError,
-    create_tuner,
-    register_tuner,
-    registered_tuner_names,
-)
+from .registry import UnknownTunerError, create_tuner, registered_tuner_names
 from .session import (
     DatabaseEvent,
     SimulationOptions,
@@ -113,8 +105,6 @@ __all__ = [
     "execute_round",
     "get_backend",
     "rank_by_safety",
-    "register_backend",
-    "register_tuner",
     "registered_backend_names",
     "registered_tuner_names",
     "run_competition",

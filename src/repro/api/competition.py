@@ -6,7 +6,7 @@ workload is materialised once, read-only), they fan out across processes with
 ``workers > 1`` and the merged ``{label: RunReport}`` mapping is deterministic
 — same reports, same order — whatever the worker count.
 
-Parallel entries must be picklable: name the tuner by its registry name (or a
+Parallel entries must be picklable: name the tuner by its table name (or a
 ``(name, TunerSpec)`` pair) and build databases through a picklable factory
 such as :class:`DatabaseSpec`.  Arbitrary ``Callable[[Database], Tuner]``
 entries are still accepted for sequential runs.
@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["CompetitionEntry", "DatabaseSpec", "run_competition"]
 
-#: One competitor: a registry name, a (name, spec) pair, or a raw factory.
+#: One competitor: a tuner name, a (name, spec) pair, or a raw factory.
 CompetitionEntry = Union[str, "tuple[str, TunerSpec]", Callable[[Database], Tuner]]
 
 
@@ -46,7 +46,7 @@ class DatabaseSpec:
     slots in anywhere a ``database_factory`` is expected — including across
     process boundaries, where closures cannot travel.  ``backend`` names the
     default storage tier the database's cost model prices operators with (a
-    registered profile name or a :class:`~repro.engine.BackendProfile`
+    built-in profile name or a :class:`~repro.engine.BackendProfile`
     instance — both pickle cleanly); ``None`` keeps the default ``hdd`` tier.
     ``table_backends`` places individual tables on their own tiers — a
     ``{table: backend}`` mapping of overrides on top of ``backend`` — and
@@ -149,7 +149,7 @@ def run_competition(
         database_factory: Builds identically seeded databases so that every
             tuner faces the same data; must be picklable (e.g. a
             :class:`DatabaseSpec`) when ``workers > 1``.
-        tuners: Report labels mapped to competition entries — a registry
+        tuners: Report labels mapped to competition entries — a tuner
             name, a ``(name, TunerSpec)`` pair, or (sequential runs only) a
             raw ``Callable[[Database], Tuner]``.
         workload_rounds: The shared workload, materialised once (against any
@@ -166,7 +166,7 @@ def run_competition(
         ValueError: When ``workers > 1`` is combined with any
             ``options.on_round`` callback — per-round callbacks cannot cross
             process boundaries.
-        repro.api.UnknownTunerError: For entry names nobody registered.
+        repro.api.UnknownTunerError: For an entry name that is not a built-in tuner.
     """
     workers = _worker_count(workers, len(tuners))
     if workers <= 1:

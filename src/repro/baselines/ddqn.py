@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api.registry import TunerSpec, register_tuner
 from repro.core.arms import Arm, ArmGenerator
 from repro.core.config import MabConfig
 from repro.core.context import ContextBuilder
@@ -67,7 +66,6 @@ class DDQNConfig:
         return max(self.epsilon_end, min(self.epsilon_start, value))
 
 
-@register_tuner("DDQN")
 class DDQNTuner(Tuner):
     """Double-DQN agent for online index selection."""
 
@@ -247,11 +245,3 @@ def build_ddqn_sc(database: Database, config: DDQNConfig | None = None) -> DDQNT
     base = config or DDQNConfig()
     sc_config = DDQNConfig(**{**base.__dict__, "single_column_only": True})
     return DDQNTuner(database, sc_config)
-
-
-def _ddqn_sc_from_spec(database: Database, spec: TunerSpec) -> DDQNTuner:
-    del spec  # the SC variant differs only in its candidate space
-    return build_ddqn_sc(database)
-
-
-register_tuner("DDQN_SC", "DDQN-SC", factory=_ddqn_sc_from_spec)

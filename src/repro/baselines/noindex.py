@@ -10,18 +10,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.api.registry import register_tuner
 from repro.engine.catalog import ConfigurationChange
 from repro.engine.execution import ExecutionResult
 from repro.engine.query import Query
-from repro.interface import Recommendation, Tuner
+from repro.interface import Recommendation, Tuner, TunerSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.registry import TunerSpec
     from repro.engine.catalog import Database
 
 
-@register_tuner("NoIndex")
 class NoIndexTuner(Tuner):
     """A tuner that always recommends the empty configuration."""
 
@@ -48,6 +45,6 @@ class NoIndexTuner(Tuner):
         """NoIndex keeps no state."""
 
     @classmethod
-    def from_spec(cls, database: "Database", spec: "TunerSpec") -> "NoIndexTuner":
+    def from_spec(cls, database: "Database", spec: TunerSpec) -> "NoIndexTuner":
         del database, spec  # the empty configuration needs neither
         return cls()

@@ -6,7 +6,12 @@ This re-implements the behaviour that defines the paper's commercial baseline:
   protocol decides when and with which queries);
 * it generates candidate indexes from that workload, including merged
   (wider) candidates, and compares configurations exclusively through the
-  optimiser's **what-if** estimates — it never observes actual run times;
+  optimiser's **what-if** estimates — it never observes actual run times.
+  Like Chaudhuri & Narasayya's AutoAdmin interface, it asks the optimiser to
+  cost each query *as if* a set of hypothetical indexes existed
+  (``Planner.plan(query, configuration=...)``); the estimates never touch the
+  data, so they inherit every cardinality misestimate of the optimiser —
+  which is the Achilles' heel the paper exploits;
 * it greedily selects the configuration with the best estimated
   benefit-per-byte within the memory budget;
 * its recommendation time grows with (training-workload size x candidate
@@ -20,15 +25,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.api.registry import TunerSpec, register_tuner
 from repro.core.arms import ArmGenerator
 from repro.core.config import MabConfig
 from repro.engine.catalog import ConfigurationChange, Database
 from repro.engine.execution import ExecutionResult
 from repro.engine.indexes import IndexDefinition, deduplicate
 from repro.engine.query import Query
-from repro.interface import Recommendation, Tuner
-from repro.optimizer.whatif import WhatIfOptimizer
+from repro.interface import Recommendation, Tuner, TunerSpec
+from repro.optimizer.planner import Planner
+
+#: Cap on one invocation's modelled running time when tuning TPC-DS dynamic
+#: random (seconds): the paper restricts those invocations to one hour.
+TPCDS_RANDOM_INVOCATION_LIMIT_SECONDS = 3600.0
 
 
 @dataclass
@@ -68,7 +76,6 @@ class _Candidate:
         return sum(self.benefits.values())
 
 
-@register_tuner("PDTool")
 class PDToolTuner(Tuner):
     """What-if-driven index advisor invoked with a training workload."""
 
@@ -78,16 +85,15 @@ class PDToolTuner(Tuner):
     def from_spec(cls, database: Database, spec: TunerSpec) -> "PDToolTuner":
         config = PDToolConfig()
         if spec.benchmark_name == "tpcds" and spec.workload_type == "random":
-            # The paper caps each TPC-DS dynamic-random invocation at an hour.
             config = PDToolConfig(
-                invocation_time_limit_seconds=spec.pdtool_invocation_limit_seconds
+                invocation_time_limit_seconds=TPCDS_RANDOM_INVOCATION_LIMIT_SECONDS
             )
         return cls(database, config)
 
     def __init__(self, database: Database, config: PDToolConfig | None = None) -> None:
         self.database = database
         self.config = config or PDToolConfig()
-        self.what_if = WhatIfOptimizer(database)
+        self.planner = Planner(database)
         # Candidate generation reuses the same workload-driven generator as the
         # bandit so both tools search comparable candidate spaces.
         self._candidate_generator = ArmGenerator(MabConfig())
@@ -209,13 +215,13 @@ class PDToolTuner(Tuner):
         calls = 0
         baseline_costs: dict[str, float] = {}
         for query in queries:
-            baseline_costs[query.query_id] = self.what_if.plan_query(query, []).estimated_seconds
+            baseline_costs[query.query_id] = self.planner.plan(query, configuration=[]).estimated_seconds
             calls += 1
         for candidate in candidates:
             for query in queries:
                 if not self._is_relevant(candidate.index, query):
                     continue
-                cost = self.what_if.plan_query(query, [candidate.index]).estimated_seconds
+                cost = self.planner.plan(query, configuration=[candidate.index]).estimated_seconds
                 calls += 1
                 benefit = baseline_costs[query.query_id] - cost
                 if benefit <= 0:

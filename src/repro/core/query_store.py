@@ -27,7 +27,6 @@ class TemplateRecord:
 class RoundSummary:
     """What the store learned from one round of queries."""
 
-    round_number: int
     new_templates: int
     known_templates: int
 
@@ -64,11 +63,7 @@ class QueryStore:
                 record.last_seen_round = round_number
                 record.latest_query = query
             seen_this_round.add(template_id)
-        return RoundSummary(
-            round_number=round_number,
-            new_templates=new_templates,
-            known_templates=known_templates,
-        )
+        return RoundSummary(new_templates=new_templates, known_templates=known_templates)
 
     # ------------------------------------------------------------------ #
     # lookups

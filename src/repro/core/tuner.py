@@ -24,7 +24,6 @@ import dataclasses
 
 import numpy as np
 
-from repro.api.registry import register_tuner
 from repro.engine.catalog import ConfigurationChange, Database
 from repro.engine.execution import ExecutionResult
 from repro.engine.query import Query
@@ -62,7 +61,6 @@ class PoolRound:
     contexts: "np.ndarray | None" = None
 
 
-@register_tuner("MAB")
 class MabTuner(Tuner):
     """Online index selection with a contextual combinatorial bandit."""
 

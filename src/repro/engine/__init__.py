@@ -14,7 +14,6 @@ from .backend import (
     UnknownBackendError,
     UnknownPlacementTableError,
     get_backend,
-    register_backend,
     registered_backend_names,
     resolve_backend,
     resolve_placement,
@@ -117,7 +116,6 @@ __all__ = [
     "evaluate_predicate",
     "get_backend",
     "pages_touched_by_random_fetches",
-    "register_backend",
     "registered_backend_names",
     "resolve_backend",
     "resolve_placement",

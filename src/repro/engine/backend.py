@@ -15,38 +15,28 @@ through :func:`resolve_placement` into per-table overrides the cost model
 consults on every operator, so a join spanning tiers charges each side at its
 own tier.
 
-Profiles are looked up by name through a registry that mirrors the tuner
-registry (:func:`repro.api.register_tuner`): built-ins register at import
-time, downstream code adds its own with::
-
-    from repro.engine import BackendProfile, register_backend
-
-    @register_backend("nvme_raid")
-    def _nvme_raid() -> BackendProfile:
-        return BackendProfile(name="nvme_raid", sequential_read_bytes_per_second=7e9, ...)
-
-and the name immediately works everywhere a backend is accepted —
+Profiles are looked up by name in a fixed table of the four built-ins
+(:func:`get_backend`); a name works everywhere a backend is accepted —
 ``Database.from_specs(backend=...)``, :class:`repro.api.DatabaseSpec`,
 :meth:`repro.engine.Database.set_table_backend` and the benchmark builders.
+A profile of one's own is passed as the :class:`BackendProfile` itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
-from .errors import UnknownTableError
+from .errors import UnknownNameError, UnknownTableError, lookup_name
 from .storage import PAGE_SIZE_BYTES
 
 __all__ = [
-    "BackendFactory",
     "BackendProfile",
     "BackendLike",
     "PlacementLike",
     "UnknownBackendError",
     "UnknownPlacementTableError",
     "get_backend",
-    "register_backend",
     "registered_backend_names",
     "resolve_backend",
     "resolve_placement",
@@ -64,7 +54,7 @@ class BackendProfile:
     boundaries).
     """
 
-    #: Registry/display name of the backend this profile models.
+    #: Table/display name of the backend this profile models.
     name: str = "hdd"
     #: One-line description for reports and error messages.
     description: str = "10K RPM disk array, cold buffer cache (the paper's testbed)"
@@ -142,68 +132,30 @@ class BackendProfile:
         }
 
 
-#: Anything accepted where a backend is expected: a registered name, a
+#: Anything accepted where a backend is expected: a built-in name, a
 #: profile instance, or ``None`` for the default (``hdd``).
 BackendLike = Union[str, BackendProfile, None]
 
-#: A registered factory produces a ready profile on each lookup.
-BackendFactory = Callable[[], BackendProfile]
 
-
-class UnknownBackendError(KeyError, ValueError):
-    """Raised for a backend name nobody registered.
-
-    Subclasses both :class:`KeyError` and :class:`ValueError` to match the
-    tuner registry's :class:`repro.api.UnknownTunerError` convention, so the
-    same ``except`` clauses handle either registry.
-    """
-
-    # KeyError.__str__ reprs the message (extra quotes); render it plainly.
-    __str__ = Exception.__str__
-
-
-_REGISTRY: dict[str, BackendFactory] = {}
-
-
-def _normalise(name: str) -> str:
-    return name.strip().lower().replace("-", "_")
-
-
-def register_backend(name: str) -> Callable[[BackendFactory], BackendFactory]:
-    """Register a zero-argument profile factory under ``name``::
-
-        @register_backend("ssd")
-        def _ssd() -> BackendProfile: ...
-
-    Lookups are case-insensitive and treat ``-`` and ``_`` alike.
-    """
-
-    def _register(factory: BackendFactory) -> BackendFactory:
-        _REGISTRY[_normalise(name)] = factory
-        return factory
-
-    return _register
+class UnknownBackendError(UnknownNameError):
+    """Raised for a name that is not one of the built-in backends."""
 
 
 def registered_backend_names() -> list[str]:
-    """Every registered backend name, in registration order."""
-    return list(_REGISTRY)
+    """Every built-in backend name, in table order."""
+    return list(_BACKENDS)
 
 
 def get_backend(name: str) -> BackendProfile:
-    """Look a registered backend profile up by name.
+    """Look a built-in backend profile up by name.
+
+    Lookups are case-insensitive and treat ``-`` and ``_`` alike.
 
     Raises:
-        UnknownBackendError: For a name nobody registered (the message lists
-            every registered backend).
+        UnknownBackendError: For any other name (the message lists every
+            built-in backend).
     """
-    factory = _REGISTRY.get(_normalise(name))
-    if factory is None:
-        known = ", ".join(registered_backend_names())
-        raise UnknownBackendError(
-            f"unknown backend {name!r}; registered backends: {known}"
-        )
-    return factory()
+    return lookup_name(_BACKENDS, name, "backend", UnknownBackendError)
 
 
 def resolve_backend(backend: BackendLike) -> BackendProfile:
@@ -214,7 +166,7 @@ def resolve_backend(backend: BackendLike) -> BackendProfile:
     through untouched.
     """
     if backend is None:
-        return get_backend("hdd")
+        return _BACKENDS["hdd"]
     if isinstance(backend, BackendProfile):
         return backend
     return get_backend(backend)
@@ -223,17 +175,13 @@ def resolve_backend(backend: BackendLike) -> BackendProfile:
 # --------------------------------------------------------------------- #
 # per-table placement
 # --------------------------------------------------------------------- #
-class UnknownPlacementTableError(UnknownTableError, KeyError, ValueError):
+class UnknownPlacementTableError(UnknownTableError, UnknownNameError):
     """A per-table placement named a table the database does not have.
 
-    Mirrors :class:`UnknownBackendError`: subclasses both :class:`KeyError`
-    and :class:`ValueError` (on top of the engine's
-    :class:`~repro.engine.errors.UnknownTableError`) and the message lists
-    every valid table name.
+    Both the engine's :class:`~repro.engine.errors.UnknownTableError` and an
+    :class:`~repro.engine.errors.UnknownNameError`; the message lists every
+    valid table name.
     """
-
-    # KeyError.__str__ reprs the message (extra quotes); render it plainly.
-    __str__ = Exception.__str__
 
     def __init__(self, table_name: str, known_tables: Iterable[str]) -> None:
         known = ", ".join(sorted(known_tables))
@@ -256,7 +204,7 @@ def resolve_placement(
     Raises:
         UnknownPlacementTableError: For a table name the database does not
             have (the message lists every valid name).
-        UnknownBackendError: For a backend name nobody registered.
+        UnknownBackendError: For a name that is not a built-in backend.
     """
     known = set(table_names)
     resolved: dict[str, BackendProfile] = {}
@@ -275,22 +223,16 @@ PlacementLike = Union[Mapping[str, BackendLike], None]
 # --------------------------------------------------------------------- #
 # built-in profiles
 # --------------------------------------------------------------------- #
-@register_backend("hdd")
-def _hdd() -> BackendProfile:
-    """The paper's testbed: every constant at its historical default."""
-    return BackendProfile()
-
-
-@register_backend("ssd")
-def _ssd() -> BackendProfile:
-    """Flash storage: ~10x the sequential bandwidth, ~25x cheaper random I/O.
-
-    The defining shift is the narrow random/sequential gap (ratio ~2 against
-    the HDD's ~4.9): scattered heap fetches stop dominating non-covering index
-    seeks, while the CPU-bound sort inside index creation is no longer dwarfed
-    by I/O — so building wide indexes pays off later, if at all.
-    """
-    return BackendProfile(
+_BACKENDS: dict[str, BackendProfile] = {
+    # The paper's testbed: every constant at its historical default.
+    "hdd": BackendProfile(),
+    # Flash storage: ~10x the sequential bandwidth, ~25x cheaper random I/O.
+    #
+    # The defining shift is the narrow random/sequential gap (ratio ~2 against
+    # the HDD's ~4.9): scattered heap fetches stop dominating non-covering
+    # index seeks, while the CPU-bound sort inside index creation is no longer
+    # dwarfed by I/O — so building wide indexes pays off later, if at all.
+    "ssd": BackendProfile(
         name="ssd",
         description="NVMe flash: high bandwidth, cheap random reads",
         sequential_read_bytes_per_second=2e9,
@@ -298,18 +240,13 @@ def _ssd() -> BackendProfile:
         random_page_read_seconds=8.0e-6,
         per_query_overhead_seconds=0.02,
         index_drop_seconds=0.05,
-    )
-
-
-@register_backend("inmemory")
-def _inmemory() -> BackendProfile:
-    """Memory-resident data: execution is CPU-bound, I/O terms nearly vanish.
-
-    Random access costs close to a sequential page read (ratio ~1.2), sorts
-    never spill, and the fixed per-query overhead shrinks to parse/plan time —
-    index benefit reduces to the CPU saved by touching fewer tuples.
-    """
-    return BackendProfile(
+    ),
+    # Memory-resident data: execution is CPU-bound, I/O terms nearly vanish.
+    #
+    # Random access costs close to a sequential page read (ratio ~1.2), sorts
+    # never spill, and the fixed per-query overhead shrinks to parse/plan
+    # time — index benefit reduces to the CPU saved by touching fewer tuples.
+    "inmemory": BackendProfile(
         name="inmemory",
         description="memory-resident data: CPU-bound execution, near-zero I/O",
         sequential_read_bytes_per_second=20e9,
@@ -318,23 +255,19 @@ def _inmemory() -> BackendProfile:
         per_query_overhead_seconds=0.005,
         sort_spill_threshold_bytes=1 << 62,
         index_drop_seconds=0.001,
-    )
-
-
-@register_backend("cloud")
-def _cloud() -> BackendProfile:
-    """Cloud object storage: latency-dominated reads over decent bandwidth.
-
-    Each uncached page fetch is an HTTP GET paying milliseconds of first-byte
-    latency — a random/sequential ratio near ~250, far past even the HDD's
-    ~4.9 — while large sequential transfers stream at a respectable rate
-    (reads faster than writes: the asymmetric bandwidths matter for the
-    sort-spill billing, whose read pass is cheaper than its write pass here).
-    Index economics invert twice: scattered heap lookups are ruinous, so only
-    *covering* indexes (and the scan they replace) earn their build cost, and
-    the fat per-query overhead drowns small savings entirely.
-    """
-    return BackendProfile(
+    ),
+    # Cloud object storage: latency-dominated reads over decent bandwidth.
+    #
+    # Each uncached page fetch is an HTTP GET paying milliseconds of
+    # first-byte latency — a random/sequential ratio near ~250, far past even
+    # the HDD's ~4.9 — while large sequential transfers stream at a
+    # respectable rate (reads faster than writes: the asymmetric bandwidths
+    # matter for the sort-spill billing, whose read pass is cheaper than its
+    # write pass here).  Index economics invert twice: scattered heap lookups
+    # are ruinous, so only *covering* indexes (and the scan they replace) earn
+    # their build cost, and the fat per-query overhead drowns small savings
+    # entirely.
+    "cloud": BackendProfile(
         name="cloud",
         description="object store: per-request latency dominates, sequential reads stream",
         sequential_read_bytes_per_second=500e6,
@@ -342,4 +275,5 @@ def _cloud() -> BackendProfile:
         random_page_read_seconds=4.0e-3,
         per_query_overhead_seconds=0.15,
         index_drop_seconds=0.2,
-    )
+    ),
+}

@@ -65,7 +65,7 @@ class Database:
     memory_budget_bytes:
         Space allowance for secondary indexes.  ``None`` means unconstrained.
     backend:
-        Storage-backend profile (a registered name such as ``"hdd"``,
+        Storage-backend profile (a built-in name such as ``"hdd"``,
         ``"ssd"``, ``"inmemory"``, ``"cloud"`` or a :class:`BackendProfile`
         instance) the engine's true cost model prices operators with;
         ``None`` keeps the default ``hdd`` tier.
@@ -210,7 +210,7 @@ class Database:
     def set_table_backend(self, table_name: str, backend: BackendLike) -> BackendProfile:
         """Move one table to another storage tier mid-run.
 
-        ``backend`` is a registered name or a :class:`BackendProfile`;
+        ``backend`` is a built-in name or a :class:`BackendProfile`;
         ``None`` returns the table to the default tier.  Takes effect
         immediately — a live session's very next plan and execution price
         the table at its new tier, which is what makes a mid-run tier
@@ -229,7 +229,7 @@ class Database:
         Raises:
             repro.engine.UnknownPlacementTableError: For a table the database
                 does not have (the message lists every table).
-            repro.engine.UnknownBackendError: For an unregistered name.
+            repro.engine.UnknownBackendError: For a name that is not a built-in backend.
         """
         if table_name not in self._tables:
             raise UnknownPlacementTableError(table_name, self._tables)

@@ -3,9 +3,51 @@
 Keeping a small, explicit hierarchy lets callers distinguish configuration
 errors (bad schema, unknown column) from run-time constraint violations
 (memory budget exceeded) without string matching.
+
+It also holds :class:`UnknownNameError` and :func:`lookup_name`, which every
+fixed name table of the package (tuners, backends, benchmarks, stressors)
+resolves through: this is the lowest module all of them import.
 """
 
 from __future__ import annotations
+
+from typing import Mapping, TypeVar
+
+_T = TypeVar("_T")
+
+
+class UnknownNameError(KeyError, ValueError):
+    """A name that no entry of a fixed name table matches.
+
+    Both a :class:`KeyError` (a failed lookup) and a :class:`ValueError` (a
+    bad argument), so either ``except`` spelling catches it.  The message
+    starts with ``unknown`` and lists the valid names.
+    """
+
+    # KeyError.__str__ reprs the message (extra quotes); render it plainly.
+    __str__ = Exception.__str__
+
+
+def lookup_name(
+    table: Mapping[str, _T], name: str, kind: str, error: type[UnknownNameError]
+) -> _T:
+    """``table``'s entry for ``name``, matched case-insensitively.
+
+    Surrounding blanks are ignored, and a ``-`` or blank may stand for ``_``
+    (``"DDQN-SC"``, ``" tier migration "``) or a ``-`` be left out
+    (``"TPC-H"``).  Any other name raises ``error``, listing ``table``'s keys.
+    """
+    lowered = name.strip().lower()
+    spellings = {
+        lowered,
+        lowered.replace("-", "_"),
+        lowered.replace("-", ""),
+        lowered.replace(" ", "_"),
+    }
+    for key, value in table.items():
+        if key.lower() in spellings:
+            return value
+    raise error(f"unknown {kind} {name!r}; registered {kind}s: {', '.join(table)}")
 
 
 class EngineError(Exception):

@@ -61,18 +61,6 @@ class ExecutionResult:
     join_seconds: float = 0.0
     estimated_seconds: float = 0.0
 
-    @property
-    def indexes_used(self) -> set[str]:
-        return {
-            result.index_id for result in self.access_results if result.index_id is not None
-        }
-
-    def access_for(self, table: str) -> TableAccessResult | None:
-        for result in self.access_results:
-            if result.table == table:
-                return result
-        return None
-
 
 class Executor:
     """Times query plans against a :class:`Database` using true cardinalities."""

@@ -8,11 +8,11 @@ on behalf of its tenants.  This package is that control plane in miniature:
   out-of-order ``submit``/``drain`` queue, with per-tenant results
   bit-identical to standalone sessions;
 * :class:`TenantSpec` / :class:`FleetConfig` — frozen picklable recipes
-  mirroring the :class:`~repro.api.TunerSpec` registry discipline;
+  like :class:`~repro.api.TunerSpec`;
 * :class:`DatabaseInterner` — spec-keyed memoisation so identical tenants
   share one immutable database statistics snapshot;
 * :class:`UnknownTenantError` / :class:`DuplicateTenantError` — the fleet's
-  error surface, matching the tuner/backend registry conventions.
+  error surface, matching the tuner/backend lookup conventions.
 
 Every name here is re-exported from :mod:`repro.api`, the supported public
 surface.

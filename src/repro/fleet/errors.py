@@ -1,24 +1,21 @@
-"""Fleet error surface, mirroring the tuner/backend registry conventions."""
+"""Fleet error surface, following the tuner/backend lookup conventions."""
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from repro.engine.errors import UnknownNameError
+
 __all__ = ["DuplicateTenantError", "UnknownTenantError"]
 
 
-class UnknownTenantError(KeyError, ValueError):
+class UnknownTenantError(UnknownNameError):
     """Raised for a tenant id the fleet does not know.
 
-    Subclasses both :class:`KeyError` and :class:`ValueError` to match the
-    :class:`repro.api.UnknownTunerError` /
-    :class:`repro.engine.UnknownBackendError` convention, so the same
-    ``except`` clauses handle lookups against any of the registries.  The
-    message lists every registered tenant id.
+    Like :class:`repro.api.UnknownTunerError` and
+    :class:`repro.engine.UnknownBackendError`, it is both a :class:`KeyError`
+    and a :class:`ValueError`.  The message lists every registered tenant id.
     """
-
-    # KeyError.__str__ reprs the message (extra quotes); render it plainly.
-    __str__ = Exception.__str__
 
     def __init__(self, tenant_id: str, known_tenants: Iterable[str]) -> None:
         known = ", ".join(sorted(known_tenants)) or "none registered"

@@ -97,8 +97,8 @@ class TuningFleet:
         Raises:
             DuplicateTenantError: If ``spec.tenant_id`` is already
                 registered (tenant ids key the deterministic merge).
-            repro.api.UnknownTunerError: If ``spec.tuner`` names a tuner
-                nobody registered.
+            repro.api.UnknownTunerError: If ``spec.tuner`` is not a
+                built-in tuner name.
         """
         if spec.tenant_id in self._sessions:
             raise DuplicateTenantError(spec.tenant_id)

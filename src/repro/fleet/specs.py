@@ -1,8 +1,8 @@
 """Frozen, picklable recipes for fleet tenants and fleet-wide behaviour.
 
-:class:`TenantSpec` mirrors the registry discipline of
-:class:`~repro.api.TunerSpec` / :class:`~repro.api.DatabaseSpec`: a tenant is
-named by a registry tuner name plus a picklable database recipe, never by
+:class:`TenantSpec` follows :class:`~repro.api.TunerSpec` /
+:class:`~repro.api.DatabaseSpec`: a tenant is named by a built-in tuner name
+plus a picklable database recipe, never by
 live objects, so fleets can be described declaratively (and shipped across
 process boundaries) exactly like competition entries.
 """
@@ -29,11 +29,11 @@ class TenantSpec:
             specs share an :meth:`~repro.api.DatabaseSpec.intern_key` share
             one immutable statistics snapshot (see
             :class:`~repro.fleet.DatabaseInterner`).
-        tuner: Registry name of the tenant's tuner (``"MAB"``, ``"DDQN"``,
+        tuner: Name of the tenant's built-in tuner (``"MAB"``, ``"DDQN"``,
             ``"PDTool"``, ...), resolved through
             :func:`repro.api.create_tuner`.
         tuner_spec: Optional per-tenant tuner context; ``None`` uses the
-            registry default.
+            default :class:`~repro.api.TunerSpec`.
         options: Optional per-tenant execution options; ``None`` falls back
             to the fleet's :attr:`FleetConfig.default_options`.
     """

@@ -4,14 +4,14 @@ table and figure of the paper's evaluation section.
 Public API note
 ---------------
 The harness is the *paper-reproduction* layer, built on top of
-:mod:`repro.api`.  Sessions, the tuner registry and the simulation and
+:mod:`repro.api`.  Sessions, the tuner table and the simulation and
 competition drivers are imported from :mod:`repro.api`; the tuner protocol
 (``Tuner``, ``Recommendation``) from :mod:`repro.interface`.  The harness
 exports only its own experiments, metrics and reporting.
 
 Attributes resolve lazily (PEP 562): the harness depends on :mod:`repro.api`
-while the tuner implementations that register themselves with the API import
-the registry back, and lazy resolution keeps that cycle unobservable.
+while :mod:`repro.api` imports the harness's metrics back, and lazy
+resolution keeps that cycle unobservable.
 """
 
 from __future__ import annotations

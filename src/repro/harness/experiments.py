@@ -7,7 +7,7 @@ experiments down so the complete benchmark suite runs in minutes on a laptop
 while preserving every qualitative comparison.
 
 The experiments are built entirely on :mod:`repro.api`: tuners are resolved
-through the registry (:func:`repro.api.create_tuner`) and every run is a
+by name (:func:`repro.api.create_tuner`) and every run is a
 :class:`repro.api.TuningSession` driven by :func:`repro.api.run_competition`,
 so ``workers > 1`` fans the tuners of one experiment out across processes.
 
@@ -67,10 +67,6 @@ class ExperimentSettings:
     rl_rounds: int = 100
     rl_repetitions: int = 10
 
-    #: PDTool invocation-time cap applied to TPC-DS dynamic random (seconds),
-    #: matching the paper's 1-hour restriction.
-    tpcds_random_pdtool_limit_seconds: float = 3600.0
-
     @classmethod
     def quick(cls) -> "ExperimentSettings":
         """Reduced settings for the ``benchmarks/`` reproduction suite."""
@@ -89,11 +85,7 @@ class ExperimentSettings:
 
     def tuner_spec(self, benchmark_name: str = "", workload_type: str = "static") -> TunerSpec:
         """The :class:`repro.api.TunerSpec` these settings imply for one regime."""
-        return TunerSpec(
-            benchmark_name=benchmark_name,
-            workload_type=workload_type,
-            pdtool_invocation_limit_seconds=self.tpcds_random_pdtool_limit_seconds,
-        )
+        return TunerSpec(benchmark_name=benchmark_name, workload_type=workload_type)
 
     def database_spec(self, benchmark_name: str) -> DatabaseSpec:
         """A picklable factory for this experiment's databases."""

@@ -173,8 +173,8 @@ REGRESSION_THRESHOLD = 1.0
 class MissingBaselineError(KeyError, ValueError):
     """Raised when safety metrics are requested without a NoIndex baseline.
 
-    Subclasses both ``KeyError`` and ``ValueError`` (registry style) and
-    names the reports that *are* available.
+    Subclasses both ``KeyError`` and ``ValueError`` (like the name-lookup
+    errors) and names the reports that *are* available.
     """
 
 

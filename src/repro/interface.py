@@ -13,8 +13,9 @@ tuner through this small protocol, which encodes the paper's round structure:
    times), from which it can shape rewards for the next round.
 
 This module is the implementation home of the protocol; the supported public
-import path is :mod:`repro.api`, which re-exports :class:`Tuner` and
-:class:`Recommendation` next to the tuner registry and the session drivers.
+import path is :mod:`repro.api`, which re-exports :class:`Tuner`,
+:class:`TunerSpec` and :class:`Recommendation` next to the tuner table and
+the session drivers.
 """
 
 from __future__ import annotations
@@ -29,8 +30,21 @@ from repro.engine.indexes import IndexDefinition
 from repro.engine.query import Query
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.registry import TunerSpec
     from repro.engine.catalog import Database
+
+
+@dataclass(frozen=True)
+class TunerSpec:
+    """Typed, picklable context handed to every tuner factory.
+
+    The spec describes *where* the tuner will run, not *how* it learns —
+    per-algorithm hyper-parameters stay in each tuner's own config object.
+    """
+
+    #: Benchmark the tuner will face (``tpch``, ``tpcds``, ...; "" if ad hoc).
+    benchmark_name: str = ""
+    #: Workload regime (``static``, ``shifting`` or ``random``).
+    workload_type: str = "static"
 
 
 @dataclass
@@ -89,12 +103,12 @@ class Tuner(ABC):
         """
 
     @classmethod
-    def from_spec(cls, database: "Database", spec: "TunerSpec") -> "Tuner":
+    def from_spec(cls, database: "Database", spec: TunerSpec) -> "Tuner":
         """Build this tuner for one database under an experiment spec.
 
         The default covers tuners whose constructor is ``cls(database)`` with
         optional extras; tuners that specialise per benchmark or workload
         regime (e.g. PDTool's TPC-DS random time cap) override it.  This is
-        the factory the registry (:func:`repro.api.register_tuner`) records.
+        the factory the tuner table (:func:`repro.api.create_tuner`) calls.
         """
         return cls(database)

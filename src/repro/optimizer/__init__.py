@@ -2,12 +2,10 @@
 
 from .cardinality import DEFAULT_UNKNOWN_SELECTIVITY, MIN_SELECTIVITY, CardinalityEstimator
 from .planner import Planner
-from .whatif import WhatIfOptimizer
 
 __all__ = [
     "CardinalityEstimator",
     "DEFAULT_UNKNOWN_SELECTIVITY",
     "MIN_SELECTIVITY",
     "Planner",
-    "WhatIfOptimizer",
 ]

@@ -21,7 +21,6 @@ from .registry import (
     available_stressors,
     get_benchmark,
     get_stressor,
-    register_stressor,
 )
 from .stress import (
     ChurnWorkload,
@@ -79,7 +78,6 @@ __all__ = [
     "in_list",
     "join",
     "query_fingerprint",
-    "register_stressor",
     "round_fingerprint",
     "round_to_round_repeat_rate",
     "sequence_fingerprint",

@@ -75,7 +75,7 @@ class Benchmark:
         equals the multiplier times the data size (1x by default).  ``None``
         disables the budget.
 
-        ``backend`` selects the default storage tier (a registered profile
+        ``backend`` selects the default storage tier (a built-in profile
         name such as ``"hdd"``/``"ssd"``/``"inmemory"``/``"cloud"`` or a
         :class:`~repro.engine.BackendProfile`); ``None`` keeps the paper's
         HDD constants.  ``table_backends`` places individual tables on their

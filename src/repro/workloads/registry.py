@@ -1,15 +1,15 @@
-"""Benchmark and stressor registries: look workloads up by name."""
+"""Look benchmarks and stressors up by name in their fixed tables."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import Callable
 
-if TYPE_CHECKING:
-    from .stress import StressWorkload
+from repro.engine.errors import UnknownNameError, lookup_name
 
 from .base import Benchmark
 from .imdb import build_benchmark as _build_imdb
 from .ssb import build_benchmark as _build_ssb
+from .stress import STRESSORS, StressWorkload
 from .tpch import build_benchmark as _build_tpch
 from .tpch_skew import build_skewed_benchmark as _build_tpch_skew
 from .tpcds import build_benchmark as _build_tpcds
@@ -32,64 +32,29 @@ def available_benchmarks() -> list[str]:
 
 
 def get_benchmark(name: str) -> Benchmark:
-    """Build the named benchmark, raising ``KeyError`` with guidance if unknown."""
-    lowered = name.strip().lower()
-    for key in (lowered, lowered.replace("-", "_"), lowered.replace("-", "")):
-        if key in _BUILDERS:
-            return _BUILDERS[key]()
-    raise KeyError(
-        f"unknown benchmark {name!r}; available: {', '.join(available_benchmarks())}"
-    )
+    """Build the named benchmark.
+
+    Raises :class:`~repro.engine.errors.UnknownNameError` (a ``KeyError``
+    *and* ``ValueError``) naming the benchmarks when the name is unknown.
+    """
+    return lookup_name(_BUILDERS, name, "benchmark", UnknownNameError)()
 
 
-# --------------------------------------------------------------------- #
-# adversarial stressor registry (see repro.workloads.stress)
-# --------------------------------------------------------------------- #
-_STRESSORS: dict[str, type["StressWorkload"]] = {}
-
-_S = TypeVar("_S", bound="type[StressWorkload]")
-
-
-class UnknownStressorError(KeyError, ValueError):
-    """Raised when a stressor name is not registered; lists valid names."""
-
-
-def register_stressor(name: str) -> Callable[[_S], _S]:
-    """Class decorator registering an adversarial workload under ``name``."""
-
-    def decorator(cls: _S) -> _S:
-        if name in _STRESSORS and _STRESSORS[name] is not cls:
-            raise ValueError(f"stressor name {name!r} already registered")
-        _STRESSORS[name] = cls
-        return cls
-
-    return decorator
-
-
-def _load_stressors() -> None:
-    # The stress module registers its classes on import; imported lazily so
-    # the registry stays import-cycle-free (stress.py imports this module).
-    from . import stress  # noqa: F401
+class UnknownStressorError(UnknownNameError):
+    """Raised when a name is not one of the stressors; lists valid names."""
 
 
 def available_stressors() -> list[str]:
     """Names accepted by :func:`get_stressor`."""
-    _load_stressors()
-    return sorted(_STRESSORS)
+    return sorted(STRESSORS)
 
 
-def get_stressor(name: str) -> type["StressWorkload"]:
-    """Look up a registered stressor class by name.
+def get_stressor(name: str) -> type[StressWorkload]:
+    """Look up a stressor class by name.
 
     Raises :class:`UnknownStressorError` (a ``KeyError`` *and* ``ValueError``)
-    naming the registered stressors when the name is unknown.
+    naming the stressors when the name is unknown.
     """
-    _load_stressors()
-    lowered = name.strip().lower()
-    for key in (lowered, lowered.replace("-", "_"), lowered.replace(" ", "_")):
-        if key in _STRESSORS:
-            return _STRESSORS[key]
-    raise UnknownStressorError(
-        f"unknown stressor {name!r}; registered stressors: "
-        f"{', '.join(sorted(_STRESSORS))}"
-    )
+    return lookup_name(STRESSORS, name, "stressor", UnknownStressorError)
+
+

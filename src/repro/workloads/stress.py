@@ -4,8 +4,8 @@ The paper's pitch is *safe* online index tuning under ad-hoc, shifting
 workloads, but the three classic regimes (static / shifting / random) are
 mild.  This module supplies a family of adversarial
 :class:`~repro.workloads.generator.WorkloadSequence` subclasses — each one a
-named, registered *stressor* — that the safety benchmark
-(``benchmarks/test_stress_suite.py``) races every registered tuner against:
+named *stressor* — that the safety benchmark
+(``benchmarks/test_stress_suite.py``) races every built-in tuner against:
 
 * :class:`FlashTrafficWorkload` — one template's frequency multiplies 10-50x
   for a few rounds, then collapses back to baseline;
@@ -37,7 +37,7 @@ world.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from repro.engine.catalog import Database
 from repro.engine.query import Operator, Query
 
 from .generator import WorkloadRound, WorkloadSequence
-from .registry import register_stressor
 from .templates import PredicateTemplate, QueryTemplate, ValueMode
 
 
@@ -57,7 +56,7 @@ class TierMigrationEvent:
     """Move one table across storage tiers before the round runs.
 
     ``backend=None`` demotes the table back to the database's default tier;
-    any registered backend name promotes (or re-places) it.  Applied through
+    any built-in backend name promotes (or re-places) it.  Applied through
     :meth:`repro.engine.Database.set_table_backend`, so the very next plan
     prices the table at its new tier.
     """
@@ -131,7 +130,6 @@ class StressWorkload(WorkloadSequence):
         return [template.instantiate(self.database, rng) for template in templates]
 
 
-@register_stressor("flash_traffic")
 class FlashTrafficWorkload(StressWorkload):
     """Flash-traffic spike: one template's frequency multiplies, then collapses.
 
@@ -197,7 +195,6 @@ class FlashTrafficWorkload(StressWorkload):
             )
 
 
-@register_stressor("seasonal")
 class SeasonalWorkload(StressWorkload):
     """Seasonal / periodic drift: sinusoidal template-weight rotation.
 
@@ -257,7 +254,6 @@ class SeasonalWorkload(StressWorkload):
             )
 
 
-@register_stressor("churn")
 class ChurnWorkload(StressWorkload):
     """Template churn: ad-hoc queries drawn once and never seen again.
 
@@ -350,7 +346,6 @@ class ChurnWorkload(StressWorkload):
             history.extend(queries)
 
 
-@register_stressor("schema_growth")
 class SchemaGrowthWorkload(StressWorkload):
     """Schema growth: tables appear mid-run, with data volume and fresh statistics.
 
@@ -432,7 +427,6 @@ class SchemaGrowthWorkload(StressWorkload):
             )
 
 
-@register_stressor("tier_migration")
 class TierMigrationWorkload(StressWorkload):
     """Mid-run tier migration: scheduled promote/demote as a workload stressor.
 
@@ -540,5 +534,11 @@ def sequence_fingerprint(rounds: list[WorkloadRound]) -> tuple[object, ...]:
     return tuple(round_fingerprint(workload_round) for workload_round in rounds)
 
 
-#: Builder signature shared by every registered stressor.
-StressorBuilder = Callable[..., StressWorkload]
+#: Every stressor by name, in name order.
+STRESSORS: dict[str, type[StressWorkload]] = {
+    "churn": ChurnWorkload,
+    "flash_traffic": FlashTrafficWorkload,
+    "schema_growth": SchemaGrowthWorkload,
+    "seasonal": SeasonalWorkload,
+    "tier_migration": TierMigrationWorkload,
+}

@@ -1,4 +1,4 @@
-"""Tests for the public API: registry, sessions, competitions and parity.
+"""Tests for the public API: tuner table, sessions, competitions and parity.
 
 The parity test pins the central refactor guarantee of the api_redesign PR:
 ``run_simulation`` — now a thin loop over :class:`repro.api.TuningSession` —
@@ -19,21 +19,21 @@ from repro.api import (
     DatabaseSpec,
     Recommendation,
     SimulationOptions,
-    Tuner,
     TunerSpec,
     TuningSession,
     UnknownTunerError,
     create_tuner,
-    register_tuner,
     registered_tuner_names,
     run_competition,
     run_simulation,
 )
-from repro.api.registry import _PRIMARY_NAMES, _REGISTRY, _normalise
+from repro.baselines.pdtool import TPCDS_RANDOM_INVOCATION_LIMIT_SECONDS
+from repro.engine import get_backend
+from repro.engine.errors import UnknownNameError
 from repro.engine.execution import Executor
 from repro.harness import ExperimentSettings, build_workload_rounds
 from repro.optimizer.planner import Planner
-from repro.workloads import ShiftingWorkload, StaticWorkload, get_benchmark
+from repro.workloads import ShiftingWorkload, StaticWorkload, get_benchmark, get_stressor
 
 
 def tiny_spec(benchmark_name: str = "ssb", seed: int = 4) -> DatabaseSpec:
@@ -48,12 +48,12 @@ def ssb_rounds():
 
 
 # --------------------------------------------------------------------- #
-# registry
+# tuner table
 # --------------------------------------------------------------------- #
 class TestRegistry:
     def test_builtin_names_registered(self):
-        names = registered_tuner_names()
-        assert {"MAB", "NoIndex", "PDTool", "DDQN", "DDQN_SC"} <= set(names)
+        # BENCH_stress.json iterates this listing, so its order is pinned.
+        assert registered_tuner_names() == ["MAB", "DDQN", "DDQN_SC", "NoIndex", "PDTool"]
 
     def test_create_tuner_by_name_and_alias(self):
         database = tiny_spec().create()
@@ -78,39 +78,19 @@ class TestRegistry:
         assert issubclass(UnknownTunerError, KeyError)
 
     def test_spec_drives_pdtool_tpcds_random_cap(self):
+        """Only TPC-DS random caps an invocation, at the paper's one hour."""
         database = tiny_spec().create()
-        capped = create_tuner(
-            "PDTool",
-            database,
-            TunerSpec("tpcds", "random", pdtool_invocation_limit_seconds=123.0),
-        )
-        assert capped.config.invocation_time_limit_seconds == 123.0
-        uncapped = create_tuner("PDTool", database, TunerSpec("tpch", "static"))
-        assert uncapped.config.invocation_time_limit_seconds is None
-
-    def test_register_custom_tuner(self):
-        @register_tuner("_TestEcho")
-        class EchoTuner(Tuner):
-            name = "_TestEcho"
-
-            def __init__(self, database):
-                self.database = database
-
-            def recommend(self, round_number, training_queries=None):
-                return Recommendation()
-
-            def observe(self, round_number, queries, results, change):
-                pass
-
-        try:
-            database = tiny_spec().create()
-            tuner = create_tuner("_testecho", database)
-            assert isinstance(tuner, EchoTuner)
-            assert tuner.database is database
-            assert "_TestEcho" in registered_tuner_names()
-        finally:
-            _REGISTRY.pop(_normalise("_TestEcho"), None)
-            _PRIMARY_NAMES.remove("_TestEcho")
+        capped = create_tuner("PDTool", database, TunerSpec("tpcds", "random"))
+        assert capped.config.invocation_time_limit_seconds == 3600.0
+        for spec in [
+            TunerSpec("tpcds", "static"),
+            TunerSpec("tpcds", "shifting"),
+            TunerSpec("tpch", "random"),
+            TunerSpec("tpch", "static"),
+            None,
+        ]:
+            uncapped = create_tuner("PDTool", database, spec)
+            assert uncapped.config.invocation_time_limit_seconds is None
 
     def test_create_tuner_applies_the_settings_spec(self, tiny_database):
         settings = ExperimentSettings()
@@ -119,7 +99,7 @@ class TestRegistry:
         )
         assert (
             pdtool.config.invocation_time_limit_seconds
-            == settings.tpcds_random_pdtool_limit_seconds
+            == TPCDS_RANDOM_INVOCATION_LIMIT_SECONDS
         )
 
     def test_database_spec_is_picklable_factory(self):
@@ -463,3 +443,28 @@ def test_every_export_resolves(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+# --------------------------------------------------------------------- #
+# one convention for every unknown name
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "lookup",
+    [
+        lambda name: create_tuner(name, None),
+        get_backend,
+        get_stressor,
+        get_benchmark,
+        lambda name: DatabaseSpec(name).create(),
+    ],
+    ids=["tuner", "backend", "stressor", "benchmark", "database_spec"],
+)
+def test_unknown_names_share_one_error_convention(lookup):
+    """Every name lookup fails the same way: one ``except KeyError`` or
+    ``except ValueError`` catches it, and it prints unquoted."""
+    with pytest.raises(UnknownNameError) as excinfo:
+        lookup("nope")
+    assert isinstance(excinfo.value, KeyError)
+    assert isinstance(excinfo.value, ValueError)
+    assert str(excinfo.value).startswith("unknown ")
+    assert "'nope'" in str(excinfo.value)

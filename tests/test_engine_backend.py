@@ -1,11 +1,11 @@
-"""Tests for storage-backend profiles and their registry.
+"""Tests for storage-backend profiles and their name table.
 
 Pins the tentpole guarantees of the multi-backend PR: the default profile is
 bit-identical to the historical hard-coded constants (``hdd``), the built-in
 ``ssd``/``inmemory`` tiers re-time the same formulas coherently (narrower
 random/sequential gap, cheaper I/O), profiles are frozen and picklable, and
-the registry mirrors the tuner registry's ergonomics — including an
-:class:`~repro.engine.UnknownBackendError` that lists every registered name —
+the name lookup follows the tuner table's conventions — including an
+:class:`~repro.engine.UnknownBackendError` that lists every built-in name —
 and a profile whose constants would make time negative (or divide by zero)
 fails at construction.
 """
@@ -22,11 +22,9 @@ from repro.engine import (
     Database,
     UnknownBackendError,
     get_backend,
-    register_backend,
     registered_backend_names,
     resolve_backend,
 )
-from repro.engine.backend import _REGISTRY
 from repro.engine.indexes import IndexDefinition
 from repro.workloads import get_benchmark
 
@@ -37,7 +35,7 @@ def tiny_database() -> Database:
 
 
 # --------------------------------------------------------------------- #
-# registry
+# name table
 # --------------------------------------------------------------------- #
 class TestRegistry:
     def test_builtin_names_registered(self):
@@ -61,18 +59,6 @@ class TestRegistry:
             get_backend("floppy")
         assert issubclass(UnknownBackendError, KeyError)
         assert issubclass(UnknownBackendError, ValueError)
-
-    def test_register_custom_backend(self):
-        try:
-
-            @register_backend("test_san")
-            def _san() -> BackendProfile:
-                return BackendProfile(name="test_san", per_query_overhead_seconds=0.2)
-
-            assert get_backend("Test-SAN").per_query_overhead_seconds == 0.2
-            assert registered_backend_names()[-1] == "test_san"
-        finally:
-            _REGISTRY.pop("test_san", None)
 
     def test_resolve_backend_accepts_all_spellings(self):
         assert resolve_backend(None) == get_backend("hdd")

@@ -21,9 +21,9 @@ class TestExecution:
     def test_full_scan_execution_reports_no_index_usage(self, tiny_database, planner, executor):
         result = executor.execute(planner.plan(make_sales_query()))
         assert result.total_seconds > 0
-        assert result.indexes_used == set()
-        access = result.access_for("sales")
-        assert access is not None
+        (access,) = result.access_results
+        assert access.table == "sales"
+        assert access.index_id is None
         assert access.index_gain_seconds == 0.0
 
     def test_covering_index_reduces_time_and_reports_gain(self, tiny_database, planner, executor):
@@ -33,8 +33,9 @@ class TestExecution:
         tiny_database.create_index(index)
         result = executor.execute(planner.plan(query))
         assert result.total_seconds < baseline
-        assert index.index_id in result.indexes_used
-        assert result.access_for("sales").index_gain_seconds > 0
+        (access,) = result.access_results
+        assert access.index_id == index.index_id
+        assert access.index_gain_seconds > 0
 
     def test_join_query_execution(self, tiny_database, planner, executor):
         result = executor.execute(planner.plan(make_join_query()))
@@ -72,7 +73,8 @@ class TestExecution:
         self, tiny_database, planner, executor
     ):
         result = executor.execute(planner.plan(make_sales_query()))
-        access = result.access_for("sales")
+        (access,) = result.access_results
+        assert access.table == "sales"
         expected = tiny_database.cost_model.full_scan_seconds(tiny_database.table_data("sales"))
         assert access.full_scan_seconds == pytest.approx(expected)
 
@@ -103,5 +105,6 @@ class TestExecution:
         if plan.accesses["sales"].index is None:
             pytest.skip("optimiser did not pick the index under this data seed")
         result = executor.execute(plan)
-        assert result.access_for("sales").index_gain_seconds < 0
+        (access,) = result.access_results
+        assert access.index_gain_seconds < 0
         assert result.total_seconds > baseline

@@ -10,7 +10,7 @@ from repro.engine import (
     Predicate,
     Query,
 )
-from repro.optimizer import CardinalityEstimator, Planner, WhatIfOptimizer
+from repro.optimizer import CardinalityEstimator, Planner
 from tests.conftest import make_sales_query
 
 
@@ -109,52 +109,51 @@ class TestPlanner:
         assert 0 < plan.estimated_seconds < 1e9
 
 
-def estimated_cost(what_if, queries, configuration):
-    return sum(what_if.plan_query(query, configuration).estimated_seconds for query in queries)
+def estimated_cost(planner, queries, configuration):
+    return sum(
+        planner.plan(query, configuration=configuration).estimated_seconds for query in queries
+    )
 
 
 class TestWhatIf:
+    """The what-if interface: ``Planner.plan`` under a hypothetical configuration."""
+
     def test_index_benefit_positive_for_useful_index(self, tiny_database_readonly, sales_query):
-        what_if = WhatIfOptimizer(tiny_database_readonly)
+        planner = Planner(tiny_database_readonly)
         useful = IndexDefinition("sales", ("day", "channel"), ("amount",))
-        assert estimated_cost(what_if, [sales_query], [useful]) < estimated_cost(
-            what_if, [sales_query], []
+        assert estimated_cost(planner, [sales_query], [useful]) < estimated_cost(
+            planner, [sales_query], []
         )
 
     def test_index_benefit_zero_for_irrelevant_index(self, tiny_database_readonly, sales_query):
-        what_if = WhatIfOptimizer(tiny_database_readonly)
+        planner = Planner(tiny_database_readonly)
         useless = IndexDefinition("customers", ("segment",))
-        assert estimated_cost(what_if, [sales_query], [useless]) == pytest.approx(
-            estimated_cost(what_if, [sales_query], []), abs=1e-6
+        assert estimated_cost(planner, [sales_query], [useless]) == pytest.approx(
+            estimated_cost(planner, [sales_query], []), abs=1e-6
         )
 
     def test_estimates_do_not_materialise_anything(self, tiny_database_readonly, sales_query):
-        what_if = WhatIfOptimizer(tiny_database_readonly)
-        what_if.plan_query(sales_query, [IndexDefinition("sales", ("day",))])
+        planner = Planner(tiny_database_readonly)
+        planner.plan(sales_query, configuration=[IndexDefinition("sales", ("day",))])
         assert tiny_database_readonly.materialised_indexes == []
-
-    def test_call_counter_increments(self, tiny_database_readonly, sales_query):
-        what_if = WhatIfOptimizer(tiny_database_readonly)
-        before = what_if.calls
-        estimated_cost(what_if, [sales_query, sales_query], [])
-        assert what_if.calls == before + 2
 
     def test_configuration_benefit_monotone_for_nested_configs(
         self, tiny_database_readonly, sales_query, join_query
     ):
-        what_if = WhatIfOptimizer(tiny_database_readonly)
+        planner = Planner(tiny_database_readonly)
         queries = [sales_query, join_query]
         single = [IndexDefinition("sales", ("day", "channel"), ("amount",))]
         double = single + [IndexDefinition("customers", ("region",), ("segment", "customer_id"))]
-        assert estimated_cost(what_if, queries, double) <= estimated_cost(
-            what_if, queries, single
+        assert estimated_cost(planner, queries, double) <= estimated_cost(
+            planner, queries, single
         ) + 1e-9
 
 
 class TestEstimatesFollowGrowth:
-    """``grow_table`` replaces the statistics catalog; a planner (and the
-    what-if interface built on one) created before the growth must estimate
-    against the new row count, not the catalog it was constructed with."""
+    """``grow_table`` replaces the statistics catalog; a planner created
+    before the growth must estimate against the new row count, not the
+    catalog it was constructed with, with or without a what-if
+    configuration."""
 
     @staticmethod
     def unfiltered_sales_query():
@@ -169,11 +168,11 @@ class TestEstimatesFollowGrowth:
         assert after == tiny_database.statistics.row_count("sales") == 2 * before
 
     def test_what_if_costs_the_grown_table(self, tiny_database):
-        what_if = WhatIfOptimizer(tiny_database)
+        planner = Planner(tiny_database)
         query = self.unfiltered_sales_query()
         tiny_database.grow_table("sales", 2.0)
-        fresh = WhatIfOptimizer(tiny_database)
+        fresh = Planner(tiny_database)
         assert (
-            what_if.plan_query(query, []).estimated_seconds
-            == fresh.plan_query(query, []).estimated_seconds
+            planner.plan(query, configuration=[]).estimated_seconds
+            == fresh.plan(query, configuration=[]).estimated_seconds
         )

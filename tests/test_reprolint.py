@@ -652,16 +652,16 @@ class TestRepoIsClean:
         assert {finding.rule for finding in report.findings} <= {"RL001"}
 
     def test_registered_name_lists_match_the_registries(self):
-        """RL003's hand-kept name lists equal the live registries' keys."""
-        from repro.api.registry import _REGISTRY, _ensure_builtin_tuners
+        """RL003's hand-kept name lists equal the public name listings
+        (normalised as RL003 normalises a literal)."""
+        from repro.api import registered_tuner_names
         from repro.engine import registered_backend_names
         from tools.reprolint.rules.rl003_registry_discipline import (
             BACKEND_NAMES,
             TUNER_NAMES,
         )
 
-        _ensure_builtin_tuners()
-        assert TUNER_NAMES == set(_REGISTRY)
+        assert TUNER_NAMES == {name.lower() for name in registered_tuner_names()}
         assert BACKEND_NAMES == set(registered_backend_names())
 
     def test_spec_classes_are_frozen_dataclasses_in_src(self):

@@ -1,8 +1,6 @@
 """The reprolint rule registry.
 
-Rules register themselves by id, mirroring the runtime registries
-(:func:`repro.api.register_tuner`, :func:`repro.engine.register_backend`):
-each rule module decorates its class with :func:`register_rule` and the
+Rules register themselves by id: each rule module decorates its class with :func:`register_rule` and the
 import at the bottom of this file wires the built-ins in.  Adding a rule is
 therefore: write ``rules/rl0xx_name.py`` with a decorated :class:`Rule`
 subclass, import it below, document it in ``docs/STATIC_ANALYSIS.md``.

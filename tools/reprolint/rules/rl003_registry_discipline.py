@@ -1,15 +1,16 @@
-"""RL003 — registry discipline: dispatch through the registries, not if/elif.
+"""RL003 — registry discipline: dispatch through the name tables, not if/elif.
 
-The repo has exactly two extension points — ``@register_tuner`` and
-``@register_backend`` — and both exist so new strategies plug in without
-editing call sites.  An ``if name == "mab": ... elif name == "pdtool": ...``
-chain silently bypasses alias resolution, skips validation, and breaks the
-moment someone registers a tuner the chain has never heard of.
+Tuners and storage backends are looked up by name in one fixed table each
+(``repro.api.create_tuner``, ``repro.engine.get_backend``), so a name is
+resolved, spelled and validated in one place.  An ``if name == "mab": ...
+elif name == "pdtool": ...`` chain silently bypasses that spelling
+normalisation, skips validation, and goes stale the moment the table
+changes.
 
 This rule flags if/elif chains in ``src/`` and ``examples/`` where **two or
-more branches** compare a value against registered tuner/backend name
-strings.  The registry modules themselves are exempt: *something* has to map
-a string to a factory, and that something is the registry.
+more branches** compare a value against tuner/backend name strings.  The
+modules holding the tables are exempt: *something* has to map a string to a
+factory, and that something is the table.
 """
 
 from __future__ import annotations
@@ -22,15 +23,15 @@ from . import Rule, register_rule
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model import Finding, SourceFile
 
-#: Canonical names and aliases of registered tuners (normalised: lowercase,
-#: ``-`` -> ``_``), mirroring the ``@register_tuner`` calls in the codebase.
+#: Names of the built-in tuners (normalised: lowercase, ``-`` -> ``_``),
+#: mirroring ``repro.api.registered_tuner_names()``.
 TUNER_NAMES = frozenset({"mab", "noindex", "pdtool", "ddqn", "ddqn_sc"})
-#: Names of registered storage backends (normalised likewise), mirroring the
-#: ``@register_backend`` calls in ``repro.engine.backend``.
+#: Names of the built-in storage backends (normalised likewise), mirroring
+#: ``repro.engine.registered_backend_names()``.
 BACKEND_NAMES = frozenset({"hdd", "ssd", "inmemory", "cloud"})
 REGISTERED_NAMES = TUNER_NAMES | BACKEND_NAMES
 
-#: Modules whose whole purpose is the string -> factory mapping.
+#: Modules that hold the string -> factory/profile tables.
 REGISTRY_MODULES = frozenset(
     {
         "src/repro/api/registry.py",
@@ -67,7 +68,7 @@ def _literal_names(test: ast.expr) -> list[str]:
 @register_rule
 class RegistryDisciplineRule(Rule):
     id = "RL003"
-    title = "no if/elif dispatch on registered tuner/backend names outside the registries"
+    title = "no if/elif dispatch on tuner/backend names outside their name tables"
 
     def check_file(self, source_file: "SourceFile") -> Iterable["Finding"]:
         if source_file.top_level_dir not in CHECKED_TOP_DIRS:
@@ -112,9 +113,8 @@ class RegistryDisciplineRule(Rule):
                     line=node.lineno,
                     col=node.col_offset,
                     message=(
-                        f"if/elif dispatch on registered names ({names_text}); "
-                        "resolve through the registry (create_tuner / "
-                        "resolve_backend) so aliases and new registrations "
-                        "keep working"
+                        f"if/elif dispatch on tuner/backend names ({names_text}); "
+                        "resolve through the name tables (create_tuner / "
+                        "resolve_backend) so every spelling keeps working"
                     ),
                 )
