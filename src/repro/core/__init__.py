@@ -4,7 +4,7 @@ from .arms import Arm, ArmGenerator
 from .config import MabConfig
 from .context import DERIVED_FEATURE_NAMES, ContextBuilder
 from .linear_bandit import C2UCB
-from .oracle import GreedyOracle, OracleResult, ScoredArm
+from .oracle import GreedyOracle, OracleResult
 from .query_store import QueryStore, RoundSummary, TemplateRecord
 from .rewards import RoundRewards, compute_round_rewards
 from .tuner import MabTuner
@@ -22,7 +22,6 @@ __all__ = [
     "QueryStore",
     "RoundRewards",
     "RoundSummary",
-    "ScoredArm",
     "TemplateRecord",
     "compute_round_rewards",
 ]

@@ -14,8 +14,8 @@ and payload columns and on the generation settings, never on parameter values
 or template ids.  :func:`arm_shapes` computes it once per distinct shape in one
 process-wide cache shared by every generator (tuners, fleet tenants and the
 baselines alike).  The cache holds only frozen :class:`IndexDefinition` values;
-:class:`ArmGenerator` builds fresh, mutable :class:`Arm` objects from it on
-every call, so merging arms can never corrupt it.
+:class:`ArmGenerator` merges the round's arms into the caller's mutable
+:class:`Arm` registry (or into fresh arms), so merging can never corrupt it.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ class Arm:
     covering_for_queries: set[str] = field(default_factory=set)
     #: Rounds in which the optimiser actually used this arm (for context D3).
     usage_rounds: int = 0
-    #: Last round in which the arm was generated (kept for pruning/debugging).
-    last_generated_round: int = 0
 
     @property
     def index_id(self) -> str:
@@ -85,7 +83,7 @@ def arm_shapes(
     )
     include = tuple(column for column in payload_columns if column not in key_candidates)
     referenced = set(key_candidates) | set(payload_columns)
-    variants = [()]
+    variants: list[tuple[str, ...]] = [()]
     if include_covering_arms and include:
         variants.append(include)
 
@@ -122,25 +120,42 @@ class ArmGenerator:
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
-    def generate(self, queries: list[Query]) -> dict[str, Arm]:
-        """Arms for a set of queries of interest, merged by index identity.
+    def generate(
+        self, queries: list[Query], registry: dict[str, Arm] | None = None
+    ) -> dict[str, Arm]:
+        """The round's arm pool for a set of queries of interest.
 
         Args:
             queries: The current queries of interest.
+            registry: ``{index_id: Arm}`` of every arm seen so far, merged
+                in place: an unseen index id gets a new :class:`Arm`, and a
+                known arm gets a fresh covering-query set the first time it
+                appears in the round, while the round's templates are
+                unioned into its ``source_templates``.  ``None`` gives fresh
+                arms on every call.
 
         Returns:
-            ``{index_id: Arm}`` of fresh arms, where arms motivated by several
-            queries carry the union of their source templates and
-            covering-query sets.
+            ``{index_id: Arm}`` of the arms the queries motivate, in order of
+            first appearance (the *pool order* that context rows and
+            tie-break jitter use), holding the registry's own objects.
         """
-        merged: dict[str, Arm] = {}
+        if registry is None:
+            registry = {}
+        pool: dict[str, Arm] = {}
         for query in queries:
+            template_id, query_id = query.template_id, query.query_id
             for table in query.tables:
                 for index, covers in self._shapes(query, table):
-                    arm = merged.get(index.index_id)
+                    index_id = index.index_id
+                    arm = pool.get(index_id)
                     if arm is None:
-                        arm = merged[index.index_id] = Arm(index=index)
-                    arm.source_templates.add(query.template_id)
+                        arm = registry.get(index_id)
+                        if arm is None:
+                            arm = registry[index_id] = Arm(index=index)
+                        else:
+                            arm.covering_for_queries = set()
+                        pool[index_id] = arm
+                    arm.source_templates.add(template_id)
                     if covers:
-                        arm.covering_for_queries.add(query.query_id)
-        return merged
+                        arm.covering_for_queries.add(query_id)
+        return pool

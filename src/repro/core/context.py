@@ -21,10 +21,12 @@ for arms that have never been played.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from repro.engine.catalog import Database
+from repro.engine.indexes import IndexDefinition
 from repro.engine.query import Query
 from repro.engine.schema import Schema
 
@@ -44,10 +46,15 @@ class ContextBuilder:
             for column in table.columns:
                 self._column_positions[(table.name, column.name)] = len(self._column_positions)
         self._n_columns = len(self._column_positions)
-        #: Per-arm static part-1 encoding: (column, slot, 10^-position) for
-        #: every key column with a schema slot.  An arm's key columns never
-        #: change, so this is computed once per arm id across all rounds.
-        self._key_slots: dict[str, tuple[tuple[str, int, float], ...]] = {}
+        #: Per-index static part-1 encoding, computed once per index id
+        #: across all rounds (an index's key columns never change): row
+        #: ``_key_rows[index_id]`` of ``_key_slots`` holds the schema slot of
+        #: each key column ``j`` and the same row of ``_key_values`` its
+        #: ``10^-j``.  Short keys and columns without a slot are padded with
+        #: slot ``_n_columns``, which no workload mask ever sets.
+        self._key_rows: dict[str, int] = {}
+        self._key_slots = np.empty((0, 0), dtype=np.intp)
+        self._key_values = np.empty((0, 0))
 
     # ------------------------------------------------------------------ #
     # dimensions
@@ -76,22 +83,37 @@ class ContextBuilder:
     def column_position(self, table: str, column: str) -> int | None:
         return self._column_positions.get((table, column))
 
-    def _arm_key_slots(self, arm: Arm) -> tuple[tuple[str, int, float], ...]:
-        slots = self._key_slots.get(arm.index_id)
-        if slots is None:
-            slots = tuple(
-                (column, slot, 10.0 ** (-position))
-                for position, column in enumerate(arm.index.key_columns)
-                if (slot := self.column_position(arm.table, column)) is not None
-            )
-            self._key_slots[arm.index_id] = slots
-        return slots
+    def _key_table_rows(self, indexes: Sequence[IndexDefinition]) -> np.ndarray:
+        """The key-table row of each index, encoding unseen indexes first."""
+        rows = self._key_rows
+        found = [rows.get(index.index_id) for index in indexes]
+        if None in found:
+            added: list[IndexDefinition] = []
+            for position, index in enumerate(indexes):
+                if found[position] is None:
+                    row = rows.get(index.index_id)
+                    if row is None:
+                        row = rows[index.index_id] = len(rows)
+                        added.append(index)
+                    found[position] = row
+            self._encode_keys(added)
+        return np.asarray(found, dtype=np.intp)
 
-    @staticmethod
-    def _hypothetical_relative_size(arm: Arm, database: Database) -> float:
-        # Both database calls are O(1) cached lookups (invalidated by
-        # Database.refresh_statistics), so no builder-level cache is needed.
-        return database.index_size_bytes(arm.index) / max(1, database.data_size_bytes)
+    def _encode_keys(self, indexes: list[IndexDefinition]) -> None:
+        width = max(self._key_slots.shape[1], *(len(index.key_columns) for index in indexes))
+        slots = np.full((len(indexes), width), self._n_columns, dtype=np.intp)
+        values = np.zeros((len(indexes), width))
+        for row, index in enumerate(indexes):
+            for position, column in enumerate(index.key_columns):
+                slot = self.column_position(index.table, column)
+                if slot is not None:
+                    slots[row, position] = slot
+                    values[row, position] = 10.0 ** (-position)
+        pad = width - self._key_slots.shape[1]
+        self._key_slots = np.vstack(
+            [np.pad(self._key_slots, ((0, 0), (0, pad)), constant_values=self._n_columns), slots]
+        )
+        self._key_values = np.vstack([np.pad(self._key_values, ((0, 0), (0, pad))), values])
 
     def creation_context(self, arm: Arm, database: Database) -> np.ndarray:
         """Context used for the creation-cost observation of a newly built arm.
@@ -102,21 +124,33 @@ class ContextBuilder:
         the column-prefix weights clean estimators of *query-time* benefit.
         """
         context = np.zeros(self.dimension)
-        context[self.size_feature_index] = self._hypothetical_relative_size(arm, database)
+        context[self.size_feature_index] = database.index_size_bytes(arm.index) / max(
+            1, database.data_size_bytes
+        )
         return context
 
     # ------------------------------------------------------------------ #
     # context construction
     # ------------------------------------------------------------------ #
-    def predicate_columns(self, queries: list[Query]) -> dict[str, set[str]]:
-        """Predicate (filter + join) columns per table across the queries of interest."""
-        columns: dict[str, set[str]] = {}
+    def _workload_mask(self, queries: list[Query]) -> np.ndarray:
+        """Which schema slots are predicate (filter + join) columns of the queries.
+
+        One entry longer than the schema: the last entry is the key tables'
+        padding slot and stays ``False``.
+        """
+        columns: set[tuple[str, str]] = set()
         for query in queries:
-            for table in query.tables:
-                table_columns = columns.setdefault(table, set())
-                table_columns.update(query.predicate_columns_for(table))
-                table_columns.update(query.join_columns_for(table))
-        return columns
+            columns.update((predicate.table, predicate.column) for predicate in query.predicates)
+            for join in query.joins:
+                columns.add((join.left_table, join.left_column))
+                # A self-join contributes its left column only, as
+                # Query.join_columns_for does.
+                if join.right_table != join.left_table:
+                    columns.add((join.right_table, join.right_column))
+        positions = self._column_positions
+        mask = np.zeros(self._n_columns + 1, dtype=bool)
+        mask[[positions[column] for column in columns if column in positions]] = True
+        return mask
 
     def build(self, arm: Arm, queries: list[Query], database: Database) -> np.ndarray:
         """Context vector for one arm under the current queries of interest."""
@@ -124,32 +158,58 @@ class ContextBuilder:
 
     def build_matrix(
         self,
-        arms: list[Arm],
+        arms: Sequence[Arm],
         queries: list[Query],
         database: Database,
+        sizes: Sequence[int] | None = None,
     ) -> np.ndarray:
         """Context matrix (one row per arm, in ``arms`` order) for the current round.
 
-        The matrix is allocated once and each row is written in place from
-        the arm's cached key slots and its derived features; features that
-        are zero are left as allocated.
+        Args:
+            arms: The round's arm pool.
+            queries: The current queries of interest.
+            database: The database the arms would be built in.
+            sizes: Each arm's :meth:`Database.index_size_bytes`, when the
+                caller has already read them this round; read here otherwise.
+
+        The part-1 pairs of every arm come from the per-index key tables and
+        are written with one masked assignment against the round's
+        workload-column mask; the derived columns are filled from per-arm
+        vectors.  Features that are zero are left as allocated.
         """
-        predicate_columns = self.predicate_columns(queries)
-        matrix = np.zeros((len(arms), self.dimension))
-        covering = self.covering_feature_index
-        size = self.size_feature_index
-        usage = self.usage_feature_index
-        for row, arm in zip(matrix, arms):
-            # Part 1: prefix encoding over the arm's key columns (cached slots).
-            workload_columns = predicate_columns.get(arm.table, ())
-            for column, slot, value in self._arm_key_slots(arm):
-                if column in workload_columns:
-                    row[slot] = value
-            # Part 2: derived features.
-            if arm.covering_for_queries:
-                row[covering] = 1.0
-            if not database.has_index(arm.index):
-                row[size] = self._hypothetical_relative_size(arm, database)
-            if arm.usage_rounds:
-                row[usage] = math.log1p(arm.usage_rounds)
+        count = len(arms)
+        matrix = np.zeros((count, self.dimension))
+        if not count:
+            return matrix
+        indexes = [arm.index for arm in arms]
+        # Part 1: prefix encoding over the key columns that are predicate
+        # columns of the queries of interest.
+        rows = self._key_table_rows(indexes)
+        slots = self._key_slots[rows]
+        arm_positions, key_positions = np.nonzero(self._workload_mask(queries)[slots])
+        matrix[arm_positions, slots[arm_positions, key_positions]] = self._key_values[
+            rows[arm_positions], key_positions
+        ]
+        # Part 2: derived features.
+        matrix[:, self.covering_feature_index] = np.fromiter(
+            (bool(arm.covering_for_queries) for arm in arms), dtype=bool, count=count
+        )
+        if sizes is None:
+            sizes = [database.index_size_bytes(index) for index in indexes]
+        relative_size = np.asarray(sizes, dtype=float) / max(1, database.data_size_bytes)
+        materialised = np.zeros(len(self._key_rows), dtype=bool)
+        materialised[
+            [
+                self._key_rows[index.index_id]
+                for index in database.materialised_indexes
+                if index.index_id in self._key_rows
+            ]
+        ] = True
+        relative_size[materialised[rows]] = 0.0
+        matrix[:, self.size_feature_index] = relative_size
+        usage = np.fromiter((arm.usage_rounds for arm in arms), dtype=np.int64, count=count)
+        used = np.flatnonzero(usage)
+        matrix[used, self.usage_feature_index] = [
+            math.log1p(rounds) for rounds in usage[used].tolist()
+        ]
         return matrix

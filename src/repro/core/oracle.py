@@ -22,35 +22,29 @@ per-round only; pruned arms return in later rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .arms import Arm
 
 
-@dataclass
-class ScoredArm:
-    """An arm together with its UCB score and its materialisation size."""
+def score_order(scores: np.ndarray) -> np.ndarray:
+    """Positions of the positive ``scores``, best first, ties in pool order.
 
-    arm: Arm
-    score: float
-    size_bytes: int
-
-    @property
-    def index_id(self) -> str:
-        return self.arm.index_id
+    A stable sort of the negated scores gives exactly the order of a stable
+    descending sort, so equal scores keep their pool order.
+    """
+    order = np.argsort(-scores, kind="stable")
+    return order[scores[order] > 0]
 
 
 @dataclass
 class OracleResult:
     """Outcome of one oracle invocation."""
 
-    selected: list[ScoredArm]
-    total_size_bytes: int
-    total_score: float
-
-
-def _prefix_key(scored: ScoredArm) -> tuple[str, str]:
-    index = scored.arm.index
-    return index.table, index.leading_column()
+    #: Pool positions of the selected arms, in selection order.
+    selected: list[int]
 
 
 class GreedyOracle:
@@ -58,19 +52,34 @@ class GreedyOracle:
 
     def select(
         self,
-        scored_arms: list[ScoredArm],
+        candidates: Sequence[int],
+        arms: Sequence[Arm],
+        sizes: Sequence[int],
         memory_budget_bytes: int | None,
     ) -> OracleResult:
         """Pick a super arm within ``memory_budget_bytes``.
 
-        ``None`` means no budget constraint (every positively scored arm that
-        survives filtering is selected).
-        """
-        candidates = [scored for scored in scored_arms if scored.score > 0]
-        candidates.sort(key=lambda scored: scored.score, reverse=True)
+        Args:
+            candidates: Pool positions of the positively scored arms, best
+                first (:func:`score_order`).
+            arms: The round's arm pool.
+            sizes: Each pool arm's size in bytes, in pool order.
+            memory_budget_bytes: The budget; ``None`` means no budget
+                constraint (every candidate that survives filtering is
+                selected).
 
+        Returns:
+            The selected pool positions, in selection order.
+        """
         remaining_budget = memory_budget_bytes
-        selected: list[ScoredArm] = []
+        # The smallest size at or after each candidate: once the remaining
+        # budget is below it, no later candidate fits and the pass can stop.
+        # The budget only shrinks, so stopping there is exact.
+        smallest_ahead: list[int] = []
+        if remaining_budget is not None and len(candidates):
+            ordered_sizes = np.asarray(sizes)[np.asarray(candidates)]
+            smallest_ahead = np.minimum.accumulate(ordered_sizes[::-1])[::-1].tolist()
+        selected: list[int] = []
         covered_templates: set[str] = set()
         # (table, leading key column) of every selected arm.  An arm sharing
         # one is redundant for this round: the selected index already gives
@@ -79,36 +88,30 @@ class GreedyOracle:
         # next round.
         selected_prefixes: set[tuple[str, str]] = set()
 
-        for scored in candidates:
-            if remaining_budget is not None and scored.size_bytes > remaining_budget:
+        for rank, position in enumerate(candidates):
+            if remaining_budget is not None and remaining_budget < smallest_ahead[rank]:
+                break
+            size = sizes[position]
+            if remaining_budget is not None and size > remaining_budget:
                 # The greedy step only considers cost-feasible arms; skip and
                 # keep looking for a smaller one.
                 continue
-            prefix = _prefix_key(scored)
+            arm = arms[position]
+            index = arm.index
+            prefix = (index.table, index.leading_column())
             if prefix in selected_prefixes:
                 continue
-            if self._covered_by_covering_index(scored, covered_templates):
+            # Once a covering index is selected for a query, its other arms
+            # are dropped: an arm is filtered only when *every* template that
+            # motivated it is already served by a selected covering index;
+            # arms that also serve not-yet-covered templates stay in play.
+            motivating = arm.source_templates
+            if covered_templates and motivating and motivating <= covered_templates:
                 continue
-            selected.append(scored)
+            selected.append(position)
             selected_prefixes.add(prefix)
             if remaining_budget is not None:
-                remaining_budget -= scored.size_bytes
-            if scored.arm.covering_for_queries:
-                covered_templates |= scored.arm.source_templates
-
-        total_size = sum(scored.size_bytes for scored in selected)
-        total_score = sum(scored.score for scored in selected)
-        return OracleResult(selected=selected, total_size_bytes=total_size, total_score=total_score)
-
-    @staticmethod
-    def _covered_by_covering_index(scored: ScoredArm, covered_templates: set[str]) -> bool:
-        """Once a covering index is selected for a query, its other arms are dropped.
-
-        An arm is filtered only when *every* template that motivated it is
-        already served by a selected covering index; arms that also serve
-        not-yet-covered templates stay in play.
-        """
-        if not covered_templates:
-            return False
-        motivating = scored.arm.source_templates
-        return bool(motivating) and motivating <= covered_templates
+                remaining_budget -= size
+            if arm.covering_for_queries:
+                covered_templates |= arm.source_templates
+        return OracleResult(selected=selected)

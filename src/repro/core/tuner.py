@@ -33,7 +33,7 @@ from .arms import Arm, ArmGenerator
 from .config import MabConfig
 from .context import ContextBuilder
 from .linear_bandit import C2UCB
-from .oracle import GreedyOracle, ScoredArm
+from .oracle import GreedyOracle, score_order
 from .query_store import QueryStore
 from .rewards import compute_round_rewards
 
@@ -59,6 +59,9 @@ class PoolRound:
     alpha: float
     #: Context matrix for ``arms`` (set by :meth:`MabTuner.pool_contexts`).
     contexts: "np.ndarray | None" = None
+    #: Each pool arm's size in bytes, read once per round by
+    #: :meth:`MabTuner.pool_contexts` for both the contexts and the oracle.
+    sizes: "list[int] | None" = None
 
 
 class MabTuner(Tuner):
@@ -146,18 +149,21 @@ class MabTuner(Tuner):
             # which would make ``apply_configuration`` drop every
             # materialised index for no reason.
             return PoolRound(queries=[], arms=None, alpha=0.0)
-        arms = self._refresh_arms(queries_of_interest, round_number)
+        # Merged into the persistent registry; the pool keeps generation
+        # order, the *pool order* that context rows and tie-break jitter use.
+        arms = self.arm_generator.generate(queries_of_interest, self.known_arms)
         return PoolRound(
             queries=queries_of_interest,
-            arms=arms,
+            arms=list(arms.values()),
             alpha=self.config.alpha_at(round_number),
         )
 
     def pool_contexts(self, pool: PoolRound) -> np.ndarray:
         """Build (and remember) the context matrix for an open round's pool."""
         assert pool.arms is not None
+        pool.sizes = [self.database.index_size_bytes(arm.index) for arm in pool.arms]
         pool.contexts = self.context_builder.build_matrix(
-            pool.arms, pool.queries, self.database
+            pool.arms, pool.queries, self.database, pool.sizes
         )
         return pool.contexts
 
@@ -183,27 +189,18 @@ class MabTuner(Tuner):
         if pool.arms is None or scores is None:
             self._pending_selection = []
             return Recommendation(configuration=list(self.database.materialised_indexes))
-        assert pool.contexts is not None
+        assert pool.contexts is not None and pool.sizes is not None
         scores = scores + self.bandit.tie_break(len(scores))
-        candidates = [
-            ScoredArm(
-                arm=arm,
-                score=float(score),
-                size_bytes=self.database.index_size_bytes(arm.index),
-            )
-            for arm, score in zip(pool.arms, scores)
-        ]
-        context_rows = {
-            arm.index_id: pool.contexts[i] for i, arm in enumerate(pool.arms)
-        }
-        selection = self.oracle.select(candidates, self.database.memory_budget_bytes)
-        self._pending_selection = [
-            (scored.arm, context_rows[scored.arm.index_id])
-            for scored in selection.selected
-        ]
-        return Recommendation(
-            configuration=[scored.arm.index for scored in selection.selected]
+        selection = self.oracle.select(
+            score_order(scores).tolist(),
+            pool.arms,
+            pool.sizes,
+            self.database.memory_budget_bytes,
         )
+        self._pending_selection = [
+            (pool.arms[position], pool.contexts[position]) for position in selection.selected
+        ]
+        return Recommendation(configuration=[arm.index for arm, _ in self._pending_selection])
 
     def observe(
         self,
@@ -300,30 +297,8 @@ class MabTuner(Tuner):
         self._reward_scale_seconds = 1.0
 
     # ------------------------------------------------------------------ #
-    # internals and diagnostics
+    # diagnostics
     # ------------------------------------------------------------------ #
-    def _refresh_arms(self, queries: list[Query], round_number: int) -> list[Arm]:
-        """Generate arms for the QoI and merge them into the persistent registry.
-
-        Returns the round's arm pool in a deterministic order (generation
-        order of the merged ``{index_id: Arm}`` mapping) — the *pool order*
-        that context rows and tie-break jitter are both keyed by.
-        """
-        generated = self.arm_generator.generate(queries)
-        arms: list[Arm] = []
-        for index_id, fresh in generated.items():
-            known = self.known_arms.get(index_id)
-            if known is None:
-                fresh.last_generated_round = round_number
-                self.known_arms[index_id] = fresh
-                arms.append(fresh)
-            else:
-                known.source_templates |= fresh.source_templates
-                known.covering_for_queries = fresh.covering_for_queries
-                known.last_generated_round = round_number
-                arms.append(known)
-        return arms
-
     @property
     def known_arm_count(self) -> int:
         return len(self.known_arms)

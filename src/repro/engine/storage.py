@@ -56,7 +56,12 @@ def evaluate_predicate(values: np.ndarray, predicate: Predicate) -> np.ndarray:
         low, high = predicate.value
         return (values >= low) & (values <= high)
     if operator is Operator.IN:
-        return np.isin(values, np.asarray(predicate.value))
+        # An OR of equality masks: for the few values an IN list holds this
+        # is several times faster than np.isin, with the same promotion.
+        mask = np.zeros(values.shape, dtype=bool)
+        for item in np.asarray(predicate.value):
+            mask |= values == item
+        return mask
     raise ValueError(f"unsupported operator: {operator}")
 
 

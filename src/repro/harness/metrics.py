@@ -177,6 +177,9 @@ class MissingBaselineError(KeyError, ValueError):
     errors) and names the reports that *are* available.
     """
 
+    # KeyError.__str__ reprs the message (extra quotes); render it plainly.
+    __str__ = Exception.__str__
+
 
 @dataclass
 class SafetyReport:

@@ -71,10 +71,68 @@ class TestArmGeneration:
         assert 100 < len(arms) < 3000
 
 
+class TestArmRegistry:
+    """``generate`` merging a round's arms into the caller's registry in place."""
+
+    def test_pool_holds_the_registry_objects(self):
+        generator = ArmGenerator(MabConfig())
+        registry: dict[str, Arm] = {}
+        first = generator.generate([make_sales_query("s#1")], registry)
+        assert first and list(first) == list(registry)
+        assert all(registry[index_id] is arm for index_id, arm in first.items())
+        second = generator.generate([make_join_query(), make_sales_query("s#2")], registry)
+        assert all(registry[index_id] is arm for index_id, arm in second.items())
+        assert all(second[index_id] is first[index_id] for index_id in second.keys() & first.keys())
+        # Pool order is first-appearance order, as without a registry.
+        assert list(second) == list(generator.generate([make_join_query(), make_sales_query("s#2")]))
+
+    def test_known_arm_absent_this_round_keeps_its_covering_set(self):
+        generator = ArmGenerator(MabConfig())
+        registry: dict[str, Arm] = {}
+        generator.generate([make_sales_query("s#1")], registry)
+        before = {index_id: set(arm.covering_for_queries) for index_id, arm in registry.items()}
+        pool = generator.generate([make_join_query()], registry)
+        absent = [index_id for index_id in before if index_id not in pool]
+        assert any(before[index_id] for index_id in absent)
+        for index_id in absent:
+            assert registry[index_id].covering_for_queries == before[index_id]
+            assert registry[index_id].source_templates == {"q_sales"}
+
+    def test_known_arm_present_gets_only_this_rounds_covering_set(self):
+        generator = ArmGenerator(MabConfig())
+        registry: dict[str, Arm] = {}
+        generator.generate([make_sales_query("s#1", channel=None)], registry)
+        assert registry["ix_sales_day(+amount)"].covering_for_queries == {"s#1"}
+        second_round = [make_join_query(), make_sales_query("s#2")]
+        pool = generator.generate(second_round, registry)
+        fresh = generator.generate(second_round)
+        assert list(pool) == list(fresh)
+        for index_id, arm in pool.items():
+            assert arm.covering_for_queries == fresh[index_id].covering_for_queries
+        # Covering last round, present but covering nothing this round.
+        assert pool["ix_sales_day(+amount)"].covering_for_queries == set()
+        assert any(arm.covering_for_queries == {"s#2"} for arm in pool.values())
+        # Templates accumulate across rounds.
+        assert pool["ix_sales_day(+amount)"].source_templates == {"q_sales", "q_join"}
+        assert pool["ix_sales_customer_id"].source_templates == {"q_join"}
+
+    def test_without_a_registry_every_call_builds_new_arms(self):
+        generator = ArmGenerator(MabConfig())
+        queries = [make_sales_query(), make_join_query()]
+        first, second = generator.generate(queries), generator.generate(queries)
+        assert list(first) == list(second)
+        assert not any(second[index_id] is arm for index_id, arm in first.items())
+
+
 def reference_build(builder, arm, queries, database):
     """One context row as the per-arm builder computed it before the in-place matrix."""
     context = np.zeros(builder.dimension)
-    workload_columns = builder.predicate_columns(queries).get(arm.table, set())
+    workload_columns = {
+        column
+        for query in queries
+        if arm.table in query.tables
+        for column in query.predicate_columns_for(arm.table) + query.join_columns_for(arm.table)
+    }
     for position, column in enumerate(arm.index.key_columns):
         slot = builder.column_position(arm.table, column)
         if slot is not None and column in workload_columns:
@@ -183,10 +241,24 @@ class TestContextBuilder:
         assert any(not arm.covering_for_queries for arm in arms)
         assert materialised
 
-        matrix = builder.build_matrix(arms, queries, tiny_database)
-        expected = np.vstack([reference_build(builder, arm, queries, tiny_database) for arm in arms])
-        assert matrix.tobytes() == expected.tobytes()
-        for row, arm in zip(matrix, arms):
-            single = builder.build_matrix([arm], queries, tiny_database)[0]
-            assert builder.build(arm, queries, tiny_database).tobytes() == single.tobytes()
-            assert single.tobytes() == row.tobytes()
+        size_column = builder.size_feature_index
+        grown = [arm for arm in arms if arm.table == "sales" and arm not in materialised]
+        matrices = []
+        for _ in range(2):
+            matrix = builder.build_matrix(arms, queries, tiny_database)
+            expected = np.vstack([reference_build(builder, arm, queries, tiny_database) for arm in arms])
+            assert matrix.tobytes() == expected.tobytes()
+            sizes = [tiny_database.index_size_bytes(arm.index) for arm in arms]
+            assert builder.build_matrix(arms, queries, tiny_database, sizes).tobytes() == matrix.tobytes()
+            for row, arm in zip(matrix, arms):
+                single = builder.build_matrix([arm], queries, tiny_database)[0]
+                assert builder.build(arm, queries, tiny_database).tobytes() == single.tobytes()
+                assert single.tobytes() == row.tobytes()
+            matrices.append(matrix)
+            # The second pass reads the sizes of the grown table.
+            tiny_database.grow_table("sales", 3.0)
+        before, after = matrices
+        assert grown
+        for position, arm in enumerate(arms):
+            if arm in grown:
+                assert after[position, size_column] != before[position, size_column]

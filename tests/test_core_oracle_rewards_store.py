@@ -1,24 +1,43 @@
 """Tests for the greedy oracle, reward shaping and the query store."""
 
+import numpy as np
 import pytest
 
-from repro.core import Arm, GreedyOracle, QueryStore, ScoredArm, compute_round_rewards
+from repro.core import Arm, GreedyOracle, QueryStore, compute_round_rewards
+from repro.core.oracle import score_order
 from repro.engine import ConfigurationChange, ExecutionResult, IndexDefinition, TableAccessResult
 from tests.conftest import make_sales_query
 
 
 def scored(table: str, key: tuple[str, ...], score: float, size: int,
-           templates: set[str] | None = None, covering: bool = False) -> ScoredArm:
+           templates: set[str] | None = None, covering: bool = False) -> tuple[Arm, float, int]:
     arm = Arm(index=IndexDefinition(table, key), source_templates=templates or {"t"})
     if covering:
         arm.covering_for_queries = {"q#1"}
-    return ScoredArm(arm=arm, score=score, size_bytes=size)
+    return arm, score, size
+
+
+def select(entries: list[tuple[Arm, float, int]], budget: int | None) -> list[Arm]:
+    """The arms the oracle selects from ``(arm, score, size)`` pool entries."""
+    arms = [arm for arm, _, _ in entries]
+    scores = np.array([score for _, score, _ in entries], dtype=float)
+    sizes = [size for _, _, size in entries]
+    result = GreedyOracle().select(score_order(scores).tolist(), arms, sizes, budget)
+    return [arms[position] for position in result.selected]
+
+
+class TestScoreOrder:
+    def test_best_first_positive_only_ties_in_pool_order(self):
+        scores = np.array([1.0, -2.0, 3.0, 0.0, 1.0, 3.0, np.nan])
+        assert score_order(scores).tolist() == [2, 5, 0, 4]
+
+    def test_empty(self):
+        assert score_order(np.array([])).tolist() == []
 
 
 class TestGreedyOracle:
     def test_prunes_negative_scores(self):
-        result = GreedyOracle().select([scored("sales", ("day",), -1.0, 10)], None)
-        assert result.selected == []
+        assert select([scored("sales", ("day",), -1.0, 10)], None) == []
 
     def test_respects_memory_budget(self):
         arms = [
@@ -26,17 +45,15 @@ class TestGreedyOracle:
             scored("customers", ("region",), 2.0, 100),
             scored("sales", ("channel",), 1.0, 100),
         ]
-        result = GreedyOracle().select(arms, memory_budget_bytes=150)
-        assert len(result.selected) == 1
-        assert result.total_size_bytes <= 150
+        selected = select(arms, 150)
+        assert selected == [arms[0][0]]
 
     def test_greedy_order_by_score(self):
         arms = [
             scored("sales", ("day",), 1.0, 10),
             scored("customers", ("region",), 5.0, 10),
         ]
-        result = GreedyOracle().select(arms, None)
-        assert result.selected[0].score == 5.0
+        assert select(arms, None)[0] is arms[1][0]
 
     def test_same_leading_column_filtered_within_round(self):
         arms = [
@@ -44,8 +61,7 @@ class TestGreedyOracle:
             scored("sales", ("day",), 4.0, 10),
             scored("sales", ("channel",), 3.0, 10),
         ]
-        result = GreedyOracle().select(arms, None)
-        keys = {s.arm.index.key_columns for s in result.selected}
+        keys = {arm.index.key_columns for arm in select(arms, None)}
         assert ("day", "channel") in keys
         assert ("day",) not in keys  # same table and leading column as the selected arm
         assert ("channel",) in keys
@@ -54,32 +70,53 @@ class TestGreedyOracle:
         covering = scored("sales", ("day",), 5.0, 10, templates={"t1"}, covering=True)
         other_same_template = scored("sales", ("channel",), 4.0, 10, templates={"t1"})
         other_template = scored("customers", ("region",), 3.0, 10, templates={"t2"})
-        result = GreedyOracle().select([covering, other_same_template, other_template], None)
-        ids = {s.index_id for s in result.selected}
-        assert covering.index_id in ids
-        assert other_same_template.index_id not in ids
-        assert other_template.index_id in ids
+        ids = {arm.index_id for arm in select([covering, other_same_template, other_template], None)}
+        assert covering[0].index_id in ids
+        assert other_same_template[0].index_id not in ids
+        assert other_template[0].index_id in ids
 
     def test_skips_too_large_arm_but_considers_smaller(self):
         arms = [
             scored("sales", ("day",), 5.0, 1000),
             scored("customers", ("region",), 1.0, 50),
         ]
-        result = GreedyOracle().select(arms, memory_budget_bytes=100)
-        assert [s.arm.table for s in result.selected] == ["customers"]
+        assert [arm.table for arm in select(arms, 100)] == ["customers"]
+
+    def test_stops_once_nothing_ahead_fits(self):
+        arms = [
+            scored("sales", ("day",), 5.0, 60),
+            scored("customers", ("region",), 4.0, 50),
+            scored("sales", ("channel",), 3.0, 30),
+            scored("customers", ("segment",), 2.0, 10),
+        ]
+        # 60 + 30 fill 90 of 100; the 10-byte arm still fits after that.
+        assert [arm.index_id for arm in select(arms, 100)] == [
+            "ix_sales_day", "ix_sales_channel", "ix_customers_segment",
+        ]
+        visited = []
+
+        class Recording(list):
+            def __getitem__(self, position):
+                visited.append(position)
+                return list.__getitem__(self, position)
+
+        sizes = Recording(size for _, _, size in arms)
+        pool = [arm for arm, _, _ in arms]
+        result = GreedyOracle().select([0, 1, 2, 3], pool, sizes, 65)
+        assert result.selected == [0]
+        # After the first pick 5 bytes remain, below every size ahead: the
+        # pass ends without visiting another candidate.
+        assert visited == [0]
 
     def test_unbudgeted_selection_takes_all_positive_diverse_arms(self):
         arms = [
             scored("sales", ("day",), 2.0, 10),
             scored("customers", ("region",), 1.0, 10),
         ]
-        result = GreedyOracle().select(arms, None)
-        assert len(result.selected) == 2
-        assert result.total_score == pytest.approx(3.0)
+        assert len(select(arms, None)) == 2
 
     def test_empty_input(self):
-        result = GreedyOracle().select([], 100)
-        assert result.selected == [] and result.total_size_bytes == 0
+        assert GreedyOracle().select([], [], [], 100).selected == []
 
 
 def execution_result_with_access(index_id, gain, full_scan=10.0, query="q#1", template="q"):

@@ -52,6 +52,29 @@ class TestEvaluatePredicate:
         in_list = Predicate("t", "a", Operator.IN, (1, 20))
         assert evaluate_predicate(values, in_list).sum() == 2
 
+    @pytest.mark.parametrize(
+        "items",
+        [
+            (3, 7),
+            (3, 3, 7, 7),  # duplicates
+            (3, 7.0, 2.5),  # mixed int and float
+            (0.25, 7),
+            (-1, 10_000, 0.125),  # values absent from the sample
+            (5,),
+            (),  # the empty list selects nothing
+        ],
+    )
+    def test_in_matches_np_isin(self, items):
+        rng = np.random.default_rng(11)
+        columns = {
+            "int": rng.integers(0, 12, size=2000),
+            "float": rng.choice(np.array([0.25, 2.5, 3.0, 7.0, 9.5]), size=2000),
+        }
+        for values in columns.values():
+            mask = evaluate_predicate(values, Predicate("t", "a", Operator.IN, items))
+            assert mask.dtype == np.bool_ and mask.shape == values.shape
+            assert np.array_equal(mask, np.isin(values, np.asarray(items)))
+
 
 class TestTableData:
     def test_scale_multiplier(self, small_table_data):

@@ -137,6 +137,9 @@ class TestSafetyMetrics:
             safety_reports(runs)
         message = str(excinfo.value)
         assert "NoIndex" in message and "DDQN" in message and "MAB" in message
+        # Rendered plainly, not in KeyError's quotes.
+        assert message == excinfo.value.args[0]
+        assert not message.startswith(("'", '"'))
         # Registry style: catchable as KeyError or ValueError alike.
         assert isinstance(excinfo.value, KeyError)
         assert isinstance(excinfo.value, ValueError)

@@ -6,7 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Arm, ArmGenerator, C2UCB, GreedyOracle, MabConfig, ScoredArm
+from repro.core import Arm, ArmGenerator, C2UCB, GreedyOracle, MabConfig
+from repro.core.oracle import score_order
 from repro.engine import (
     Column,
     IndexDefinition,
@@ -120,47 +121,82 @@ scored_arm_strategy = st.lists(
 )
 
 
+def oracle_select(entries, memory_budget_bytes):
+    """The ``(arm, score, size)`` pool entries the oracle selects, in order."""
+    scores = np.array([score for _, score, _ in entries], dtype=float)
+    result = GreedyOracle().select(
+        score_order(scores).tolist(),
+        [arm for arm, _, _ in entries],
+        [size for _, _, size in entries],
+        memory_budget_bytes,
+    )
+    return [entries[position] for position in result.selected]
+
+
 @settings(max_examples=60, deadline=None)
 @given(raw_arms=scored_arm_strategy, budget=st.integers(0, 1500))
 def test_oracle_never_exceeds_budget_and_never_selects_negative(raw_arms, budget):
-    scored_arms = []
+    entries = []
     for position, (table, column, score, size) in enumerate(raw_arms):
         index = IndexDefinition(table, (column, f"extra_{position}"))
         arm = Arm(index=index, source_templates={f"template_{position}"})
-        scored_arms.append(ScoredArm(arm=arm, score=score, size_bytes=size))
-    result = GreedyOracle().select(scored_arms, memory_budget_bytes=budget)
-    assert result.total_size_bytes <= budget
-    assert all(selected.score > 0 for selected in result.selected)
+        entries.append((arm, score, size))
+    selected = oracle_select(entries, budget)
+    assert sum(size for _, _, size in selected) <= budget
+    assert all(score > 0 for _, score, _ in selected)
     # no two selected arms on the same table share a leading column
-    leading = [(s.arm.index.table, s.arm.index.leading_column()) for s in result.selected]
+    leading = [(arm.index.table, arm.index.leading_column()) for arm, _, _ in selected]
     assert len(leading) == len(set(leading))
 
 
-def reference_select(scored_arms, memory_budget_bytes):
-    """The oracle as it was with a list-scan prefix filter: (ids, size, score)."""
-    candidates = sorted((s for s in scored_arms if s.score > 0), key=lambda s: s.score, reverse=True)
+def reference_select(entries, memory_budget_bytes):
+    """The oracle as it was with a list-scan prefix filter and a score sort.
+
+    ``entries`` are ``(arm, score, size)`` pool entries; returns the selected
+    ids, their total size and their total score.
+    """
+    candidates = sorted((e for e in entries if e[1] > 0), key=lambda e: e[1], reverse=True)
     remaining, selected, covered = memory_budget_bytes, [], set()
     while candidates:
         chosen = candidates.pop(0)
-        if remaining is not None and chosen.size_bytes > remaining:
+        arm, _, size = chosen
+        if remaining is not None and size > remaining:
             continue
         selected.append(chosen)
         if remaining is not None:
-            remaining -= chosen.size_bytes
-        if chosen.arm.covering_for_queries:
-            covered |= chosen.arm.source_templates
+            remaining -= size
+        if arm.covering_for_queries:
+            covered |= arm.source_templates
         candidates = [
-            s for s in candidates
-            if not (remaining is not None and s.size_bytes > remaining)
+            (a, score, s) for a, score, s in candidates
+            if not (remaining is not None and s > remaining)
             and not any(
-                s.arm.index.table == c.arm.index.table
-                and s.arm.index.leading_column() == c.arm.index.leading_column()
-                for c in selected
+                a.index.table == c.index.table
+                and a.index.leading_column() == c.index.leading_column()
+                for c, _, _ in selected
             )
-            and not (covered and s.arm.source_templates and s.arm.source_templates <= covered)
+            and not (covered and a.source_templates and a.source_templates <= covered)
         ]
-    ids = [s.index_id for s in selected]
-    return ids, sum(s.size_bytes for s in selected), sum(s.score for s in selected)
+    ids = [arm.index_id for arm, _, _ in selected]
+    return ids, sum(size for _, _, size in selected), sum(score for _, score, _ in selected)
+
+
+def pool_entries(raw_arms):
+    entries = []
+    for table, key, score, size, templates, covering in raw_arms:
+        arm = Arm(index=IndexDefinition(table, tuple(key)), source_templates=set(templates))
+        if covering:
+            arm.covering_for_queries = {"query#1"}
+        entries.append((arm, score, size))
+    return entries
+
+
+def assert_matches_the_reference(entries, budget):
+    expected_ids, expected_size, expected_score = reference_select(entries, budget)
+    selected = oracle_select(entries, budget)
+    assert [arm.index_id for arm, _, _ in selected] == expected_ids
+    assert sum(size for _, _, size in selected) == expected_size
+    assert sum(score for _, score, _ in selected) == expected_score
 
 
 parity_arm_strategy = st.lists(
@@ -182,17 +218,28 @@ parity_arm_strategy = st.lists(
     budget=st.one_of(st.none(), st.integers(0, 600), st.integers(5_000, 20_000)),
 )
 def test_oracle_set_prefix_filter_matches_the_list_scan(raw_arms, budget):
-    scored_arms = []
-    for table, key, score, size, templates, covering in raw_arms:
-        arm = Arm(index=IndexDefinition(table, tuple(key)), source_templates=set(templates))
-        if covering:
-            arm.covering_for_queries = {"query#1"}
-        scored_arms.append(ScoredArm(arm=arm, score=score, size_bytes=size))
-    expected_ids, expected_size, expected_score = reference_select(scored_arms, budget)
-    result = GreedyOracle().select(scored_arms, memory_budget_bytes=budget)
-    assert [s.index_id for s in result.selected] == expected_ids
-    assert result.total_size_bytes == expected_size
-    assert result.total_score == expected_score
+    assert_matches_the_reference(pool_entries(raw_arms), budget)
+
+
+#: Pools whose scores tie exactly and whose sizes outgrow a tight budget, so
+#: the tie order and the early exit decide the selection.
+tied_arm_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(["t1", "t2", "t3"]),
+        st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=2, unique=True),
+        st.sampled_from([0.5, 1.0, 1.0, 2.0]),
+        st.integers(min_value=1, max_value=200),
+        st.sets(st.sampled_from(["q1", "q2", "q3"]), max_size=2),
+        st.booleans(),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_arms=tied_arm_strategy, budget=st.integers(0, 300))
+def test_oracle_matches_the_list_scan_on_tied_scores_and_tight_budgets(raw_arms, budget):
+    assert_matches_the_reference(pool_entries(raw_arms), budget)
 
 
 # ----------------------------------------------------------------------- #
