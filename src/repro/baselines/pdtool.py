@@ -236,12 +236,10 @@ class PDToolTuner(Tuner):
     def _is_relevant(index: IndexDefinition, query: Query) -> bool:
         """Cheap relevance pre-filter: the index's table and leading column must
         matter to the query (standard candidate pruning in what-if tools)."""
-        if index.table not in query.tables:
+        table_shape = query.shape.get(index.table)
+        if table_shape is None:
             return False
-        interesting = set(query.predicate_columns_for(index.table))
-        interesting.update(query.join_columns_for(index.table))
-        interesting.update(query.payload_columns_for(index.table))
-        return index.leading_column() in interesting
+        return index.leading_column() in table_shape.referenced_column_set
 
     def _greedy_select(
         self, candidates: list[_Candidate], queries: list[Query]

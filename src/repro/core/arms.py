@@ -105,18 +105,6 @@ class ArmGenerator:
     def __init__(self, config: MabConfig | None = None) -> None:
         self.config = config or MabConfig()
 
-    def _shapes(self, query: Query, table: str) -> tuple[tuple[IndexDefinition, bool], ...]:
-        config = self.config
-        return arm_shapes(
-            table,
-            query.predicate_columns_for(table),
-            query.join_columns_for(table),
-            query.payload_columns_for(table),
-            config.max_index_width,
-            config.max_arms_per_query_table,
-            config.include_covering_arms,
-        )
-
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
@@ -141,11 +129,24 @@ class ArmGenerator:
         """
         if registry is None:
             registry = {}
+        config = self.config
+        settings = (
+            config.max_index_width,
+            config.max_arms_per_query_table,
+            config.include_covering_arms,
+        )
         pool: dict[str, Arm] = {}
         for query in queries:
             template_id, query_id = query.template_id, query.query_id
-            for table in query.tables:
-                for index, covers in self._shapes(query, table):
+            for table, table_shape in query.shape.items():
+                shapes = arm_shapes(
+                    table,
+                    table_shape.predicate_columns,
+                    table_shape.join_columns,
+                    table_shape.payload_columns,
+                    *settings,
+                )
+                for index, covers in shapes:
                     index_id = index.index_id
                     arm = pool.get(index_id)
                     if arm is None:

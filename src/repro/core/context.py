@@ -115,18 +115,22 @@ class ContextBuilder:
         )
         self._key_values = np.vstack([np.pad(self._key_values, ((0, 0), (0, pad))), values])
 
-    def creation_context(self, arm: Arm, database: Database) -> np.ndarray:
+    def creation_context(
+        self, arm: Arm, database: Database, size_bytes: int | None = None
+    ) -> np.ndarray:
         """Context used for the creation-cost observation of a newly built arm.
 
         Index-creation cost depends (almost) only on the index's size, not on
         which workload columns it serves, so the creation penalty is attributed
         to a context that activates only the relative-size feature.  This keeps
         the column-prefix weights clean estimators of *query-time* benefit.
+        ``size_bytes`` is the arm's :meth:`Database.index_size_bytes` when the
+        caller has already read it; it is read here otherwise.
         """
+        if size_bytes is None:
+            size_bytes = database.index_size_bytes(arm.index)
         context = np.zeros(self.dimension)
-        context[self.size_feature_index] = database.index_size_bytes(arm.index) / max(
-            1, database.data_size_bytes
-        )
+        context[self.size_feature_index] = size_bytes / max(1, database.data_size_bytes)
         return context
 
     # ------------------------------------------------------------------ #
@@ -140,13 +144,11 @@ class ContextBuilder:
         """
         columns: set[tuple[str, str]] = set()
         for query in queries:
-            columns.update((predicate.table, predicate.column) for predicate in query.predicates)
-            for join in query.joins:
-                columns.add((join.left_table, join.left_column))
-                # A self-join contributes its left column only, as
-                # Query.join_columns_for does.
-                if join.right_table != join.left_table:
-                    columns.add((join.right_table, join.right_column))
+            for table, table_shape in query.shape.items():
+                for column in table_shape.predicate_columns:
+                    columns.add((table, column))
+                for column in table_shape.join_columns:
+                    columns.add((table, column))
         positions = self._column_positions
         mask = np.zeros(self._n_columns + 1, dtype=bool)
         mask[[positions[column] for column in columns if column in positions]] = True

@@ -87,8 +87,10 @@ class MabTuner(Tuner):
         self._reward_scale_seconds = 1.0
         #: All arms ever generated, keyed by index id (keeps usage statistics).
         self.known_arms: dict[str, Arm] = {}
-        #: Selection made by the latest ``recommend`` call, consumed by ``observe``.
-        self._pending_selection: list[tuple[Arm, np.ndarray]] = []
+        #: Selection made by the latest ``recommend`` call, consumed by
+        #: ``observe``: each played arm with its context row and its size in
+        #: bytes as the recommend pass read it.
+        self._pending_selection: list[tuple[Arm, np.ndarray, int]] = []
         #: Diagnostics for reporting and tests.
         self.shift_events: list[int] = []
         self.rounds_recommended = 0
@@ -198,9 +200,12 @@ class MabTuner(Tuner):
             self.database.memory_budget_bytes,
         )
         self._pending_selection = [
-            (pool.arms[position], pool.contexts[position]) for position in selection.selected
+            (pool.arms[position], pool.contexts[position], pool.sizes[position])
+            for position in selection.selected
         ]
-        return Recommendation(configuration=[arm.index for arm, _ in self._pending_selection])
+        return Recommendation(
+            configuration=[arm.index for arm, _, _ in self._pending_selection]
+        )
 
     def observe(
         self,
@@ -251,7 +256,7 @@ class MabTuner(Tuner):
         size_slot = self.context_builder.size_feature_index
         played_contexts: list[np.ndarray] = []
         played_rewards: list[float] = []
-        for arm, context in self._pending_selection:
+        for arm, context, size_bytes in self._pending_selection:
             usage_context = np.array(context, dtype=float)
             usage_context[size_slot] = 0.0
             played_contexts.append(usage_context)
@@ -260,8 +265,10 @@ class MabTuner(Tuner):
             )
             creation_seconds = change.creation_seconds_by_index.get(arm.index_id)
             if creation_seconds:
+                # The size the recommend pass read: nothing changes the
+                # database's sizes between recommend and observe.
                 played_contexts.append(
-                    self.context_builder.creation_context(arm, self.database)
+                    self.context_builder.creation_context(arm, self.database, size_bytes)
                 )
                 played_rewards.append(
                     -self.config.creation_cost_weight

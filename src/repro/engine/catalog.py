@@ -96,6 +96,9 @@ class Database:
         )
         self._indexes: dict[str, IndexDefinition] = {}
         self._index_sizes: dict[str, int] = {}
+        #: ``_indexes`` grouped by table, in catalog order; rebuilt on demand
+        #: after :meth:`create_index` or :meth:`drop_index` clears it.
+        self._indexes_by_table: dict[str, tuple[IndexDefinition, ...]] | None = None
         #: Size estimates for hypothetical (not materialised) indexes.  Sizes
         #: derive from table statistics, so the cache lives until the next
         #: :meth:`refresh_statistics`; the tuner asks for the same candidate
@@ -170,6 +173,7 @@ class Database:
         )
         view._indexes = {}
         view._index_sizes = {}
+        view._indexes_by_table = None
         view._hypothetical_sizes = self._hypothetical_sizes
         view._data_size_bytes = self._data_size_bytes
         view._statistics = self._statistics
@@ -309,6 +313,24 @@ class Database:
         return list(self._indexes.values())
 
     @property
+    def materialised_indexes_by_table(self) -> Mapping[str, tuple[IndexDefinition, ...]]:
+        """The materialised indexes grouped by table, each group in catalog order.
+
+        The planner reads this for every query; it is grouped once per
+        configuration change, not per plan.  Tables without an index are
+        absent.
+        """
+        grouped = self._indexes_by_table
+        if grouped is None:
+            groups: dict[str, list[IndexDefinition]] = {}
+            for index in self._indexes.values():
+                groups.setdefault(index.table, []).append(index)
+            grouped = self._indexes_by_table = {
+                table: tuple(indexes) for table, indexes in groups.items()
+            }
+        return grouped
+
+    @property
     def materialised_index_ids(self) -> set[str]:
         return set(self._indexes)
 
@@ -361,6 +383,7 @@ class Database:
             raise MemoryBudgetExceededError(size, available)
         self._indexes[index.index_id] = index
         self._index_sizes[index.index_id] = size
+        self._indexes_by_table = None
         return self.cost_model.index_creation_seconds(index, data)
 
     def drop_index(self, index: IndexDefinition) -> float:
@@ -369,6 +392,7 @@ class Database:
             raise UnknownIndexError(f"index not materialised: {index.index_id}")
         del self._indexes[index.index_id]
         del self._index_sizes[index.index_id]
+        self._indexes_by_table = None
         return self.cost_model.index_drop_seconds(index, self.table_data(index.table))
 
     def apply_configuration(self, target: Iterable[IndexDefinition]) -> ConfigurationChange:
@@ -389,9 +413,11 @@ class Database:
         for index_id, index in target_by_id.items():
             if index_id in self._indexes:
                 continue
-            if not self.fits_in_budget([index]):
+            try:
+                # create_index reads the size once and checks the budget.
+                seconds = self.create_index(index)
+            except MemoryBudgetExceededError:
                 continue
-            seconds = self.create_index(index)
             change.creation_seconds_by_index[index_id] = seconds
             change.creation_seconds += seconds
             change.created.append(index)

@@ -62,6 +62,11 @@ class ExecutionResult:
     estimated_seconds: float = 0.0
 
 
+#: ``TableAccessResult.method`` of each access method (``Enum.value`` is a
+#: Python-level descriptor, read for every access otherwise).
+_ACCESS_METHOD_NAMES = {method: method.value for method in AccessMethod}
+
+
 class Executor:
     """Times query plans against a :class:`Database` using true cardinalities."""
 
@@ -87,6 +92,9 @@ class Executor:
             raise ExecutionError(f"query {query.query_id} references no tables")
         database = self.database
         cost_model = database.cost_model
+        shape = query.shape
+        all_predicates = query.predicates
+        accesses = plan.accesses
         access_results: list[TableAccessResult] = []
         table_data: dict[str, TableData] = {}
         per_table_rows: dict[str, int] = {}
@@ -97,21 +105,23 @@ class Executor:
             for step in plan.join_steps
             if step.method is JoinMethod.INDEX_NESTED_LOOP
         }
-        for table_name in query.tables:
+        for table_name, table_shape in shape.items():
             data = table_data[table_name] = database.table_data(table_name)
-            predicates = query.predicates_for(table_name)
+            predicates = tuple(
+                [all_predicates[position] for position in table_shape.predicate_positions]
+            )
             true_rows = data.true_cardinality(predicates)
             per_table_rows[table_name] = true_rows
             if table_name in inl_tables:
                 continue  # accessed through the join-step index probe instead
-            access = plan.access_for(table_name)
+            access = accesses.get(table_name)
             if access is None:
                 access = TableAccessPlan(table=table_name, method=AccessMethod.FULL_SCAN)
             seconds = self._time_access(cost_model, access, data, predicates, true_rows)
             access_results.append(
                 TableAccessResult(
                     table=table_name,
-                    method=access.method.value,
+                    method=_ACCESS_METHOD_NAMES[access.method],
                     index_id=access.index.index_id if access.index else None,
                     actual_seconds=seconds,
                     full_scan_seconds=cost_model.full_scan_seconds(data),
@@ -136,7 +146,7 @@ class Executor:
             # blow-ups a sample-based distinct estimate would produce on
             # heavily skewed reference columns.  Without a join column the
             # step is a cross product scaled by the inner full row count.
-            join_columns = query.join_columns_for(step.inner_table)
+            join_columns = shape[step.inner_table].join_columns
             distinct = max(1, inner_data.distinct_count(join_columns[0])) if join_columns else None
             if step.method is JoinMethod.HASH_JOIN:
                 join_seconds += cost_model.hash_join_seconds(

@@ -22,6 +22,11 @@ class AccessMethod(Enum):
     INDEX_SEEK = "index_seek"
     INDEX_ONLY_SCAN = "index_only_scan"
 
+    # Members are singletons (pickling restores them by name), so identity
+    # hashing is exact and runs in C; ``Enum.__hash__`` hashes the name in
+    # Python on every lookup.
+    __hash__ = object.__hash__
+
 
 class JoinMethod(Enum):
     """How an additional table is joined into the running intermediate result."""

@@ -7,13 +7,21 @@ information the paper's arm generation consumes ("combinations and
 permutations of query predicates ... with and without inclusion of payload
 attributes"), and it is sufficient for plan selection and cost simulation.
 
+A query's *shape* is what it asks of each table, literals aside: which of
+its predicates filter the table, and the table's filter, join and payload
+columns.  A template's instances differ only in their literals, so
+:class:`~repro.workloads.templates.QueryTemplate` derives the shape once and
+every instance shares it; the planner, the executor and arm generation read
+it instead of re-deriving it per call.
+
 A light SQL-ish rendering is provided for logging and examples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
+from typing import Any, Iterable, Mapping, NamedTuple
 
 
 class Operator(Enum):
@@ -40,7 +48,7 @@ class Predicate:
     table: str
     column: str
     operator: Operator
-    value: float | int | tuple = 0
+    value: float | int | tuple[Any, ...] = 0
 
     def __post_init__(self) -> None:
         if self.operator is Operator.BETWEEN and (
@@ -60,13 +68,14 @@ class Predicate:
             ) from None
 
     def render(self) -> str:
-        if self.operator is Operator.BETWEEN:
-            low, high = self.value
+        value = self.value
+        if self.operator is Operator.BETWEEN and isinstance(value, tuple):
+            low, high = value
             return f"{self.table}.{self.column} BETWEEN {low} AND {high}"
-        if self.operator is Operator.IN:
-            values = ", ".join(str(v) for v in self.value)
+        if self.operator is Operator.IN and isinstance(value, tuple):
+            values = ", ".join(str(v) for v in value)
             return f"{self.table}.{self.column} IN ({values})"
-        return f"{self.table}.{self.column} {self.operator.value} {self.value}"
+        return f"{self.table}.{self.column} {self.operator.value} {value}"
 
 
 @dataclass(frozen=True)
@@ -86,6 +95,103 @@ class JoinPredicate:
 
     def involves(self, table: str) -> bool:
         return table in (self.left_table, self.right_table)
+
+
+class TableShape(NamedTuple):
+    """What one query asks of one of its tables, whatever the literals."""
+
+    #: Positions of the table's filter predicates in ``Query.predicates``.
+    predicate_positions: tuple[int, ...]
+    #: The table's filter-predicate columns, de-duplicated, in query order.
+    predicate_columns: tuple[str, ...]
+    #: The table's join columns, de-duplicated, in query order.  A self-join
+    #: contributes its left column only.
+    join_columns: tuple[str, ...]
+    #: The table's payload columns, as the query lists them.
+    payload_columns: tuple[str, ...]
+    #: ``(other_table, other_column, column)`` of each join linking the
+    #: table to another one, in query order (self-joins link nothing).
+    join_links: tuple[tuple[str, str, str], ...]
+    #: ``predicate_columns`` as a set: a seekable index key prefix is made
+    #: of these.
+    predicate_column_set: frozenset[str]
+    #: Every column the query touches on the table (covering checks).
+    referenced_column_set: frozenset[str]
+
+
+#: A query's shape: the :class:`TableShape` of each table it references.
+#: Instances of one template share one shape, so it is typed read-only.
+QueryShape = Mapping[str, TableShape]
+
+#: The shape of a table the query does not reference.
+_ABSENT = TableShape((), (), (), (), (), frozenset(), frozenset())
+
+
+def derive_shape(
+    owner: str,
+    tables: tuple[str, ...],
+    predicate_columns: Iterable[tuple[str, str]],
+    joins: tuple[JoinPredicate, ...],
+    payload: Mapping[str, tuple[str, ...]],
+) -> QueryShape:
+    """Validate a query's structure and derive its per-table shape.
+
+    Args:
+        owner: Names the query or template in error messages.
+        tables: The FROM list.
+        predicate_columns: ``(table, column)`` of each filter predicate, in
+            query order.
+        joins: The join predicates.
+        payload: The per-table payload columns.
+
+    Raises:
+        ValueError: If a predicate, join or payload names a table that is not
+            in the FROM list.
+    """
+    filtered = list(predicate_columns)
+    table_set = set(tables)
+    for table_name, _ in filtered:
+        if table_name not in table_set:
+            raise ValueError(
+                f"{owner}: predicate on {table_name!r} "
+                "references a table not in the FROM list"
+            )
+    for join in joins:
+        if join.left_table not in table_set or join.right_table not in table_set:
+            raise ValueError(
+                f"{owner}: join {join.render()} references a table not in the FROM list"
+            )
+    for table_name in payload:
+        if table_name not in table_set:
+            raise ValueError(f"{owner}: payload table {table_name!r} is not in the FROM list")
+    shape: dict[str, TableShape] = {}
+    for table_name in tables:
+        positions = tuple(
+            position for position, (table, _) in enumerate(filtered) if table == table_name
+        )
+        filter_columns = tuple(dict.fromkeys(filtered[position][1] for position in positions))
+        join_columns: dict[str, None] = {}
+        join_links: list[tuple[str, str, str]] = []
+        for join in joins:
+            if join.left_table == table_name:
+                join_columns[join.left_column] = None
+                if join.right_table != table_name:
+                    join_links.append((join.right_table, join.right_column, join.left_column))
+            elif join.right_table == table_name:
+                join_columns[join.right_column] = None
+                join_links.append((join.left_table, join.left_column, join.right_column))
+        payload_columns = tuple(payload.get(table_name, ()))
+        filter_set = frozenset(filter_columns)
+        shape[table_name] = TableShape(
+            positions,
+            filter_columns,
+            tuple(join_columns),
+            payload_columns,
+            tuple(join_links),
+            filter_set,
+            filter_set.union(join_columns, payload_columns),
+        )
+    return shape
 
 
 @dataclass
@@ -108,6 +214,13 @@ class Query:
     payload:
         Mapping of table -> columns that must be produced for that table
         (select list, aggregation inputs, group-by columns).
+    template_shape:
+        The shape every instance of the query's template shares (see
+        :class:`~repro.workloads.templates.QueryTemplate`); ``None`` derives
+        the query's own, validating its structure.  ``dataclasses.replace``
+        passes ``None``, so a replaced query always gets a fresh shape.
+
+    ``shape`` holds the query's :class:`TableShape` per referenced table.
     """
 
     query_id: str
@@ -116,69 +229,48 @@ class Query:
     predicates: tuple[Predicate, ...] = ()
     joins: tuple[JoinPredicate, ...] = ()
     payload: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    template_shape: InitVar[QueryShape | None] = None
+    shape: QueryShape = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        table_set = set(self.tables)
-        for predicate in self.predicates:
-            if predicate.table not in table_set:
-                raise ValueError(
-                    f"query {self.query_id}: predicate on {predicate.table!r} "
-                    "references a table not in the FROM list"
-                )
-        for join in self.joins:
-            if join.left_table not in table_set or join.right_table not in table_set:
-                raise ValueError(
-                    f"query {self.query_id}: join {join.render()} references a table "
-                    "not in the FROM list"
-                )
-        for table_name in self.payload:
-            if table_name not in table_set:
-                raise ValueError(
-                    f"query {self.query_id}: payload table {table_name!r} "
-                    "is not in the FROM list"
-                )
+    def __post_init__(self, template_shape: QueryShape | None) -> None:
+        if template_shape is None:
+            template_shape = derive_shape(
+                f"query {self.query_id}",
+                self.tables,
+                [(predicate.table, predicate.column) for predicate in self.predicates],
+                self.joins,
+                self.payload,
+            )
+        self.shape = template_shape
 
     def predicates_for(self, table: str) -> tuple[Predicate, ...]:
         """Filter predicates that apply to ``table``."""
-        return tuple([p for p in self.predicates if p.table == table])
+        predicates = self.predicates
+        return tuple(
+            [predicates[position] for position in self.shape.get(table, _ABSENT).predicate_positions]
+        )
 
     def join_columns_for(self, table: str) -> tuple[str, ...]:
         """Columns of ``table`` used in join predicates, in query order."""
-        columns: list[str] = []
-        for join in self.joins:
-            if join.left_table == table:
-                column = join.left_column
-            elif join.right_table == table:
-                column = join.right_column
-            else:
-                continue
-            if column not in columns:
-                columns.append(column)
-        return tuple(columns)
+        return self.shape.get(table, _ABSENT).join_columns
 
     def predicate_columns_for(self, table: str) -> tuple[str, ...]:
         """Filter-predicate columns of ``table``, de-duplicated, in query order."""
-        columns: list[str] = []
-        for predicate in self.predicates_for(table):
-            if predicate.column not in columns:
-                columns.append(predicate.column)
-        return tuple(columns)
+        return self.shape.get(table, _ABSENT).predicate_columns
 
     def payload_columns_for(self, table: str) -> tuple[str, ...]:
-        return tuple(self.payload.get(table, ()))
+        return self.shape.get(table, _ABSENT).payload_columns
 
     def referenced_columns_for(self, table: str) -> tuple[str, ...]:
         """All columns of ``table`` the query touches (predicates, joins, payload)."""
-        columns: list[str] = []
-        for group in (
-            self.predicate_columns_for(table),
-            self.join_columns_for(table),
-            self.payload_columns_for(table),
-        ):
-            for column in group:
-                if column not in columns:
-                    columns.append(column)
-        return tuple(columns)
+        table_shape = self.shape.get(table, _ABSENT)
+        return tuple(
+            dict.fromkeys(
+                table_shape.predicate_columns
+                + table_shape.join_columns
+                + table_shape.payload_columns
+            )
+        )
 
     def render(self) -> str:
         """Render an SQL-ish string for logging and examples."""

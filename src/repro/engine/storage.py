@@ -52,7 +52,7 @@ def evaluate_predicate(values: np.ndarray, predicate: Predicate) -> np.ndarray:
         return values > predicate.value
     if operator is Operator.GE:
         return values >= predicate.value
-    if operator is Operator.BETWEEN:
+    if operator is Operator.BETWEEN and isinstance(predicate.value, tuple):
         low, high = predicate.value
         return (values >= low) & (values <= high)
     if operator is Operator.IN:
@@ -88,10 +88,11 @@ class TableData:
 
     The sample arrays are made read-only on construction, so what is
     computed from them (and the schema) is memoised on the instance: the row
-    width, each column's distinct count, each predicate set's selectivity
-    and each index's B+-tree geometry.  A memo cannot go stale because
-    nothing changes in place: growing a table (:meth:`Database.grow_table`)
-    builds a new ``TableData`` with an empty memo, and
+    width, each column's distinct count and value range, each predicate
+    set's selectivity and each index's B+-tree geometry.  A memo cannot go
+    stale because nothing changes in place: growing a table
+    (:meth:`Database.grow_table`) builds a new ``TableData`` with an empty
+    memo, and
     :meth:`Database.tenant_view` siblings share one.  Equality and hashing
     are by identity, so an instance can key a memo held elsewhere (the cost
     model's full-scan times).
@@ -125,6 +126,7 @@ class TableData:
             array.setflags(write=False)
         self._row_width_bytes = self.table.row_width_bytes
         self._distinct_counts: dict[str, int] = {}
+        self._value_ranges: dict[str, tuple[float, float]] = {}
         #: Selectivity per set of this table's predicates.  Only the float is
         #: kept: a selection mask would cost a sample's worth of bytes each.
         self._selectivities: dict[frozenset[Predicate], float] = {}
@@ -200,15 +202,21 @@ class TableData:
     # ------------------------------------------------------------------ #
     # true statistics measured on the sample
     # ------------------------------------------------------------------ #
-    def selection_mask(self, predicates: tuple[Predicate, ...]) -> np.ndarray:
+    def selection_mask(self, predicates: Iterable[Predicate]) -> np.ndarray:
         """Boolean mask of sample rows satisfying the conjunction of ``predicates``."""
-        mask = np.ones(self._sample_rows, dtype=bool)
+        mask: np.ndarray | None = None
+        name = self.table.name
         for predicate in predicates:
-            if predicate.table != self.table.name:
+            if predicate.table != name:
                 continue
-            values = self.column_array(predicate.column)
-            mask &= evaluate_predicate(values, predicate)
-        return mask
+            # Every evaluated mask is a fresh array, so the first one is
+            # narrowed in place by the rest.
+            matches = evaluate_predicate(self.column_array(predicate.column), predicate)
+            if mask is None:
+                mask = matches
+            else:
+                mask &= matches
+        return np.ones(self._sample_rows, dtype=bool) if mask is None else mask
 
     def true_selectivity(self, predicates: tuple[Predicate, ...]) -> float:
         """True combined selectivity of conjunctive predicates, measured on the sample.
@@ -217,12 +225,13 @@ class TableData:
         sample matches still map to a small positive row estimate (the full
         table may contain a handful of matching rows the sample missed).
         """
-        relevant = frozenset(p for p in predicates if p.table == self.table.name)
+        name = self.table.name
+        relevant = frozenset([p for p in predicates if p.table == name])
         if not relevant:
             return 1.0
         selectivity = self._selectivities.get(relevant)
         if selectivity is None:
-            matched = int(self.selection_mask(tuple(relevant)).sum())
+            matched = int(np.count_nonzero(self.selection_mask(relevant)))
             floor = 0.5 / self._sample_rows
             selectivity = self._selectivities[relevant] = max(floor, matched / self._sample_rows)
         return selectivity
@@ -255,8 +264,15 @@ class TableData:
         return sample_distinct
 
     def value_range(self, column_name: str) -> tuple[float, float]:
-        values = self.column_array(column_name)
-        return float(values.min()), float(values.max())
+        """``(min, max)`` of a column's sample (memoised like the distinct count)."""
+        value_range = self._value_ranges.get(column_name)
+        if value_range is None:
+            values = self.column_array(column_name)
+            value_range = self._value_ranges[column_name] = (
+                float(values.min()),
+                float(values.max()),
+            )
+        return value_range
 
     def summary(self) -> dict[str, object]:
         """A small serialisable summary used in reports and examples."""

@@ -17,6 +17,8 @@ which is exactly what makes the what-if-driven PDTool mis-recommend indexes.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.engine.query import Operator, Predicate
 from repro.engine.statistics import ColumnStatistics, StatisticsCatalog
 
@@ -26,11 +28,25 @@ DEFAULT_UNKNOWN_SELECTIVITY = 0.1
 MIN_SELECTIVITY = 1e-9
 
 
+def combine_selectivities(selectivities: Iterable[float]) -> float:
+    """AVI: the product of per-predicate selectivities, clamped to ``[MIN_SELECTIVITY, 1]``."""
+    selectivity = 1.0
+    for factor in selectivities:
+        selectivity *= factor
+    return float(min(1.0, max(MIN_SELECTIVITY, selectivity)))
+
+
 class CardinalityEstimator:
-    """Estimates selectivities and cardinalities from summary statistics."""
+    """Estimates selectivities and cardinalities from summary statistics.
+
+    An estimator reads one statistics catalog, which is never updated in
+    place (a refresh builds a new catalog and the planner a new estimator),
+    so each column's distinct count is looked up once.
+    """
 
     def __init__(self, statistics: StatisticsCatalog) -> None:
         self.statistics = statistics
+        self._distinct_counts: dict[tuple[str, str], float] = {}
 
     # ------------------------------------------------------------------ #
     # single predicates
@@ -69,24 +85,32 @@ class CardinalityEstimator:
     # ------------------------------------------------------------------ #
     def conjunctive_selectivity(self, predicates: tuple[Predicate, ...]) -> float:
         """AVI: multiply the per-predicate selectivities."""
-        selectivity = 1.0
-        for predicate in predicates:
-            selectivity *= self.predicate_selectivity(predicate)
-        return float(min(1.0, max(MIN_SELECTIVITY, selectivity)))
+        return combine_selectivities(
+            [self.predicate_selectivity(predicate) for predicate in predicates]
+        )
 
     def filtered_cardinality(self, table: str, predicates: tuple[Predicate, ...]) -> float:
         """Estimated rows of ``table`` satisfying ``predicates`` (its own filters)."""
-        row_count = self.statistics.row_count(table)
-        return max(1.0, row_count * self.conjunctive_selectivity(predicates))
+        return self.cardinality_at(table, self.conjunctive_selectivity(predicates))
+
+    def cardinality_at(self, table: str, selectivity: float) -> float:
+        """Estimated rows of ``table`` at a combined ``selectivity`` (at least one)."""
+        return max(1.0, self.statistics.row_count(table) * selectivity)
 
     # ------------------------------------------------------------------ #
     # joins
     # ------------------------------------------------------------------ #
     def distinct_count(self, table: str, column: str) -> float:
-        statistics = self.statistics.column(table, column)
-        if statistics is None:
-            return max(1.0, self.statistics.row_count(table) * DEFAULT_UNKNOWN_SELECTIVITY)
-        return max(1.0, float(statistics.distinct_count))
+        key = (table, column)
+        count = self._distinct_counts.get(key)
+        if count is None:
+            statistics = self.statistics.column(table, column)
+            if statistics is None:
+                count = max(1.0, self.statistics.row_count(table) * DEFAULT_UNKNOWN_SELECTIVITY)
+            else:
+                count = max(1.0, float(statistics.distinct_count))
+            self._distinct_counts[key] = count
+        return count
 
     def join_cardinality(
         self,

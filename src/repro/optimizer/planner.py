@@ -14,23 +14,23 @@ which mirrors how real systems reuse the optimiser for hypothetical analysis.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.engine.catalog import Database
 from repro.engine.cost_model import CostModel
 from repro.engine.indexes import IndexDefinition
 from repro.engine.plans import AccessMethod, JoinMethod, JoinStep, QueryPlan, TableAccessPlan
-from repro.engine.query import Predicate, Query
+from repro.engine.query import Predicate, Query, TableShape
 from repro.engine.storage import TableData
 
-from .cardinality import CardinalityEstimator
+from .cardinality import CardinalityEstimator, combine_selectivities
 
 
 class _TableFacts(NamedTuple):
-    """What one :meth:`Planner.plan` call derives once per referenced table.
+    """What one :meth:`Planner.plan` call needs of each referenced table.
 
-    Built per call and dropped with it: queries of a materialised workload
-    live for a whole run, so a memo on the query would outlive its use.
+    The columns come from the query's shape, which a template's instances
+    share; only the predicates (which carry the literals) are gathered here.
     """
 
     data: TableData
@@ -42,14 +42,16 @@ class _TableFacts(NamedTuple):
     referenced_columns: frozenset[str]
 
 
-def _table_facts(database: Database, query: Query, table_name: str) -> _TableFacts:
-    """The per-table lookups one plan needs, from the query and the database."""
-    predicates = query.predicates_for(table_name)
-    predicate_columns = frozenset(predicate.column for predicate in predicates)
-    referenced = predicate_columns.union(
-        query.join_columns_for(table_name), query.payload.get(table_name, ())
+def _table_facts(
+    data: TableData, predicates: tuple[Predicate, ...], table_shape: TableShape
+) -> _TableFacts:
+    """One table's facts: its data, its share of ``predicates`` and its shape's columns."""
+    return _TableFacts(
+        data,
+        tuple([predicates[position] for position in table_shape.predicate_positions]),
+        table_shape.predicate_column_set,
+        table_shape.referenced_column_set,
     )
-    return _TableFacts(database.table_data(table_name), predicates, predicate_columns, referenced)
 
 
 class Planner:
@@ -83,15 +85,21 @@ class Planner:
         ``configuration`` defaults to the currently materialised indexes.
         """
         database = self.database
+        indexes_by_table: Mapping[str, Sequence[IndexDefinition]]
         if configuration is None:
-            configuration = database.materialised_indexes
-        indexes_by_table: dict[str, list[IndexDefinition]] = {}
-        for index in configuration:
-            indexes_by_table.setdefault(index.table, []).append(index)
+            indexes_by_table = database.materialised_indexes_by_table
+        else:
+            grouped: dict[str, list[IndexDefinition]] = {}
+            for index in configuration:
+                grouped.setdefault(index.table, []).append(index)
+            indexes_by_table = grouped
         estimator = self.estimator
         cost_model = database.cost_model
 
-        facts = {name: _table_facts(database, query, name) for name in query.tables}
+        facts = {
+            name: _table_facts(database.table_data(name), query.predicates, table_shape)
+            for name, table_shape in query.shape.items()
+        }
         accesses = {
             name: self._best_access(
                 estimator, cost_model, name, facts[name], indexes_by_table.get(name, ())
@@ -134,10 +142,14 @@ class Planner:
         cost_model: CostModel,
         table_name: str,
         facts: _TableFacts,
-        indexes: "list[IndexDefinition] | tuple[()]",
+        indexes: Sequence[IndexDefinition],
     ) -> TableAccessPlan:
         data, predicates, predicate_columns, referenced = facts
-        filtered_rows = estimator.filtered_cardinality(table_name, predicates)
+        # Each predicate's estimate is read once; the filtered cardinality
+        # and every seek prefix multiply them in predicate order, exactly as
+        # ``conjunctive_selectivity`` would.
+        selectivities = [estimator.predicate_selectivity(predicate) for predicate in predicates]
+        filtered_rows = estimator.cardinality_at(table_name, combine_selectivities(selectivities))
 
         best = TableAccessPlan(
             table=table_name,
@@ -150,10 +162,14 @@ class Planner:
             prefix_length = index.seekable_prefix_length(predicate_columns)
             if prefix_length > 0:
                 prefix_columns = index.key_prefix(prefix_length)
-                prefix_predicates = tuple(
-                    predicate for predicate in predicates if predicate.column in prefix_columns
+                prefix_selectivity = combine_selectivities(
+                    [
+                        selectivity
+                        for predicate, selectivity in zip(predicates, selectivities)
+                        if predicate.column in prefix_columns
+                    ]
                 )
-                matching = estimator.conjunctive_selectivity(prefix_predicates) * data.full_row_count
+                matching = prefix_selectivity * data.full_row_count
                 seconds = cost_model.index_seek_seconds(
                     index, data, int(max(1.0, matching)), covering=covering
                 )
@@ -190,7 +206,7 @@ class Planner:
         cost_model: CostModel,
         facts: dict[str, _TableFacts],
         accesses: dict[str, TableAccessPlan],
-        indexes_by_table: dict[str, list[IndexDefinition]],
+        indexes_by_table: Mapping[str, Sequence[IndexDefinition]],
     ) -> tuple[str, list[JoinStep], float, float]:
         """Greedy left-deep join order: start from the smallest estimated input."""
         tables = list(query.tables)
@@ -231,11 +247,11 @@ class Planner:
 
     @staticmethod
     def _pick_next_table(query: Query, joined: set[str], remaining: list[str]) -> str:
+        """The first remaining table a join links to the joined set (else the first)."""
+        shape = query.shape
         for table_name in remaining:
-            for join in query.joins:
-                if join.involves(table_name) and (
-                    (join.left_table in joined) or (join.right_table in joined)
-                ):
+            for other_table, _, _ in shape[table_name].join_links:
+                if other_table in joined:
                     return table_name
         return remaining[0]
 
@@ -243,12 +259,14 @@ class Planner:
     def _join_connection(
         query: Query, joined: set[str], inner_table: str
     ) -> tuple[str, str, str] | None:
-        """Return ``(outer_table, outer_column, inner_column)`` linking the sets, if any."""
-        for join in query.joins:
-            if join.left_table == inner_table and join.right_table in joined:
-                return join.right_table, join.right_column, join.left_column
-            if join.right_table == inner_table and join.left_table in joined:
-                return join.left_table, join.left_column, join.right_column
+        """Return ``(outer_table, outer_column, inner_column)`` linking the sets, if any.
+
+        The first of the query's joins that links ``inner_table`` to the
+        joined set wins.
+        """
+        for link in query.shape[inner_table].join_links:
+            if link[0] in joined:
+                return link
         return None
 
     def _best_join_step(
@@ -260,7 +278,7 @@ class Planner:
         outer_rows: float,
         inner_access: TableAccessPlan,
         inner_facts: _TableFacts,
-        inner_indexes: "list[IndexDefinition] | tuple[()]",
+        inner_indexes: Sequence[IndexDefinition],
         outer_data: TableData,
     ) -> tuple[JoinStep, float, float]:
         inner_table = inner_access.table
@@ -294,10 +312,12 @@ class Planner:
         # Option 2: index nested loop, if an index leads with the join column.
         if connection is not None:
             _, _, inner_column = connection
-            rows_per_probe = estimator.rows_per_join_key(inner_table, inner_column)
+            rows_per_probe: float | None = None
             for index in inner_indexes:
                 if index.leading_column() != inner_column:
                     continue
+                if rows_per_probe is None:
+                    rows_per_probe = estimator.rows_per_join_key(inner_table, inner_column)
                 covering = index.covers_columns(inner_facts.referenced_columns)
                 inl_cost = cost_model.index_nested_loop_seconds(
                     outer_rows=int(outer_rows),

@@ -10,14 +10,23 @@ that selectivities vary across instances and reflect the data's real skew.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Any
 
 import numpy as np
 
 from repro.engine.catalog import Database
-from repro.engine.query import JoinPredicate, Operator, Predicate, Query
+from repro.engine.query import (
+    JoinPredicate,
+    Operator,
+    Predicate,
+    Query,
+    QueryShape,
+    derive_shape,
+)
 
 
 class ValueMode(Enum):
@@ -41,7 +50,7 @@ class PredicateTemplate:
     operator: Operator
     mode: ValueMode = ValueMode.SAMPLED_ROW
     #: Fixed literal (``mode=FIXED``).
-    fixed_value: float | int | tuple | None = None
+    fixed_value: float | int | tuple[Any, ...] | None = None
     #: Span fraction bounds used by ``mode=RANGE_FRACTION`` (low, high).
     fraction_range: tuple[float, float] = (0.05, 0.2)
     #: Number of literals for IN-list predicates.
@@ -84,9 +93,31 @@ class PredicateTemplate:
         raise ValueError(f"unsupported operator in template: {self.operator}")
 
 
+@functools.lru_cache(maxsize=1024)
+def _template_shape(
+    template_id: str,
+    tables: tuple[str, ...],
+    predicate_columns: tuple[tuple[str, str], ...],
+    joins: tuple[JoinPredicate, ...],
+    payload: tuple[tuple[str, tuple[str, ...]], ...],
+) -> QueryShape:
+    """The shape of a template's structure, shared by equal structures.
+
+    Every read of a benchmark's templates builds new template objects, and
+    their instances outlive them in materialised workloads; sharing keeps
+    one shape per template, not one per template object.
+    """
+    return derive_shape(f"template {template_id}", tables, predicate_columns, joins, dict(payload))
+
+
 @dataclass
 class QueryTemplate:
-    """A templatised query: structure plus predicate templates."""
+    """A templatised query: structure plus predicate templates.
+
+    The template's structure is validated and its :class:`QueryShape`
+    derived on construction; every instance shares that one shape object,
+    so instantiating costs no per-table work.
+    """
 
     template_id: str
     tables: tuple[str, ...]
@@ -96,9 +127,21 @@ class QueryTemplate:
     #: Human-readable description for logging and documentation.
     description: str = ""
 
-    _instance_counter: itertools.count = field(
+    _instance_counter: itertools.count[int] = field(
         default_factory=itertools.count, repr=False, compare=False
     )
+    #: The shape every instance shares (each predicate template instantiates
+    #: a predicate on its own table and column).
+    shape: QueryShape = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.shape = _template_shape(
+            self.template_id,
+            self.tables,
+            tuple((template.table, template.column) for template in self.predicates),
+            self.joins,
+            tuple(self.payload.items()),
+        )
 
     def instantiate(self, database: Database, rng: np.random.Generator) -> Query:
         """Produce a fresh query instance with newly drawn predicate literals."""
@@ -113,6 +156,7 @@ class QueryTemplate:
             predicates=predicates,
             joins=self.joins,
             payload=dict(self.payload),
+            template_shape=self.shape,
         )
 
 

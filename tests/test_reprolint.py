@@ -611,6 +611,15 @@ class TestEngineAndCli:
         for rule_id in registered_rule_ids():
             assert rule_id in out
 
+    def test_rule_set_ids_are_unique_and_named(self):
+        """The rule tuple holds each family once, under a non-empty id and title."""
+        from tools.reprolint.rules import RULES, registered_rules
+
+        ids = [cls.id for cls in RULES]
+        assert len(ids) == len(set(ids)) and "RL000" not in ids
+        assert all(cls.title for cls in RULES)
+        assert [rule.id for rule in registered_rules()] == sorted(ids)
+
     def test_syntax_error_raises(self, tmp_path):
         write_project(tmp_path, {"src/broken.py": "def broken(:\n"})
         with pytest.raises(ReprolintError, match="syntax error"):

@@ -25,7 +25,7 @@ import ast
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..project import dotted_call_name, import_aliases, module_dotted_name
-from . import Rule, register_rule
+from .base import Rule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model import Finding, SourceFile
@@ -84,7 +84,6 @@ NUMPY_SEEDABLE_CONSTRUCTORS = frozenset(
 CHECKED_TOP_DIRS = ("src", "examples")
 
 
-@register_rule
 class DeterminismRule(Rule):
     id = "RL001"
     title = "unseeded/global RNG streams and wall-clock reads outside the allowlist"

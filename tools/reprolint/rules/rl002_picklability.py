@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from . import Rule, register_rule
+from .base import Rule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model import Finding, SourceFile
@@ -86,7 +86,6 @@ def _contains_lambda_default(value: ast.expr) -> ast.Lambda | None:
     return None
 
 
-@register_rule
 class PicklabilityRule(Rule):
     id = "RL002"
     title = "spec dataclasses must be frozen and free of lambdas/closures"

@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from . import Rule, register_rule
+from .base import Rule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model import Finding, SourceFile
@@ -65,7 +65,6 @@ def _literal_names(test: ast.expr) -> list[str]:
     return names
 
 
-@register_rule
 class RegistryDisciplineRule(Rule):
     id = "RL003"
     title = "no if/elif dispatch on tuner/backend names outside their name tables"

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from . import Rule, register_rule
+from .base import Rule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model import Finding, SourceFile
@@ -45,7 +45,6 @@ def _module_of_import(node: ast.Import | ast.ImportFrom) -> list[str]:
     return [node.module] if node.module else []
 
 
-@register_rule
 class PublicSurfaceRule(Rule):
     id = "RL005"
     title = "examples stay on the public surface; __all__ in sync"
