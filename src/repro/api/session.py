@@ -388,14 +388,9 @@ class TuningSession:
         :meth:`apply_events`.
         """
         self.apply_events(workload_round.events)
-        training = (
-            workload_round.pdtool_training_queries
-            if workload_round.invoke_pdtool
-            else None
-        )
         return self.step(
             workload_round.queries,
-            training_queries=training,
+            training_queries=workload_round.pdtool_training_queries,
             is_shift_round=workload_round.is_shift_round,
             round_number=workload_round.round_number,
         )

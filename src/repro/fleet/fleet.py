@@ -193,11 +193,7 @@ class TuningFleet:
             tenant_id,
             workload_round.queries,
             events=workload_round.events,
-            training_queries=(
-                workload_round.pdtool_training_queries
-                if workload_round.invoke_pdtool
-                else None
-            ),
+            training_queries=workload_round.pdtool_training_queries,
             is_shift_round=workload_round.is_shift_round,
             round_number=workload_round.round_number,
         )
@@ -323,14 +319,9 @@ class TuningFleet:
         are applied to every tenant, mirroring the standalone
         :meth:`~repro.api.TuningSession.step_workload_round` protocol.
         """
-        training = (
-            workload_round.pdtool_training_queries
-            if workload_round.invoke_pdtool
-            else None
-        )
         return self.step(
             {tid: workload_round.queries for tid in self.tenant_ids},
-            training_queries=training,
+            training_queries=workload_round.pdtool_training_queries,
             is_shift_round=workload_round.is_shift_round,
             round_number=workload_round.round_number,
             events={tid: workload_round.events for tid in self.tenant_ids}

@@ -27,7 +27,6 @@ from .stress import (
     FlashTrafficWorkload,
     SchemaGrowthWorkload,
     SeasonalWorkload,
-    StressWorkload,
     TableGrowthEvent,
     TierMigrationEvent,
     TierMigrationWorkload,
@@ -60,7 +59,6 @@ __all__ = [
     "SeasonalWorkload",
     "ShiftingWorkload",
     "StaticWorkload",
-    "StressWorkload",
     "TableGrowthEvent",
     "TierMigrationEvent",
     "TierMigrationWorkload",

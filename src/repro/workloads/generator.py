@@ -12,15 +12,32 @@ These reproduce the three workload regimes of the paper's evaluation
   controlled round-to-round repeat rate (45-54 % in the paper), modelling
   truly ad-hoc cloud workloads.
 
-A sequencer yields :class:`WorkloadRound` objects; PDTool-style tuners may
-look at ``pdtool_training_queries`` which encodes the (favourable-to-PDTool)
-training-workload convention the paper uses for each regime.
+:meth:`WorkloadSequence.rounds` is the one round loop for these regimes and
+for the stressors of :mod:`repro.workloads.stress`.  A sequencer only plans
+each round's queries (plus its shift flag and events); the loop numbers the
+rounds, builds each :class:`WorkloadRound` and applies the paper's
+(favourable-to-PDTool) convention for when PDTool is invoked and on which
+training workload (``pdtool_training_queries``).  There are two rules:
+
+* **segment rule** (the default) — PDTool runs on the round after a segment
+  opens, trained on that segment's first round.  Round 1 always opens a
+  segment, so the static regime invokes it once, on round 2; each group of
+  the shifting regime opens another (rounds 2, 22, 42, 62 with the paper's
+  parameters);
+* **every-k rule** (``pdtool_every = k``) — PDTool runs every ``k`` rounds
+  (rounds ``k + 1``, ``2k + 1``, ...), trained on the last ``k`` rounds'
+  queries, as the paper does with ``k = 4`` in the random regime.
+
+Every call of :meth:`~WorkloadSequence.rounds` restarts a private generator
+from the sequence's seed, so a sequence is re-iterable: iterating it twice,
+or building a second one with the same seed, replays the identical stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from collections import deque
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
@@ -29,6 +46,9 @@ from repro.engine.query import Query
 
 from .templates import QueryTemplate
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.session import DatabaseEvent
+
 
 @dataclass
 class WorkloadRound:
@@ -36,45 +56,43 @@ class WorkloadRound:
 
     round_number: int
     queries: list[Query]
-    #: True on rounds where the paper's protocol invokes the PDTool.
-    invoke_pdtool: bool = False
-    #: The training workload handed to the PDTool on invocation rounds.
-    pdtool_training_queries: list[Query] = field(default_factory=list)
+    #: The training workload handed to the PDTool on the rounds where the
+    #: paper's protocol invokes it; ``None`` on every other round.
+    pdtool_training_queries: list[Query] | None = None
     #: True when the sequencer knows the workload just shifted (for reporting).
     is_shift_round: bool = False
     #: Workload-visible environment changes (tier migrations, table growth)
     #: the driver applies to its database *before* the round's recommendation
     #: — see :mod:`repro.workloads.stress`.  Empty for the paper's three
     #: classic regimes.
-    events: tuple = ()
+    events: tuple[DatabaseEvent, ...] = ()
+
+    @property
+    def invoke_pdtool(self) -> bool:
+        """True on rounds where the paper's protocol invokes the PDTool."""
+        return self.pdtool_training_queries is not None
 
     @property
     def template_ids(self) -> set[str]:
         return {query.template_id for query in self.queries}
 
 
+class PlannedRound(NamedTuple):
+    """What a sequencer's :meth:`~WorkloadSequence._plan` decides for one round."""
+
+    queries: list[Query]
+    is_shift_round: bool = False
+    events: tuple[DatabaseEvent, ...] = ()
+    #: True when the round opens a new PDTool training segment (segment rule).
+    opens_segment: bool = False
+
+
 class WorkloadSequence:
-    """Base class: materialises rounds lazily from templates and a database."""
+    """Base class: the round loop and the PDTool protocol over a sequencer's plan."""
 
-    def __init__(self, database: Database, templates: list[QueryTemplate], seed: int = 13) -> None:
-        if not templates:
-            raise ValueError("a workload sequence needs at least one template")
-        self.database = database
-        self.templates = list(templates)
-        self.rng = np.random.default_rng(seed)
-
-    def rounds(self) -> Iterator[WorkloadRound]:
-        raise NotImplementedError
-
-    def materialise(self) -> list[WorkloadRound]:
-        return list(self.rounds())
-
-    def _instantiate(self, templates: list[QueryTemplate]) -> list[Query]:
-        return [template.instantiate(self.database, self.rng) for template in templates]
-
-
-class StaticWorkload(WorkloadSequence):
-    """All templates, one instance each, every round."""
+    #: Invoke PDTool every this many rounds (the every-k rule); ``None``
+    #: selects the segment rule.
+    pdtool_every: int | None = None
 
     def __init__(
         self,
@@ -83,26 +101,57 @@ class StaticWorkload(WorkloadSequence):
         n_rounds: int = 25,
         seed: int = 13,
     ) -> None:
-        super().__init__(database, templates, seed)
+        if not templates:
+            raise ValueError("a workload sequence needs at least one template")
         if n_rounds <= 0:
             raise ValueError("n_rounds must be positive")
+        self.database = database
+        self.templates = list(templates)
         self.n_rounds = n_rounds
+        self.seed = seed
 
     def rounds(self) -> Iterator[WorkloadRound]:
-        first_round_queries: list[Query] | None = None
-        for round_number in range(1, self.n_rounds + 1):
-            queries = self._instantiate(self.templates)
-            if first_round_queries is None:
-                first_round_queries = queries
-            # The paper invokes PDTool once, after the first round of new
-            # queries, using those queries as the (representative) training
-            # workload.
+        every = self.pdtool_every
+        recent: deque[list[Query]] = deque(maxlen=every)
+        segment_first: list[Query] | None = None
+        plans = self._plan(np.random.default_rng(self.seed))
+        for round_number, plan in enumerate(plans, start=1):
+            training: list[Query] | None = None
+            if every is not None:
+                if round_number > 1 and (round_number - 1) % every == 0:
+                    training = [query for queries in recent for query in queries]
+                recent.append(plan.queries)
+            elif plan.opens_segment or round_number == 1:
+                segment_first = plan.queries
+            elif segment_first is not None:
+                training, segment_first = list(segment_first), None
             yield WorkloadRound(
                 round_number=round_number,
-                queries=queries,
-                invoke_pdtool=(round_number == 2),
-                pdtool_training_queries=list(first_round_queries) if round_number == 2 else [],
+                queries=plan.queries,
+                pdtool_training_queries=training,
+                is_shift_round=plan.is_shift_round,
+                events=plan.events,
             )
+
+    def _plan(self, rng: np.random.Generator) -> Iterator[PlannedRound]:
+        """Yield each round's plan in order, drawing only from ``rng``."""
+        raise NotImplementedError
+
+    def materialise(self) -> list[WorkloadRound]:
+        return list(self.rounds())
+
+    def _instantiate(
+        self, templates: list[QueryTemplate], rng: np.random.Generator
+    ) -> list[Query]:
+        return [template.instantiate(self.database, rng) for template in templates]
+
+
+class StaticWorkload(WorkloadSequence):
+    """All templates, one instance each, every round."""
+
+    def _plan(self, rng: np.random.Generator) -> Iterator[PlannedRound]:
+        for _ in range(self.n_rounds):
+            yield PlannedRound(self._instantiate(self.templates, rng))
 
 
 class ShiftingWorkload(WorkloadSequence):
@@ -116,36 +165,25 @@ class ShiftingWorkload(WorkloadSequence):
         rounds_per_group: int = 20,
         seed: int = 13,
     ) -> None:
-        super().__init__(database, templates, seed)
         if n_groups <= 0 or rounds_per_group <= 0:
             raise ValueError("n_groups and rounds_per_group must be positive")
-        self.n_groups = min(n_groups, len(self.templates))
+        n_groups = min(n_groups, len(templates))
+        super().__init__(database, templates, n_groups * rounds_per_group, seed)
+        self.n_groups = n_groups
         self.rounds_per_group = rounds_per_group
-        order = list(range(len(self.templates)))
-        self.rng.shuffle(order)
-        self.groups: list[list[QueryTemplate]] = [[] for _ in range(self.n_groups)]
-        for position, template_index in enumerate(order):
-            self.groups[position % self.n_groups].append(self.templates[template_index])
 
-    def rounds(self) -> Iterator[WorkloadRound]:
-        round_number = 0
-        for group_number, group in enumerate(self.groups):
-            group_first_round: list[Query] | None = None
+    def _plan(self, rng: np.random.Generator) -> Iterator[PlannedRound]:
+        order = list(range(len(self.templates)))
+        rng.shuffle(order)
+        groups: list[list[QueryTemplate]] = [[] for _ in range(self.n_groups)]
+        for position, template_index in enumerate(order):
+            groups[position % self.n_groups].append(self.templates[template_index])
+        for group_number, group in enumerate(groups):
             for position in range(self.rounds_per_group):
-                round_number += 1
-                queries = self._instantiate(group)
-                if group_first_round is None:
-                    group_first_round = queries
-                # PDTool is invoked on the round after each shift (rounds
-                # 2, 22, 42, 62 with the paper's parameters), trained on the
-                # new group's queries.
-                invoke = position == 1
-                yield WorkloadRound(
-                    round_number=round_number,
-                    queries=queries,
-                    invoke_pdtool=invoke,
-                    pdtool_training_queries=list(group_first_round) if invoke else [],
+                yield PlannedRound(
+                    self._instantiate(group, rng),
                     is_shift_round=(position == 0 and group_number > 0),
+                    opens_segment=(position == 0),
                 )
 
 
@@ -162,12 +200,9 @@ class RandomWorkload(WorkloadSequence):
         pdtool_every: int = 4,
         seed: int = 13,
     ) -> None:
-        super().__init__(database, templates, seed)
-        if n_rounds <= 0:
-            raise ValueError("n_rounds must be positive")
+        super().__init__(database, templates, n_rounds, seed)
         if not 0.0 <= repeat_rate <= 1.0:
             raise ValueError("repeat_rate must be within [0, 1]")
-        self.n_rounds = n_rounds
         # Keep the total query volume similar to the static setting, as the
         # paper does ("the number of total training queries ... is similar to
         # the number of queries we had in the static setting").
@@ -175,12 +210,14 @@ class RandomWorkload(WorkloadSequence):
         self.repeat_rate = repeat_rate
         self.pdtool_every = max(1, pdtool_every)
 
-    def _draw_templates(self, previous: list[QueryTemplate]) -> list[QueryTemplate]:
+    def _draw_templates(
+        self, previous: list[QueryTemplate], rng: np.random.Generator
+    ) -> list[QueryTemplate]:
         chosen: list[QueryTemplate] = []
         n_repeat = int(round(self.repeat_rate * self.queries_per_round)) if previous else 0
         n_repeat = min(n_repeat, len(previous))
         if n_repeat:
-            repeat_positions = self.rng.choice(len(previous), size=n_repeat, replace=False)
+            repeat_positions = rng.choice(len(previous), size=n_repeat, replace=False)
             chosen.extend(previous[int(i)] for i in repeat_positions)
         # Fill the remainder preferring templates *not* seen in the previous
         # round, so the achieved round-to-round repeat rate tracks the target
@@ -189,28 +226,15 @@ class RandomWorkload(WorkloadSequence):
         fresh_pool = [t for t in self.templates if t.template_id not in previous_ids]
         pool = fresh_pool if fresh_pool else self.templates
         while len(chosen) < self.queries_per_round:
-            chosen.append(pool[int(self.rng.integers(0, len(pool)))])
-        self.rng.shuffle(chosen)
+            chosen.append(pool[int(rng.integers(0, len(pool)))])
+        rng.shuffle(chosen)
         return chosen
 
-    def rounds(self) -> Iterator[WorkloadRound]:
-        previous_templates: list[QueryTemplate] = []
-        history: list[Query] = []
-        for round_number in range(1, self.n_rounds + 1):
-            round_templates = self._draw_templates(previous_templates)
-            queries = self._instantiate(round_templates)
-            # The paper invokes PDTool every 4 rounds (rounds 5, 9, 13, ...),
-            # trained on the queries seen since the previous invocation.
-            invoke = round_number > 1 and (round_number - 1) % self.pdtool_every == 0
-            training = list(history[-self.pdtool_every * self.queries_per_round:]) if invoke else []
-            yield WorkloadRound(
-                round_number=round_number,
-                queries=queries,
-                invoke_pdtool=invoke,
-                pdtool_training_queries=training,
-            )
-            history.extend(queries)
-            previous_templates = round_templates
+    def _plan(self, rng: np.random.Generator) -> Iterator[PlannedRound]:
+        round_templates: list[QueryTemplate] = []
+        for _ in range(self.n_rounds):
+            round_templates = self._draw_templates(round_templates, rng)
+            yield PlannedRound(self._instantiate(round_templates, rng))
 
 
 def round_to_round_repeat_rate(rounds: list[WorkloadRound]) -> float:

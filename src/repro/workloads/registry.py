@@ -9,7 +9,8 @@ from repro.engine.errors import UnknownNameError, lookup_name
 from .base import Benchmark
 from .imdb import build_benchmark as _build_imdb
 from .ssb import build_benchmark as _build_ssb
-from .stress import STRESSORS, StressWorkload
+from .generator import WorkloadSequence
+from .stress import STRESSORS
 from .tpch import build_benchmark as _build_tpch
 from .tpch_skew import build_skewed_benchmark as _build_tpch_skew
 from .tpcds import build_benchmark as _build_tpcds
@@ -49,7 +50,7 @@ def available_stressors() -> list[str]:
     return sorted(STRESSORS)
 
 
-def get_stressor(name: str) -> type[StressWorkload]:
+def get_stressor(name: str) -> type[WorkloadSequence]:
     """Look up a stressor class by name.
 
     Raises :class:`UnknownStressorError` (a ``KeyError`` *and* ``ValueError``)

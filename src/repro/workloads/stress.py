@@ -21,11 +21,16 @@ named *stressor* — that the safety benchmark
   and back mid-run, as a workload-visible stressor (:class:`TierMigrationEvent`
   → :meth:`repro.engine.Database.set_table_backend`).
 
-Every stressor is **deterministic under its seed** and safe to re-iterate:
-``rounds()`` restarts its private RNG on every call, so two instances built
-with the same seed — and two iterations of the same instance — produce
-identical round streams (pinned by :func:`sequence_fingerprint`-based
-property tests in ``tests/test_workloads_stress.py``).
+A stressor only plans its rounds' queries, shift flags and events; the round
+loop, and with it the PDTool protocol, is
+:meth:`WorkloadSequence.rounds <repro.workloads.generator.WorkloadSequence.rounds>`,
+shared with the classic regimes.  :class:`ChurnWorkload` uses the random
+regime's every-4-rounds rule; the others use the segment rule (PDTool once,
+on round 2).  Every stressor is therefore **deterministic under its seed** and
+safe to re-iterate: ``rounds()`` restarts its private RNG on every call, so
+two instances built with the same seed — and two iterations of the same
+instance — produce identical round streams (pinned by
+:func:`sequence_fingerprint` digests in ``tests/test_workload_streams.py``).
 
 Environment changes ride on :attr:`WorkloadRound.events` as frozen, picklable
 event specs; the driver (:meth:`repro.api.TuningSession.step_workload_round`,
@@ -44,7 +49,7 @@ import numpy as np
 from repro.engine.catalog import Database
 from repro.engine.query import Operator, Query
 
-from .generator import WorkloadRound, WorkloadSequence
+from .generator import PlannedRound, WorkloadRound, WorkloadSequence
 from .templates import PredicateTemplate, QueryTemplate, ValueMode
 
 
@@ -93,44 +98,7 @@ class TableGrowthEvent:
         return f"grow {self.table} rows by {self.row_multiplier:g}x"
 
 
-# --------------------------------------------------------------------- #
-# the stressor base: re-seedable, re-iterable round streams
-# --------------------------------------------------------------------- #
-class StressWorkload(WorkloadSequence):
-    """Base class for adversarial sequences: deterministic and re-iterable.
-
-    Unlike the classic sequencers (whose shared ``self.rng`` is consumed as
-    rounds are drawn), every ``rounds()`` call here restarts a private
-    generator from ``seed`` — re-iterating an instance, or building a second
-    instance with the same seed, replays the identical stream.
-    """
-
-    def __init__(
-        self,
-        database: Database,
-        templates: list[QueryTemplate],
-        n_rounds: int = 20,
-        seed: int = 13,
-    ) -> None:
-        super().__init__(database, templates, seed)
-        if n_rounds <= 0:
-            raise ValueError("n_rounds must be positive")
-        self.n_rounds = n_rounds
-        self.seed = seed
-
-    def rounds(self) -> Iterator[WorkloadRound]:
-        yield from self._generate(np.random.default_rng(self.seed))
-
-    def _generate(self, rng: np.random.Generator) -> Iterator[WorkloadRound]:
-        raise NotImplementedError
-
-    def _instantiate_with(
-        self, templates: list[QueryTemplate], rng: np.random.Generator
-    ) -> list[Query]:
-        return [template.instantiate(self.database, rng) for template in templates]
-
-
-class FlashTrafficWorkload(StressWorkload):
+class FlashTrafficWorkload(WorkloadSequence):
     """Flash-traffic spike: one template's frequency multiplies, then collapses.
 
     Baseline rounds instantiate every template once (the static regime).
@@ -172,30 +140,23 @@ class FlashTrafficWorkload(StressWorkload):
         """Round numbers (1-based) inside the spike window."""
         return range(self.spike_start, self.spike_start + self.spike_length)
 
-    def _generate(self, rng: np.random.Generator) -> Iterator[WorkloadRound]:
+    def _plan(self, rng: np.random.Generator) -> Iterator[PlannedRound]:
         if self.spike_template_index is not None:
             hot = self.templates[self.spike_template_index]
         else:
             hot = self.templates[int(rng.integers(0, len(self.templates)))]
-        first_round_queries: list[Query] | None = None
         spike = self.spike_rounds
         for round_number in range(1, self.n_rounds + 1):
             round_templates = list(self.templates)
             if round_number in spike:
                 round_templates.extend([hot] * (self.spike_multiplier - 1))
-            queries = self._instantiate_with(round_templates, rng)
-            if first_round_queries is None:
-                first_round_queries = queries
-            yield WorkloadRound(
-                round_number=round_number,
-                queries=queries,
-                invoke_pdtool=(round_number == 2),
-                pdtool_training_queries=list(first_round_queries) if round_number == 2 else [],
+            yield PlannedRound(
+                self._instantiate(round_templates, rng),
                 is_shift_round=round_number in (spike.start, spike.stop),
             )
 
 
-class SeasonalWorkload(StressWorkload):
+class SeasonalWorkload(WorkloadSequence):
     """Seasonal / periodic drift: sinusoidal template-weight rotation.
 
     Each template ``i`` carries a phase-shifted sinusoidal weight
@@ -231,8 +192,7 @@ class SeasonalWorkload(StressWorkload):
         angle = 2.0 * np.pi * (round_number / self.period + phases)
         return 1.0 + self.amplitude * np.sin(angle)
 
-    def _generate(self, rng: np.random.Generator) -> Iterator[WorkloadRound]:
-        first_round_queries: list[Query] | None = None
+    def _plan(self, rng: np.random.Generator) -> Iterator[PlannedRound]:
         for round_number in range(1, self.n_rounds + 1):
             weights = self.weights(round_number)
             probabilities = weights / weights.sum()
@@ -243,18 +203,10 @@ class SeasonalWorkload(StressWorkload):
                 p=probabilities,
             )
             round_templates = [self.templates[int(i)] for i in drawn]
-            queries = self._instantiate_with(round_templates, rng)
-            if first_round_queries is None:
-                first_round_queries = queries
-            yield WorkloadRound(
-                round_number=round_number,
-                queries=queries,
-                invoke_pdtool=(round_number == 2),
-                pdtool_training_queries=list(first_round_queries) if round_number == 2 else [],
-            )
+            yield PlannedRound(self._instantiate(round_templates, rng))
 
 
-class ChurnWorkload(StressWorkload):
+class ChurnWorkload(WorkloadSequence):
     """Template churn: ad-hoc queries drawn once and never seen again.
 
     Every round, a ``churn_rate`` fraction of the queries comes from brand-new
@@ -265,6 +217,10 @@ class ChurnWorkload(StressWorkload):
     just learned about is worthless next round, and every index built for a
     churned template is a pure regression.
     """
+
+    #: PDTool sees the ad-hoc protocol of the random regime: invoked every 4
+    #: rounds, trained on the queries seen since last time.
+    pdtool_every = 4
 
     def __init__(
         self,
@@ -320,8 +276,7 @@ class ChurnWorkload(StressWorkload):
             description="synthesised ad-hoc query (never repeated)",
         )
 
-    def _generate(self, rng: np.random.Generator) -> Iterator[WorkloadRound]:
-        history: list[Query] = []
+    def _plan(self, rng: np.random.Generator) -> Iterator[PlannedRound]:
         for round_number in range(1, self.n_rounds + 1):
             n_adhoc = int(round(self.churn_rate * self.queries_per_round))
             round_templates = [
@@ -332,21 +287,10 @@ class ChurnWorkload(StressWorkload):
                 round_templates.append(
                     self.templates[int(rng.integers(0, len(self.templates)))]
                 )
-            queries = self._instantiate_with(round_templates, rng)
-            # PDTool sees the ad-hoc protocol of the random regime: invoked
-            # every 4 rounds, trained on the queries seen since last time.
-            invoke = round_number > 1 and (round_number - 1) % 4 == 0
-            training = list(history[-4 * self.queries_per_round:]) if invoke else []
-            yield WorkloadRound(
-                round_number=round_number,
-                queries=queries,
-                invoke_pdtool=invoke,
-                pdtool_training_queries=training,
-            )
-            history.extend(queries)
+            yield PlannedRound(self._instantiate(round_templates, rng))
 
 
-class SchemaGrowthWorkload(StressWorkload):
+class SchemaGrowthWorkload(WorkloadSequence):
     """Schema growth: tables appear mid-run, with data volume and fresh statistics.
 
     The sequence starts on a *core* subset of tables (those of the first
@@ -404,30 +348,23 @@ class SchemaGrowthWorkload(StressWorkload):
             round_number += self.growth_every
         return schedule
 
-    def _generate(self, rng: np.random.Generator) -> Iterator[WorkloadRound]:
+    def _plan(self, rng: np.random.Generator) -> Iterator[PlannedRound]:
         active_tables = set(self.core_tables)
         schedule = self.growth_schedule()
-        first_round_queries: list[Query] | None = None
         for round_number in range(1, self.n_rounds + 1):
             events: tuple[TableGrowthEvent, ...] = ()
             arriving = schedule.get(round_number)
             if arriving is not None:
                 active_tables.add(arriving)
                 events = (TableGrowthEvent(arriving, self.row_multiplier),)
-            queries = self._instantiate_with(self.active_templates(active_tables), rng)
-            if first_round_queries is None:
-                first_round_queries = queries
-            yield WorkloadRound(
-                round_number=round_number,
-                queries=queries,
-                invoke_pdtool=(round_number == 2),
-                pdtool_training_queries=list(first_round_queries) if round_number == 2 else [],
+            yield PlannedRound(
+                self._instantiate(self.active_templates(active_tables), rng),
                 is_shift_round=arriving is not None,
                 events=events,
             )
 
 
-class TierMigrationWorkload(StressWorkload):
+class TierMigrationWorkload(WorkloadSequence):
     """Mid-run tier migration: scheduled promote/demote as a workload stressor.
 
     Rounds are the static regime (every template once); the stress is purely
@@ -479,19 +416,12 @@ class TierMigrationWorkload(StressWorkload):
             )
         return schedule
 
-    def _generate(self, rng: np.random.Generator) -> Iterator[WorkloadRound]:
+    def _plan(self, rng: np.random.Generator) -> Iterator[PlannedRound]:
         schedule = self.migration_schedule()
-        first_round_queries: list[Query] | None = None
         for round_number in range(1, self.n_rounds + 1):
-            queries = self._instantiate_with(list(self.templates), rng)
-            if first_round_queries is None:
-                first_round_queries = queries
             events = schedule.get(round_number, ())
-            yield WorkloadRound(
-                round_number=round_number,
-                queries=queries,
-                invoke_pdtool=(round_number == 2),
-                pdtool_training_queries=list(first_round_queries) if round_number == 2 else [],
+            yield PlannedRound(
+                self._instantiate(self.templates, rng),
                 is_shift_round=bool(events),
                 events=events,
             )
@@ -523,7 +453,10 @@ def round_fingerprint(workload_round: WorkloadRound) -> tuple[object, ...]:
         workload_round.round_number,
         tuple(query_fingerprint(query) for query in workload_round.queries),
         workload_round.invoke_pdtool,
-        tuple(query_fingerprint(query) for query in workload_round.pdtool_training_queries),
+        tuple(
+            query_fingerprint(query)
+            for query in workload_round.pdtool_training_queries or ()
+        ),
         workload_round.is_shift_round,
         workload_round.events,
     )
@@ -535,7 +468,7 @@ def sequence_fingerprint(rounds: list[WorkloadRound]) -> tuple[object, ...]:
 
 
 #: Every stressor by name, in name order.
-STRESSORS: dict[str, type[StressWorkload]] = {
+STRESSORS: dict[str, type[WorkloadSequence]] = {
     "churn": ChurnWorkload,
     "flash_traffic": FlashTrafficWorkload,
     "schema_growth": SchemaGrowthWorkload,

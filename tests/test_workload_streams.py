@@ -139,6 +139,13 @@ def test_stream_matches_golden(benchmark_name, name, seed):
     assert _digest(rounds) == EXPECTED_DIGESTS[f"{benchmark_name}/{name}/{seed}"]
 
 
+@pytest.mark.parametrize("name", sorted(SEQUENCERS))
+def test_iterating_twice_replays_the_stream(name):
+    sequence = _sequence("ssb", name, 13)
+    first = sequence.materialise()
+    assert sequence_fingerprint(list(sequence.rounds())) == sequence_fingerprint(first)
+
+
 if __name__ == "__main__":  # pragma: no cover - regeneration helper
     print("EXPECTED_DIGESTS = {")
     for key, digest in _current_digests().items():

@@ -22,11 +22,11 @@ from repro.workloads import (
     FlashTrafficWorkload,
     SchemaGrowthWorkload,
     SeasonalWorkload,
-    StressWorkload,
     TableGrowthEvent,
     TierMigrationEvent,
     TierMigrationWorkload,
     UnknownStressorError,
+    WorkloadSequence,
     available_stressors,
     get_benchmark,
     get_stressor,
@@ -54,7 +54,7 @@ class TestStressorRegistry:
     def test_lookup_returns_stress_subclasses(self):
         for name in available_stressors():
             cls = get_stressor(name)
-            assert issubclass(cls, StressWorkload)
+            assert issubclass(cls, WorkloadSequence)
 
     def test_lookup_normalises_spelling(self):
         assert get_stressor("Flash-Traffic") is FlashTrafficWorkload
@@ -92,8 +92,7 @@ class TestDeterminism:
         database, templates = ssb
         sequence = get_stressor(name)(database, templates, seed=17)
         materialised = sequence.materialise()
-        # Unlike the classic regimes (whose shared rng is consumed), a
-        # stressor's rounds() restarts from the seed on every call.
+        # Every sequence's rounds() restarts from the seed on every call.
         reiterated = list(sequence.rounds())
         assert sequence_fingerprint(reiterated) == sequence_fingerprint(materialised)
 
