@@ -81,6 +81,42 @@ class TestZipfian:
             ZipfianInt(low=0, n_distinct=10, skew=-1)
 
 
+class TestZipfianMemo:
+    """Each zipfian sample is drawn once per process; a hit is a fresh draw's twin."""
+
+    generator = ZipfianInt(low=7, n_distinct=4_321, skew=1.3)
+
+    def test_hit_returns_the_draw_and_leaves_the_same_state(self):
+        miss_rng = np.random.default_rng(99)
+        miss = self.generator.generate(300, miss_rng, {})
+        reference_rng = np.random.default_rng(99)
+        reference = self.generator._draw(300, reference_rng)
+        hit_rng = np.random.default_rng(99)
+        hit = self.generator.generate(300, hit_rng, {})
+        assert hit is miss
+        assert not hit.flags.writeable
+        np.testing.assert_array_equal(hit, reference)
+        assert hit_rng.bit_generator.state == miss_rng.bit_generator.state
+        assert hit_rng.bit_generator.state == reference_rng.bit_generator.state
+        assert hit_rng.random() == reference_rng.random()
+
+    def test_different_state_or_size_misses(self):
+        base = self.generator.generate(300, np.random.default_rng(99), {})
+        advanced = np.random.default_rng(99)
+        advanced.random()
+        other_state = self.generator.generate(300, advanced, {})
+        assert other_state is not base
+        assert not np.array_equal(other_state, base)
+        assert self.generator.generate(200, np.random.default_rng(99), {}) is not base
+        other_generator = ZipfianInt(low=7, n_distinct=4_321, skew=1.4)
+        assert other_generator.generate(300, np.random.default_rng(99), {}) is not base
+
+    def test_skewed_foreign_keys_share_the_memo(self):
+        reference = ForeignKeyRef(parent_cardinality=777, skew=1.5)
+        first = reference.generate(100, np.random.default_rng(3), {})
+        assert reference.generate(100, np.random.default_rng(3), {}) is first
+
+
 class TestForeignKeyRef:
     def test_references_in_parent_domain(self, rng):
         values = ForeignKeyRef(parent_cardinality=50).generate(1000, rng, {})
