@@ -357,17 +357,6 @@ class Database:
             return None
         return self.memory_budget_bytes - self.used_index_bytes
 
-    def fits_in_budget(self, indexes: Iterable[IndexDefinition]) -> bool:
-        """Whether materialising the given (additional) indexes stays within budget."""
-        if self.memory_budget_bytes is None:
-            return True
-        additional = sum(
-            self.index_size_bytes(index)
-            for index in indexes
-            if index.index_id not in self._indexes
-        )
-        return self.used_index_bytes + additional <= self.memory_budget_bytes
-
     # ------------------------------------------------------------------ #
     # DDL operations
     # ------------------------------------------------------------------ #

@@ -81,18 +81,6 @@ class IndexDefinition:
     def key_prefix(self, length: int) -> tuple[str, ...]:
         return self.key_columns[:length]
 
-    def is_prefix_of(self, other: "IndexDefinition") -> bool:
-        """True if this index's key is a leading prefix of ``other``'s key.
-
-        Used by the oracle's filtering step: once an index on ``(a, b, c)`` is
-        selected, an index on ``(a, b)`` adds no additional seek capability.
-        """
-        if self.table != other.table:
-            return False
-        if len(self.key_columns) > len(other.key_columns):
-            return False
-        return other.key_columns[: len(self.key_columns)] == self.key_columns
-
     def covers_columns(self, columns: Iterable[str]) -> bool:
         """True if every referenced column is stored in this index."""
         return self.stored_columns.issuperset(columns)

@@ -122,9 +122,3 @@ class TestApplyConfiguration:
         assert change.created == []
         assert not tiny_database.materialised_indexes
 
-    def test_fits_in_budget(self, tiny_database):
-        small = IndexDefinition("customers", ("region",))
-        assert tiny_database.fits_in_budget([small])
-        tiny_database.memory_budget_bytes = 10
-        assert not tiny_database.fits_in_budget([small])
-        assert tiny_database.available_index_bytes == 10

@@ -28,15 +28,6 @@ class TestDefinition:
         assert index.leading_column() == "day"
         assert index.key_prefix(2) == ("day", "channel")
 
-    def test_is_prefix_of(self):
-        narrow = IndexDefinition("sales", ("day",))
-        wide = IndexDefinition("sales", ("day", "channel"))
-        other_table = IndexDefinition("customers", ("day",))
-        assert narrow.is_prefix_of(wide)
-        assert not wide.is_prefix_of(narrow)
-        assert not other_table.is_prefix_of(wide)
-        assert narrow.is_prefix_of(narrow)
-
     def test_covers_columns_and_query(self):
         index = IndexDefinition("sales", ("day", "channel"), ("amount",))
         assert index.covers_columns(("day", "amount"))

@@ -411,20 +411,6 @@ def test_speedup_percentage_bounds(baseline, candidate):
 # index definitions
 # ----------------------------------------------------------------------- #
 @given(
-    columns=st.lists(
-        st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, max_size=5, unique=True
-    )
-)
-def test_index_prefix_relation_is_reflexive_and_antisymmetric(columns):
-    index = IndexDefinition("t", tuple(columns))
-    assert index.is_prefix_of(index)
-    if len(columns) > 1:
-        narrow = IndexDefinition("t", tuple(columns[:-1]))
-        assert narrow.is_prefix_of(index)
-        assert not index.is_prefix_of(narrow)
-
-
-@given(
     key=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True),
     prefix_length=st.integers(0, 5),
 )
