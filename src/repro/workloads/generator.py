@@ -111,6 +111,7 @@ class WorkloadSequence:
         self.seed = seed
 
     def rounds(self) -> Iterator[WorkloadRound]:
+        """Yield the rounds in order, replaying from the seed on every call."""
         every = self.pdtool_every
         recent: deque[list[Query]] = deque(maxlen=every)
         segment_first: list[Query] | None = None
