@@ -7,9 +7,9 @@ from typing import Callable
 from repro.engine.errors import UnknownNameError, lookup_name
 
 from .base import Benchmark
+from .generator import WorkloadSequence
 from .imdb import build_benchmark as _build_imdb
 from .ssb import build_benchmark as _build_ssb
-from .generator import WorkloadSequence
 from .stress import STRESSORS
 from .tpch import build_benchmark as _build_tpch
 from .tpch_skew import build_skewed_benchmark as _build_tpch_skew

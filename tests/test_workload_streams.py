@@ -139,8 +139,9 @@ def test_stream_matches_golden(benchmark_name, name, seed):
     assert _digest(rounds) == EXPECTED_DIGESTS[f"{benchmark_name}/{name}/{seed}"]
 
 
-@pytest.mark.parametrize("name", sorted(SEQUENCERS))
+@pytest.mark.parametrize("name", ("static", "shifting", "random"))
 def test_iterating_twice_replays_the_stream(name):
+    # The stressors' re-iteration is pinned in tests/test_workloads_stress.py.
     sequence = _sequence("ssb", name, 13)
     first = sequence.materialise()
     assert sequence_fingerprint(list(sequence.rounds())) == sequence_fingerprint(first)
