@@ -6,6 +6,7 @@ from repro.engine import (
     AccessMethod,
     IndexDefinition,
     JoinMethod,
+    JoinPredicate,
     Operator,
     Predicate,
     Query,
@@ -176,3 +177,105 @@ class TestEstimatesFollowGrowth:
             planner.plan(query, configuration=[]).estimated_seconds
             == fresh.plan(query, configuration=[]).estimated_seconds
         )
+
+
+class TestTieRules:
+    """Which plan wins when costs or estimates are equal.
+
+    Every comparison in the planner is a strict ``<``, so a tie keeps the
+    first candidate: the first index in catalog order, the first join in
+    query order, and the first table in ``query.tables`` order.
+    """
+
+    FIRST = IndexDefinition("customers", ("customer_id", "region"))
+    SECOND = IndexDefinition("customers", ("customer_id", "segment"))
+
+    @staticmethod
+    def customer_lookup() -> Query:
+        # Both indexes seek on customer_id and neither covers the payload.
+        return Query(
+            query_id="q_lookup#0",
+            template_id="q_lookup",
+            tables=("customers",),
+            predicates=(Predicate("customers", "customer_id", Operator.EQ, 7),),
+            payload={"customers": ("region", "segment")},
+        )
+
+    @pytest.mark.parametrize("order", ["first_then_second", "second_then_first"])
+    def test_equal_cost_seeks_use_the_first_index_in_catalog_order(self, tiny_database, order):
+        created = [self.FIRST, self.SECOND]
+        if order == "second_then_first":
+            created.reverse()
+        query = self.customer_lookup()
+        planner = Planner(tiny_database)
+        first_cost = planner.plan(query, [self.FIRST]).estimated_seconds
+        assert planner.plan(query, [self.SECOND]).estimated_seconds == first_cost
+        for index in created:
+            tiny_database.create_index(index)
+        plan = planner.plan(query)
+        access = plan.accesses["customers"]
+        assert access.method is AccessMethod.INDEX_SEEK
+        assert not access.covering
+        assert access.index == created[0]
+        assert plan.estimated_seconds == first_cost
+        assert planner.plan(query, created).accesses["customers"].index == created[0]
+
+    @pytest.mark.parametrize("first_join", ["customer_id", "channel"])
+    def test_a_table_linked_by_two_joins_uses_the_first_in_query_order(
+        self, tiny_database_readonly, first_join
+    ):
+        by_key = JoinPredicate("customers", "customer_id", "sales", "customer_id")
+        by_channel = JoinPredicate("customers", "region", "sales", "channel")
+        joins = (by_key, by_channel) if first_join == "customer_id" else (by_channel, by_key)
+        query = Query(
+            query_id="q_two_links#0",
+            template_id="q_two_links",
+            tables=("sales", "customers"),
+            # One customer drives; sales is joined into it.
+            predicates=(Predicate("customers", "customer_id", Operator.EQ, 7),),
+            joins=joins,
+            payload={"sales": ("amount",)},
+        )
+        probe_index = IndexDefinition("sales", ("customer_id",), ("amount", "channel"))
+        planner = Planner(tiny_database_readonly)
+        plan = planner.plan(query, [probe_index])
+        assert plan.driving_table == "customers"
+        (step,) = plan.join_steps
+        assert step.inner_table == "sales"
+        outer_column, inner_column = (
+            ("customer_id", "customer_id") if first_join == "customer_id" else ("region", "channel")
+        )
+        expected_rows = planner.estimator.join_cardinality(
+            plan.accesses["customers"].estimated_rows, "customers", outer_column,
+            plan.accesses["sales"].estimated_rows, "sales", inner_column,
+        )
+        assert step.estimated_result_rows == expected_rows
+        # Only the customer_id link can probe the index leading with customer_id.
+        if first_join == "customer_id":
+            assert step.method is JoinMethod.INDEX_NESTED_LOOP
+            assert step.index == probe_index
+        else:
+            assert step.method is JoinMethod.HASH_JOIN
+
+    @pytest.mark.parametrize("tables", [("sales", "customers"), ("customers", "sales")])
+    def test_equal_estimated_rows_drive_from_the_first_table_in_query_order(
+        self, tiny_database_readonly, tables
+    ):
+        # Both filters estimate below one row, which clamps to exactly one.
+        query = Query(
+            query_id="q_equal_rows#0",
+            template_id="q_equal_rows",
+            tables=tables,
+            predicates=(
+                Predicate("sales", "sale_id", Operator.EQ, 5),
+                Predicate("sales", "channel", Operator.EQ, 1),
+                Predicate("customers", "customer_id", Operator.EQ, 5),
+                Predicate("customers", "region", Operator.EQ, 1),
+            ),
+            joins=(JoinPredicate("sales", "customer_id", "customers", "customer_id"),),
+        )
+        plan = Planner(tiny_database_readonly).plan(query, configuration=[])
+        assert plan.accesses["sales"].estimated_rows == 1.0
+        assert plan.accesses["customers"].estimated_rows == 1.0
+        assert plan.driving_table == tables[0]
+        assert [step.inner_table for step in plan.join_steps] == [tables[1]]
