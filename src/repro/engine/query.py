@@ -145,11 +145,17 @@ def derive_shape(
         payload: The per-table payload columns.
 
     Raises:
-        ValueError: If a predicate, join or payload names a table that is not
-            in the FROM list.
+        ValueError: If the FROM list names a table twice, or a predicate,
+            join or payload names a table that is not in it.
     """
     filtered = list(predicate_columns)
     table_set = set(tables)
+    if len(table_set) != len(tables):
+        repeated = sorted({name for name in tables if tables.count(name) > 1})
+        raise ValueError(
+            f"{owner}: the FROM list names {', '.join(map(repr, repeated))} more than once; "
+            "write a self-join as a JoinPredicate from the table to itself"
+        )
     for table_name, _ in filtered:
         if table_name not in table_set:
             raise ValueError(

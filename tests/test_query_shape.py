@@ -151,6 +151,18 @@ def test_shape_rejects_tables_outside_the_from_list() -> None:
         QueryTemplate("bad", ("a",), predicates=(PredicateTemplate("b", "x", Operator.EQ),))
 
 
+@pytest.mark.parametrize(
+    "tables", [("sales", "customers", "sales"), ("customers", "sales", "customers")]
+)
+def test_shape_rejects_a_from_list_that_names_a_table_twice(tables: tuple[str, ...]) -> None:
+    # Repeated as a joined table or as the would-be driving table alike;
+    # a self-join is a JoinPredicate from the table to itself.
+    with pytest.raises(ValueError, match=f"query q#0: the FROM list names '{tables[0]}' more than once"):
+        Query("q#0", "q", tables)
+    with pytest.raises(ValueError, match=f"template bad: the FROM list names '{tables[0]}' more than once"):
+        QueryTemplate("bad", tables)
+
+
 # --------------------------------------------------------------------- #
 # sharing, replace and pickling
 # --------------------------------------------------------------------- #
