@@ -1,13 +1,20 @@
 """Parity of the planner and executor with a reference copy of their plain form.
 
-``Planner.plan`` and ``Executor.execute`` derive each table's facts once per
-call and lean on memos: index geometry and selectivities on ``TableData``,
+``Planner.plan`` is one pass over the query's tables: each table's
+predicate estimates are read once and shared by its filtered cardinality
+and every seek prefix, each join step finds its inner table and join link
+in one scan, and only the winning access path and join method become plan
+objects.  ``Executor.execute`` reads each base table's full-scan time once.
+Both lean on memos: index geometry and selectivities on ``TableData``,
 full-scan times on ``CostModel``.  The reference below re-derives every
-figure per use, the way the engine did before those memos, and runs on a
+figure per use, builds a plan object for every candidate, and runs on a
 fresh snapshot of the database (new ``TableData`` objects, a new
 ``CostModel``), so no memo can reach it.  Random queries and configurations
-are planned and executed by both, with table growth and tier moves in the
-middle of the run: a memo that outlived a change shows up as a mismatch.
+are planned and executed by both, on the tiny database and on SSB and
+TPC-DS workloads (TPC-DS brings four-table joins whose fact tables link to
+several dimensions), with table growth and tier moves in the middle of the
+run: a memo that outlived a change, or a tie broken differently, shows up
+as a mismatch.
 """
 
 from __future__ import annotations
@@ -358,13 +365,21 @@ def tiny_database() -> Database:
     )
 
 
-def ssb_database() -> Database:
-    return get_benchmark("ssb").create_database(scale_factor=0.1, sample_rows=300, seed=4)
+def benchmark_database(name: str) -> Database:
+    return get_benchmark(name).create_database(scale_factor=0.1, sample_rows=300, seed=4)
 
 
-def ssb_queries(database: Database) -> list[Query]:
-    rounds = RandomWorkload(database, get_benchmark("ssb").templates, n_rounds=6, seed=5).materialise()
+def benchmark_queries(name: str, database: Database) -> list[Query]:
+    rounds = RandomWorkload(database, get_benchmark(name).templates, n_rounds=6, seed=5).materialise()
     return [query for workload_round in rounds for query in workload_round.queries]
+
+
+#: The table each benchmark grows mid-run, and the one it moves between tiers.
+GROWN_AND_MOVED = {
+    "tiny": ("sales", "customers"),
+    "ssb": ("lineorder", "date_dim"),
+    "tpcds": ("catalog_sales", "date_dim"),
+}
 
 
 def assert_matches(database: Database, planner: Planner, executor: Executor,
@@ -391,16 +406,16 @@ def assert_matches(database: Database, planner: Planner, executor: Executor,
         assert tuple(index.geometry(data)) == reference_geometry(index, data)
 
 
-@pytest.mark.parametrize("database_name", ["tiny", "ssb"])
+@pytest.mark.parametrize("database_name", ["tiny", "ssb", "tpcds"])
 def test_plan_and_execute_match_the_reference_across_growth_and_tier_moves(database_name):
     rng = np.random.default_rng(17)
-    database = tiny_database() if database_name == "tiny" else ssb_database()
     if database_name == "tiny":
+        database = tiny_database()
         queries = [random_tiny_query(rng, database, number) for number in range(90)]
-        grown, moved = "sales", "customers"
     else:
-        queries = ssb_queries(database)[:90]
-        grown, moved = "lineorder", "date_dim"
+        database = benchmark_database(database_name)
+        queries = benchmark_queries(database_name, database)[:90]
+    grown, moved = GROWN_AND_MOVED[database_name]
     planner = Planner(database)
     executor = Executor(database, noise_sigma=0.03, seed=5)
     reference_rng = np.random.default_rng(5)
