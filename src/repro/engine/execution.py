@@ -117,14 +117,17 @@ class Executor:
             access = accesses.get(table_name)
             if access is None:
                 access = TableAccessPlan(table=table_name, method=AccessMethod.FULL_SCAN)
-            seconds = self._time_access(cost_model, access, data, predicates, true_rows)
+            full_scan_seconds = cost_model.full_scan_seconds(data)
+            seconds = self._time_access(
+                cost_model, access, data, predicates, true_rows, full_scan_seconds
+            )
             access_results.append(
                 TableAccessResult(
                     table=table_name,
                     method=_ACCESS_METHOD_NAMES[access.method],
                     index_id=access.index.index_id if access.index else None,
                     actual_seconds=seconds,
-                    full_scan_seconds=cost_model.full_scan_seconds(data),
+                    full_scan_seconds=full_scan_seconds,
                     true_rows=true_rows,
                 )
             )
@@ -222,9 +225,10 @@ class Executor:
         data: TableData,
         predicates: tuple[Predicate, ...],
         true_rows: int,
+        full_scan_seconds: float,
     ) -> float:
         if access.method is AccessMethod.FULL_SCAN or access.index is None:
-            return cost_model.full_scan_seconds(data)
+            return full_scan_seconds
         if access.method is AccessMethod.INDEX_ONLY_SCAN:
             return cost_model.index_only_scan_seconds(access.index, data)
         # Index seek: matching rows are determined by the predicates on the

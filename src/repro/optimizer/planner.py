@@ -14,44 +14,15 @@ which mirrors how real systems reuse the optimiser for hypothetical analysis.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from repro.engine.catalog import Database
-from repro.engine.cost_model import CostModel
 from repro.engine.indexes import IndexDefinition
 from repro.engine.plans import AccessMethod, JoinMethod, JoinStep, QueryPlan, TableAccessPlan
-from repro.engine.query import Predicate, Query, TableShape
+from repro.engine.query import Query
 from repro.engine.storage import TableData
 
 from .cardinality import CardinalityEstimator, combine_selectivities
-
-
-class _TableFacts(NamedTuple):
-    """What one :meth:`Planner.plan` call needs of each referenced table.
-
-    The columns come from the query's shape, which a template's instances
-    share; only the predicates (which carry the literals) are gathered here.
-    """
-
-    data: TableData
-    #: The query's filter predicates on the table.
-    predicates: tuple[Predicate, ...]
-    #: Their columns: a seekable index key prefix is made of these.
-    predicate_columns: frozenset[str]
-    #: Every column the query touches on the table (covering checks).
-    referenced_columns: frozenset[str]
-
-
-def _table_facts(
-    data: TableData, predicates: tuple[Predicate, ...], table_shape: TableShape
-) -> _TableFacts:
-    """One table's facts: its data, its share of ``predicates`` and its shape's columns."""
-    return _TableFacts(
-        data,
-        tuple([predicates[position] for position in table_shape.predicate_positions]),
-        table_shape.predicate_column_set,
-        table_shape.referenced_column_set,
-    )
 
 
 class Planner:
@@ -94,35 +65,163 @@ class Planner:
                 grouped.setdefault(index.table, []).append(index)
             indexes_by_table = grouped
         estimator = self.estimator
+        predicate_selectivity = estimator.predicate_selectivity
         cost_model = database.cost_model
+        shape = query.shape
+        all_predicates = query.predicates
 
-        facts = {
-            name: _table_facts(database.table_data(name), query.predicates, table_shape)
-            for name, table_shape in query.shape.items()
-        }
-        accesses = {
-            name: self._best_access(
-                estimator, cost_model, name, facts[name], indexes_by_table.get(name, ())
+        # Access paths, one table at a time.  Each predicate's estimate is
+        # read once; the filtered cardinality and every seek prefix multiply
+        # them in predicate order, exactly as ``conjunctive_selectivity``
+        # would.  Every comparison is a strict ``<``, so a tie keeps the full
+        # scan or the first index in catalog order.
+        table_data: dict[str, TableData] = {}
+        accesses: dict[str, TableAccessPlan] = {}
+        for name, table_shape in shape.items():
+            data = table_data[name] = database.table_data(name)
+            predicates = [all_predicates[position] for position in table_shape.predicate_positions]
+            selectivities = [predicate_selectivity(predicate) for predicate in predicates]
+            filtered_rows = estimator.cardinality_at(name, combine_selectivities(selectivities))
+            method = AccessMethod.FULL_SCAN
+            best_index: IndexDefinition | None = None
+            best_prefix_length = 0
+            best_covering = False
+            best_seconds = cost_model.full_scan_seconds(data)
+            predicate_columns = table_shape.predicate_column_set
+            referenced = table_shape.referenced_column_set
+            for index in indexes_by_table.get(name, ()):
+                # A seek needs a predicate on the leading key column; without
+                # one, only a covering index can stand in for the scan.
+                if index.key_columns[0] in predicate_columns:
+                    covering = index.covers_columns(referenced)
+                    prefix_length = index.seekable_prefix_length(predicate_columns)
+                    prefix_columns = index.key_prefix(prefix_length)
+                    prefix_selectivity = combine_selectivities(
+                        [
+                            selectivity
+                            for predicate, selectivity in zip(predicates, selectivities)
+                            if predicate.column in prefix_columns
+                        ]
+                    )
+                    matching = prefix_selectivity * data.full_row_count
+                    seconds = cost_model.index_seek_seconds(
+                        index, data, int(max(1.0, matching)), covering=covering
+                    )
+                    if seconds < best_seconds:
+                        method = AccessMethod.INDEX_SEEK
+                        best_index, best_prefix_length, best_covering = index, prefix_length, covering
+                        best_seconds = seconds
+                elif index.covers_columns(referenced):
+                    seconds = cost_model.index_only_scan_seconds(index, data)
+                    if seconds < best_seconds:
+                        method = AccessMethod.INDEX_ONLY_SCAN
+                        best_index, best_prefix_length, best_covering = index, 0, True
+                        best_seconds = seconds
+            accesses[name] = TableAccessPlan(
+                table=name,
+                method=method,
+                index=best_index,
+                seek_prefix_length=best_prefix_length,
+                covering=best_covering,
+                estimated_rows=filtered_rows,
+                estimated_seconds=best_seconds,
             )
-            for name in query.tables
-        }
 
-        driving_table, join_steps, join_cost, result_rows = self._plan_joins(
-            query, estimator, cost_model, facts, accesses, indexes_by_table
-        )
+        # Greedy left-deep join order from the smallest estimated input (a
+        # stable sort: equal estimates keep query order).  Each step joins
+        # the first remaining table with a link into the joined set (else
+        # the first remaining one, a cross join) through that table's first
+        # such link in query order.  The probe/outer stream of every step
+        # prices at the driving table's tier, matching the executor.
+        ordered = sorted(query.tables, key=lambda name: accesses[name].estimated_rows)
+        driving_table = ordered[0]
+        driving_data = table_data[driving_table]
+        joined = {driving_table}
+        remaining = ordered[1:]
+        current_rows = accesses[driving_table].estimated_rows
+        join_steps: list[JoinStep] = []
+        inl_tables: set[str] = set()
+        join_cost = 0.0
+        while remaining:
+            inner_table = remaining[0]
+            link: tuple[str, str, str] | None = None
+            for name in remaining:
+                for candidate in shape[name].join_links:
+                    if candidate[0] in joined:
+                        inner_table, link = name, candidate
+                        break
+                if link is not None:
+                    break
+            remaining.remove(inner_table)
+            joined.add(inner_table)
+            inner_access = accesses[inner_table]
+            inner_rows = inner_access.estimated_rows
+            inner_data = table_data[inner_table]
+            if link is None:
+                result_rows = max(
+                    1.0, current_rows * inner_rows / max(1.0, inner_data.full_row_count)
+                )
+            else:
+                outer_table, outer_column, inner_column = link
+                result_rows = estimator.join_cardinality(
+                    current_rows, outer_table, outer_column, inner_rows, inner_table, inner_column
+                )
 
+            # Hash join (build on the inner input, probe with the outer),
+            # then an index nested loop through each index leading with the
+            # join column.
+            step_cost = cost_model.hash_join_seconds(
+                int(inner_rows), int(current_rows),
+                build_data=inner_data, probe_data=driving_data,
+            )
+            step_cost += inner_access.estimated_seconds
+            step_index: IndexDefinition | None = None
+            step_covering = False
+            if link is not None:
+                inner_column = link[2]
+                referenced = shape[inner_table].referenced_column_set
+                rows_per_probe: float | None = None
+                for index in indexes_by_table.get(inner_table, ()):
+                    if index.key_columns[0] != inner_column:
+                        continue
+                    if rows_per_probe is None:
+                        rows_per_probe = estimator.rows_per_join_key(inner_table, inner_column)
+                    covering = index.covers_columns(referenced)
+                    inl_cost = cost_model.index_nested_loop_seconds(
+                        outer_rows=int(current_rows),
+                        inner_index=index,
+                        inner_data=inner_data,
+                        rows_per_probe=rows_per_probe,
+                        covering=covering,
+                        outer_data=driving_data,
+                    )
+                    if inl_cost < step_cost:
+                        step_cost, step_index, step_covering = inl_cost, index, covering
+            if step_index is not None:
+                inl_tables.add(inner_table)
+            join_steps.append(
+                JoinStep(
+                    inner_table=inner_table,
+                    method=JoinMethod.HASH_JOIN if step_index is None else JoinMethod.INDEX_NESTED_LOOP,
+                    index=step_index,
+                    covering=step_covering,
+                    estimated_outer_rows=current_rows,
+                    estimated_result_rows=result_rows,
+                    estimated_seconds=step_cost,
+                )
+            )
+            join_cost += step_cost
+            current_rows = result_rows
+
+        # Base accesses sum in query order: the driving table, then every
+        # hash-joined table (an index-nested-loop inner is priced in its step).
         base_cost = accesses[driving_table].estimated_seconds
-        inl_tables = {
-            step.inner_table
-            for step in join_steps
-            if step.method is JoinMethod.INDEX_NESTED_LOOP
-        }
-        for table_name in query.tables:
-            if table_name == driving_table or table_name in inl_tables:
+        for name in query.tables:
+            if name == driving_table or name in inl_tables:
                 continue
-            base_cost += accesses[table_name].estimated_seconds
+            base_cost += accesses[name].estimated_seconds
 
-        aggregation = cost_model.aggregation_seconds(int(result_rows))
+        aggregation = cost_model.aggregation_seconds(int(current_rows))
         overhead = cost_model.profile.per_query_overhead_seconds
         total = base_cost + join_cost + aggregation + overhead
         return QueryPlan(
@@ -132,210 +231,3 @@ class Planner:
             join_steps=join_steps,
             estimated_seconds=total,
         )
-
-    # ------------------------------------------------------------------ #
-    # access-path selection
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _best_access(
-        estimator: CardinalityEstimator,
-        cost_model: CostModel,
-        table_name: str,
-        facts: _TableFacts,
-        indexes: Sequence[IndexDefinition],
-    ) -> TableAccessPlan:
-        data, predicates, predicate_columns, referenced = facts
-        # Each predicate's estimate is read once; the filtered cardinality
-        # and every seek prefix multiply them in predicate order, exactly as
-        # ``conjunctive_selectivity`` would.
-        selectivities = [estimator.predicate_selectivity(predicate) for predicate in predicates]
-        filtered_rows = estimator.cardinality_at(table_name, combine_selectivities(selectivities))
-
-        best = TableAccessPlan(
-            table=table_name,
-            method=AccessMethod.FULL_SCAN,
-            estimated_rows=filtered_rows,
-            estimated_seconds=cost_model.full_scan_seconds(data),
-        )
-        for index in indexes:
-            covering = index.covers_columns(referenced)
-            prefix_length = index.seekable_prefix_length(predicate_columns)
-            if prefix_length > 0:
-                prefix_columns = index.key_prefix(prefix_length)
-                prefix_selectivity = combine_selectivities(
-                    [
-                        selectivity
-                        for predicate, selectivity in zip(predicates, selectivities)
-                        if predicate.column in prefix_columns
-                    ]
-                )
-                matching = prefix_selectivity * data.full_row_count
-                seconds = cost_model.index_seek_seconds(
-                    index, data, int(max(1.0, matching)), covering=covering
-                )
-                if seconds < best.estimated_seconds:
-                    best = TableAccessPlan(
-                        table=table_name,
-                        method=AccessMethod.INDEX_SEEK,
-                        index=index,
-                        seek_prefix_length=prefix_length,
-                        covering=covering,
-                        estimated_rows=filtered_rows,
-                        estimated_seconds=seconds,
-                    )
-            elif covering:
-                seconds = cost_model.index_only_scan_seconds(index, data)
-                if seconds < best.estimated_seconds:
-                    best = TableAccessPlan(
-                        table=table_name,
-                        method=AccessMethod.INDEX_ONLY_SCAN,
-                        index=index,
-                        covering=True,
-                        estimated_rows=filtered_rows,
-                        estimated_seconds=seconds,
-                    )
-        return best
-
-    # ------------------------------------------------------------------ #
-    # join planning
-    # ------------------------------------------------------------------ #
-    def _plan_joins(
-        self,
-        query: Query,
-        estimator: CardinalityEstimator,
-        cost_model: CostModel,
-        facts: dict[str, _TableFacts],
-        accesses: dict[str, TableAccessPlan],
-        indexes_by_table: Mapping[str, Sequence[IndexDefinition]],
-    ) -> tuple[str, list[JoinStep], float, float]:
-        """Greedy left-deep join order: start from the smallest estimated input."""
-        tables = list(query.tables)
-        if len(tables) == 1:
-            only = tables[0]
-            return only, [], 0.0, accesses[only].estimated_rows
-
-        ordered = sorted(tables, key=lambda name: accesses[name].estimated_rows)
-        driving_table = ordered[0]
-        joined: set[str] = {driving_table}
-        remaining = [name for name in ordered if name != driving_table]
-        current_rows = accesses[driving_table].estimated_rows
-        # The probe/outer stream of every join step prices at the driving
-        # table's tier (matching the executor's cross-tier accounting).
-        driving_data = facts[driving_table].data
-        join_steps: list[JoinStep] = []
-        total_join_cost = 0.0
-
-        while remaining:
-            # Prefer tables connected to the already-joined set (avoid cross joins).
-            next_table = self._pick_next_table(query, joined, remaining)
-            remaining.remove(next_table)
-            step, step_cost, current_rows = self._best_join_step(
-                query,
-                estimator,
-                cost_model,
-                joined,
-                current_rows,
-                accesses[next_table],
-                facts[next_table],
-                indexes_by_table.get(next_table, ()),
-                driving_data,
-            )
-            join_steps.append(step)
-            total_join_cost += step_cost
-            joined.add(next_table)
-        return driving_table, join_steps, total_join_cost, current_rows
-
-    @staticmethod
-    def _pick_next_table(query: Query, joined: set[str], remaining: list[str]) -> str:
-        """The first remaining table a join links to the joined set (else the first)."""
-        shape = query.shape
-        for table_name in remaining:
-            for other_table, _, _ in shape[table_name].join_links:
-                if other_table in joined:
-                    return table_name
-        return remaining[0]
-
-    @staticmethod
-    def _join_connection(
-        query: Query, joined: set[str], inner_table: str
-    ) -> tuple[str, str, str] | None:
-        """Return ``(outer_table, outer_column, inner_column)`` linking the sets, if any.
-
-        The first of the query's joins that links ``inner_table`` to the
-        joined set wins.
-        """
-        for link in query.shape[inner_table].join_links:
-            if link[0] in joined:
-                return link
-        return None
-
-    def _best_join_step(
-        self,
-        query: Query,
-        estimator: CardinalityEstimator,
-        cost_model: CostModel,
-        joined: set[str],
-        outer_rows: float,
-        inner_access: TableAccessPlan,
-        inner_facts: _TableFacts,
-        inner_indexes: Sequence[IndexDefinition],
-        outer_data: TableData,
-    ) -> tuple[JoinStep, float, float]:
-        inner_table = inner_access.table
-        inner_rows = inner_access.estimated_rows
-        inner_data = inner_facts.data
-        connection = self._join_connection(query, joined, inner_table)
-
-        if connection is None:
-            result_rows = max(1.0, outer_rows * inner_rows / max(1.0, inner_data.full_row_count))
-        else:
-            outer_table, outer_column, inner_column = connection
-            result_rows = estimator.join_cardinality(
-                outer_rows, outer_table, outer_column, inner_rows, inner_table, inner_column
-            )
-
-        # Option 1: hash join (build on the inner input, probe with the outer).
-        hash_cost = cost_model.hash_join_seconds(
-            int(inner_rows), int(outer_rows),
-            build_data=inner_data, probe_data=outer_data,
-        )
-        hash_cost += inner_access.estimated_seconds
-        best_step = JoinStep(
-            inner_table=inner_table,
-            method=JoinMethod.HASH_JOIN,
-            estimated_outer_rows=outer_rows,
-            estimated_result_rows=result_rows,
-            estimated_seconds=hash_cost,
-        )
-        best_cost = hash_cost
-
-        # Option 2: index nested loop, if an index leads with the join column.
-        if connection is not None:
-            _, _, inner_column = connection
-            rows_per_probe: float | None = None
-            for index in inner_indexes:
-                if index.leading_column() != inner_column:
-                    continue
-                if rows_per_probe is None:
-                    rows_per_probe = estimator.rows_per_join_key(inner_table, inner_column)
-                covering = index.covers_columns(inner_facts.referenced_columns)
-                inl_cost = cost_model.index_nested_loop_seconds(
-                    outer_rows=int(outer_rows),
-                    inner_index=index,
-                    inner_data=inner_data,
-                    rows_per_probe=rows_per_probe,
-                    covering=covering,
-                    outer_data=outer_data,
-                )
-                if inl_cost < best_cost:
-                    best_cost = inl_cost
-                    best_step = JoinStep(
-                        inner_table=inner_table,
-                        method=JoinMethod.INDEX_NESTED_LOOP,
-                        index=index,
-                        covering=covering,
-                        estimated_outer_rows=outer_rows,
-                        estimated_result_rows=result_rows,
-                        estimated_seconds=inl_cost,
-                    )
-        return best_step, best_cost, result_rows
