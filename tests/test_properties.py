@@ -1,20 +1,23 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Arm, ArmGenerator, C2UCB, GreedyOracle, MabConfig
+from repro.core import Arm, ArmGenerator, C2UCB, GreedyOracle, MabConfig, MabTuner
 from repro.core.oracle import score_order
 from repro.engine import (
     Column,
+    Database,
     IndexDefinition,
     JoinPredicate,
     Operator,
     Predicate,
     Query,
+    Schema,
     Table,
     TableData,
     evaluate_predicate,
@@ -391,6 +394,106 @@ def test_generators_with_different_configs_do_not_share_cache_entries():
         assert arm_summary(narrow.generate(queries)) == reference_generate(narrow_config, queries)
         assert arm_summary(default.generate(queries)) == reference_generate(default_config, queries)
     assert len(narrow.generate(queries)) < len(default.generate(queries))
+
+
+# ----------------------------------------------------------------------- #
+# a persistent arm registry across rounds and resets
+# ----------------------------------------------------------------------- #
+def reference_round(config, registry, queries):
+    """Merge one round into ``registry`` (``{index_id: (templates, covering)}``).
+
+    A known arm's covering set restarts on its first appearance in the round,
+    its templates accumulate over every round, and an arm absent from the
+    round keeps both.  Returns the round's pool order.
+    """
+    pool = {}
+    for query in queries:
+        for table in query.tables:
+            for arm in reference_arms_for_query_table(config, query, table):
+                index_id = arm.index_id
+                if index_id not in pool:
+                    pool[index_id] = None
+                    if index_id in registry:
+                        registry[index_id][1].clear()
+                    else:
+                        registry[index_id] = (set(), set())
+                templates, covering = registry[index_id]
+                templates |= arm.source_templates
+                covering |= arm.covering_for_queries
+    return list(pool)
+
+
+def replay_registry(config, steps):
+    """Drive one MAB tuner's registry through ``steps`` and check every round.
+
+    A step is a list of queries of interest, or ``None`` for
+    :meth:`MabTuner.reset`.
+    """
+    tuner = MabTuner(Database(Schema(name="shapes", tables=[]), {}), config)
+    reference = {}
+    for queries in steps:
+        if queries is None:
+            tuner.reset()
+            reference.clear()
+            assert tuner.known_arms == {}
+            continue
+        pool = tuner.arm_generator.generate(queries, tuner.known_arms)
+        assert list(pool) == reference_round(config, reference, queries)
+        assert all(tuner.known_arms[index_id] is arm for index_id, arm in pool.items())
+        assert list(tuner.known_arms) == list(reference)
+        assert {
+            index_id: (arm.source_templates, arm.covering_for_queries)
+            for index_id, arm in tuner.known_arms.items()
+        } == reference
+
+
+@st.composite
+def registry_steps(draw):
+    """Rounds of queries of interest, with resets, over a few reused queries.
+
+    Queries are drawn once and recur across rounds, as a query store hands
+    back a template's latest instance; a template id may carry several
+    shapes, and a ``dataclasses.replace`` copy derives its own shape.
+    """
+    queries = draw(arm_workloads())
+    queries += [
+        dataclasses.replace(query, query_id=f"{query.query_id}r")
+        for query in queries
+        if draw(st.booleans())
+    ]
+    round_queries = st.lists(st.sampled_from(queries), max_size=6)
+    return draw(st.lists(st.one_of(st.none(), round_queries), min_size=1, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=registry_steps(), config=arm_configs)
+def test_registry_matches_the_reference_merge_after_every_round(steps, config):
+    replay_registry(config, steps)
+
+
+def test_registry_across_a_reset_a_reshaped_template_and_a_returning_one():
+    def query(query_id, template, predicates, payload):
+        return Query(
+            query_id, template, ("t1",),
+            tuple(Predicate("t1", column, Operator.EQ, 1) for column in predicates),
+            (), {"t1": payload},
+        )
+
+    qa = query("qa#1", "qa", ("a", "b"), ("c",))
+    qb = query("qb#1", "qb", ("b",), ("d",))
+    # A hand-built query that reuses template qa with another shape.
+    qa_reshaped = query("qa#2", "qa", ("c",), ("a", "e"))
+    steps = [
+        [qa, qb],
+        [qb],  # qa leaves the window ...
+        [qa_reshaped, qb],
+        [qa, qb],  # ... and comes back
+        None,
+        [qa_reshaped],
+        [qa, qa_reshaped],
+    ]
+    for config in (MabConfig(), MabConfig(max_index_width=1, include_covering_arms=False)):
+        replay_registry(config, steps)
 
 
 # ----------------------------------------------------------------------- #
