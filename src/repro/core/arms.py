@@ -11,11 +11,13 @@ real workloads.
 An arm's *structure* — which indexes a (query, table) pair motivates, and
 whether each one covers the query — depends only on that pair's filter, join
 and payload columns and on the generation settings, never on parameter values
-or template ids.  :func:`arm_shapes` computes it once per distinct shape in one
-process-wide cache shared by every generator (tuners, fleet tenants and the
-baselines alike).  The cache holds only frozen :class:`IndexDefinition` values;
-:class:`ArmGenerator` merges the round's arms into the caller's mutable
-:class:`Arm` registry (or into fresh arms), so merging can never corrupt it.
+or template ids.  :func:`arm_shapes` computes it once per distinct (table,
+columns) in one process-wide cache, and :func:`shape_arm_lists` gathers a
+whole query shape's arms into one :class:`ShapeArms` list per shape, shared by
+every generator with the same settings (tuners, fleet tenants and the
+baselines alike).  The caches hold only frozen values; :class:`ArmGenerator`
+merges the round's arms into the caller's mutable :class:`Arm` registry (or
+into fresh arms), so merging can never corrupt them.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.engine.indexes import IndexDefinition
-from repro.engine.query import Query
+from repro.engine.query import Query, QueryShape, ShapeMemo
 
 from .config import MabConfig
 
@@ -99,6 +102,66 @@ def arm_shapes(
     return tuple(shapes)
 
 
+class ShapeArms(NamedTuple):
+    """The arms one query shape motivates under one set of generation settings."""
+
+    #: ``{index_id: index}`` of every arm, in generation order (table by
+    #: table in shape order, then :func:`arm_shapes` order).
+    indexes: dict[str, IndexDefinition]
+    #: The keys of ``indexes`` as a tuple (hashable: it keys merge records).
+    ids: tuple[str, ...]
+    #: The ids of the arms that store every column the query touches on
+    #: their table.
+    covering: tuple[str, ...]
+
+
+@functools.cache
+def shape_arm_lists(
+    max_index_width: int, max_arms_per_query_table: int, include_covering_arms: bool
+) -> ShapeMemo[ShapeArms]:
+    """The process-wide memo of :class:`ShapeArms` per shape, for one set of settings."""
+
+    def derive(shape: QueryShape) -> ShapeArms:
+        indexes: dict[str, IndexDefinition] = {}
+        covering: list[str] = []
+        for table, table_shape in shape.items():
+            for index, covers in arm_shapes(
+                table,
+                table_shape.predicate_columns,
+                table_shape.join_columns,
+                table_shape.payload_columns,
+                max_index_width,
+                max_arms_per_query_table,
+                include_covering_arms,
+            ):
+                indexes[index.index_id] = index
+                if covers:
+                    covering.append(index.index_id)
+        return ShapeArms(indexes, tuple(indexes), tuple(covering))
+
+    return ShapeMemo(derive)
+
+
+class ArmRegistry(dict[str, Arm]):
+    """``{index_id: Arm}`` of every arm a tuner has seen, with its merge record.
+
+    :meth:`ArmGenerator.generate` unions a template into the arms of one
+    :class:`ShapeArms` list only the first time that pair meets the
+    registry, and records the pair in ``merged``.  The record describes
+    these arms only, so :meth:`clear` forgets it with them; arms leave a
+    registry only through :meth:`clear`.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: ``(template_id, ShapeArms.ids)`` pairs already merged.
+        self.merged: set[tuple[str, tuple[str, ...]]] = set()
+
+    def clear(self) -> None:
+        super().clear()
+        self.merged.clear()
+
+
 class ArmGenerator:
     """Generates candidate-index arms from queries of interest."""
 
@@ -119,44 +182,48 @@ class ArmGenerator:
                 in place: an unseen index id gets a new :class:`Arm`, and a
                 known arm gets a fresh covering-query set the first time it
                 appears in the round, while the round's templates are
-                unioned into its ``source_templates``.  ``None`` gives fresh
-                arms on every call.
+                unioned into its ``source_templates``.  An
+                :class:`ArmRegistry` also skips the unions it has recorded.
+                ``None`` gives fresh arms on every call.
 
         Returns:
             ``{index_id: Arm}`` of the arms the queries motivate, in order of
             first appearance (the *pool order* that context rows and
             tie-break jitter use), holding the registry's own objects.
         """
-        if registry is None:
-            registry = {}
         config = self.config
-        settings = (
+        arm_lists = shape_arm_lists(
             config.max_index_width,
             config.max_arms_per_query_table,
             config.include_covering_arms,
         )
+        lists = [arm_lists(query.shape) for query in queries]
+        # One ordered dedupe in C: an updated key keeps its first position.
+        indexes: dict[str, IndexDefinition] = {}
+        for arm_list in lists:
+            indexes.update(arm_list.indexes)
+        if registry is None:
+            registry = {}
         pool: dict[str, Arm] = {}
-        for query in queries:
-            template_id, query_id = query.template_id, query.query_id
-            for table, table_shape in query.shape.items():
-                shapes = arm_shapes(
-                    table,
-                    table_shape.predicate_columns,
-                    table_shape.join_columns,
-                    table_shape.payload_columns,
-                    *settings,
-                )
-                for index, covers in shapes:
-                    index_id = index.index_id
-                    arm = pool.get(index_id)
-                    if arm is None:
-                        arm = registry.get(index_id)
-                        if arm is None:
-                            arm = registry[index_id] = Arm(index=index)
-                        else:
-                            arm.covering_for_queries = set()
-                        pool[index_id] = arm
-                    arm.source_templates.add(template_id)
-                    if covers:
-                        arm.covering_for_queries.add(query_id)
+        for index_id, index in indexes.items():
+            arm = registry.get(index_id)
+            if arm is None:
+                arm = registry[index_id] = Arm(index=index)
+            else:
+                arm.covering_for_queries = set()
+            pool[index_id] = arm
+        # Templates only accumulate, so a pair merged into this registry
+        # before needs no second union; fresh arms need every pair once.
+        merged: set[tuple[str, tuple[str, ...]]] = (
+            registry.merged if isinstance(registry, ArmRegistry) else set()
+        )
+        for query, arm_list in zip(queries, lists):
+            template_id = query.template_id
+            if (template_id, arm_list.ids) not in merged:
+                merged.add((template_id, arm_list.ids))
+                for index_id in arm_list.ids:
+                    pool[index_id].source_templates.add(template_id)
+            query_id = query.query_id
+            for index_id in arm_list.covering:
+                pool[index_id].covering_for_queries.add(query_id)
         return pool

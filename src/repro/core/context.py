@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.engine.catalog import Database
 from repro.engine.indexes import IndexDefinition
-from repro.engine.query import Query
+from repro.engine.query import Query, QueryShape, ShapeMemo
 from repro.engine.schema import Schema
 
 from .arms import Arm
@@ -55,6 +55,9 @@ class ContextBuilder:
         self._key_rows: dict[str, int] = {}
         self._key_slots = np.empty((0, 0), dtype=np.intp)
         self._key_values = np.empty((0, 0))
+        #: Per query shape, the schema slots of its predicate (filter and
+        #: join) columns; columns without a slot are left out.
+        self._shape_slots = ShapeMemo(self._predicate_slots)
 
     # ------------------------------------------------------------------ #
     # dimensions
@@ -136,22 +139,27 @@ class ContextBuilder:
     # ------------------------------------------------------------------ #
     # context construction
     # ------------------------------------------------------------------ #
+    def _predicate_slots(self, shape: QueryShape) -> np.ndarray:
+        positions = self._column_positions
+        return np.array(
+            [
+                positions[table, column]
+                for table, table_shape in shape.items()
+                for column in table_shape.predicate_columns + table_shape.join_columns
+                if (table, column) in positions
+            ],
+            dtype=np.intp,
+        )
+
     def _workload_mask(self, queries: list[Query]) -> np.ndarray:
         """Which schema slots are predicate (filter + join) columns of the queries.
 
         One entry longer than the schema: the last entry is the key tables'
         padding slot and stays ``False``.
         """
-        columns: set[tuple[str, str]] = set()
-        for query in queries:
-            for table, table_shape in query.shape.items():
-                for column in table_shape.predicate_columns:
-                    columns.add((table, column))
-                for column in table_shape.join_columns:
-                    columns.add((table, column))
-        positions = self._column_positions
         mask = np.zeros(self._n_columns + 1, dtype=bool)
-        mask[[positions[column] for column in columns if column in positions]] = True
+        if queries:
+            mask[np.concatenate([self._shape_slots(query.shape) for query in queries])] = True
         return mask
 
     def build(self, arm: Arm, queries: list[Query], database: Database) -> np.ndarray:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Generic, Iterable, Mapping, NamedTuple, TypeVar
 
 
 class Operator(Enum):
@@ -125,6 +125,40 @@ QueryShape = Mapping[str, TableShape]
 
 #: The shape of a table the query does not reference.
 _ABSENT = TableShape((), (), (), (), (), frozenset(), frozenset())
+
+_Value = TypeVar("_Value")
+
+
+class ShapeMemo(Generic[_Value]):
+    """Values derived from query shapes, memoised per shape object.
+
+    A shape is a mapping, so it cannot key a ``functools.lru_cache``; the
+    memo keys on ``id(shape)`` and keeps the shape in the entry, so the id
+    cannot be recycled for another shape while the entry lives, and a hit
+    must still be the same object (a copied memo keeps stale ids).
+    Instances of a template share one shape and so one entry; a hand-built
+    query derives its own shape and gets its own entry.  At most
+    ``maxsize`` entries are kept, the oldest evicted first.
+    """
+
+    def __init__(self, derive: Callable[[QueryShape], _Value], maxsize: int = 1024) -> None:
+        self.derive = derive
+        self.maxsize = maxsize
+        self._entries: dict[int, tuple[QueryShape, _Value]] = {}
+
+    def __call__(self, shape: QueryShape) -> _Value:
+        entry = self._entries.get(id(shape))
+        if entry is not None and entry[0] is shape:
+            return entry[1]
+        value = self.derive(shape)
+        entries = self._entries
+        if len(entries) >= self.maxsize:
+            del entries[next(iter(entries))]
+        entries[id(shape)] = (shape, value)
+        return value
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 def derive_shape(
