@@ -1,12 +1,14 @@
 """Tests for workload-driven arm generation and context engineering."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from repro.core import Arm, ArmGenerator, ContextBuilder, MabConfig
-from repro.engine import IndexDefinition
+from repro.engine import IndexDefinition, JoinPredicate, Operator, Predicate, Query
 from tests.conftest import make_join_query, make_sales_query
 
 
@@ -262,3 +264,78 @@ class TestContextBuilder:
         for position, arm in enumerate(arms):
             if arm in grown:
                 assert after[position, size_column] != before[position, size_column]
+
+
+def reference_mask(builder, queries):
+    """The workload mask as a set of (table, column) pairs built query by query."""
+    columns = {
+        (table, column)
+        for query in queries
+        for table in query.tables
+        for column in query.predicate_columns_for(table) + query.join_columns_for(table)
+    }
+    mask = np.zeros(builder.dimension - builder.derived_feature_count + 1, dtype=bool)
+    for table, column in columns:
+        slot = builder.column_position(table, column)
+        if slot is not None:
+            mask[slot] = True
+    return mask
+
+
+class TestWorkloadMask:
+    """The per-shape cached mask against the set-based reference."""
+
+    @pytest.fixture()
+    def builder(self, tiny_schema):
+        return ContextBuilder(tiny_schema)
+
+    def test_self_joins_columns_outside_the_schema_and_replaced_queries(self, builder):
+        self_join = Query(
+            "self#1", "self", ("sales",),
+            (Predicate("sales", "amount", Operator.GE, 5),),
+            (JoinPredicate("sales", "customer_id", "sales", "product_id"),),
+        )
+        outside = Query(
+            "ghost#1", "ghost", ("sales", "ghosts"),
+            (Predicate("sales", "ghost_column", Operator.EQ, 1),
+             Predicate("ghosts", "anything", Operator.EQ, 2)),
+            (JoinPredicate("sales", "channel", "ghosts", "channel"),),
+        )
+        sales = make_sales_query()
+        replaced = dataclasses.replace(
+            sales, predicates=(Predicate("sales", "product_id", Operator.EQ, 3),)
+        )
+        for queries in (
+            [self_join], [outside], [sales], [replaced], [sales, replaced],
+            [self_join, outside, make_join_query(), replaced], [],
+        ):
+            mask = builder._workload_mask(queries)
+            assert mask.tolist() == reference_mask(builder, queries).tolist()
+            assert not mask[-1]
+        # A self-join's right column is not a join column of its shape.
+        assert not builder._workload_mask([self_join])[builder.column_position("sales", "product_id")]
+        assert builder._workload_mask([replaced])[builder.column_position("sales", "product_id")]
+        assert not builder._workload_mask([replaced])[builder.column_position("sales", "day")]
+
+    def test_more_shapes_than_the_cache_holds(self, builder):
+        columns = ["sale_id", "customer_id", "product_id", "amount", "day", "channel", "nowhere"]
+        subsets = [
+            subset
+            for width in (1, 2, 3)
+            for subset in itertools.combinations(columns, width)
+        ]
+        maxsize = builder._shape_slots.maxsize
+        queries = [
+            Query(
+                f"q{number}#1", f"q{number}", ("sales",),
+                tuple(Predicate("sales", column, Operator.EQ, 1) for column in subsets[number % len(subsets)]),
+            )
+            for number in range(maxsize + 100)
+        ]
+        for start in range(0, len(queries), 7):
+            chunk = queries[start:start + 7]
+            assert builder._workload_mask(chunk).tolist() == reference_mask(builder, chunk).tolist()
+        assert len(builder._shape_slots) == maxsize
+        # The earliest shapes were evicted; asking again derives them afresh.
+        for query in queries[:20]:
+            assert builder._workload_mask([query]).tolist() == reference_mask(builder, [query]).tolist()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Arm, ArmGenerator, C2UCB, GreedyOracle, MabConfig, MabTuner
+from repro.core.arms import shape_arm_lists
 from repro.core.oracle import score_order
 from repro.engine import (
     Column,
@@ -494,6 +495,31 @@ def test_registry_across_a_reset_a_reshaped_template_and_a_returning_one():
     ]
     for config in (MabConfig(), MabConfig(max_index_width=1, include_covering_arms=False)):
         replay_registry(config, steps)
+
+
+def test_registry_with_more_shapes_than_the_arm_list_memo_holds():
+    config = MabConfig()
+    memo = shape_arm_lists(
+        config.max_index_width, config.max_arms_per_query_table, config.include_covering_arms
+    )
+    subsets = [
+        subset
+        for width in (1, 2, 3)
+        for subset in itertools.combinations(SHAPE_COLUMNS["t1"], width)
+    ]
+    queries = [
+        Query(
+            f"q{number % 7}#{number}", f"q{number % 7}", ("t1",),
+            tuple(Predicate("t1", column, Operator.EQ, 1) for column in subsets[number % len(subsets)]),
+            (), {"t1": ("e",)},
+        )
+        for number in range(memo.maxsize + 100)
+    ]
+    steps = [queries[start:start + 50] for start in range(0, len(queries), 50)]
+    # The earliest shapes were evicted by now; they come back.
+    steps.append(queries[:30])
+    replay_registry(config, steps)
+    assert len(memo) == memo.maxsize
 
 
 # ----------------------------------------------------------------------- #
