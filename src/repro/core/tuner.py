@@ -293,8 +293,9 @@ class MabTuner(Tuner):
         """Forget all learned state; a reset tuner replays bit-identically.
 
         Clears the bandit (weights, scatter matrix, tie-break rng), the query
-        store, the arm registry with its merge record and all diagnostics.  The configuration is
-        kept — it describes how to tune, not what was learned.
+        store, the arm registry with its merge record and all diagnostics.
+        The configuration is kept — it describes how to tune, not what was
+        learned.
         """
         self.bandit.reset()
         self.query_store.clear()
