@@ -20,6 +20,7 @@ for arms that have never been played.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -34,6 +35,30 @@ from .arms import Arm
 
 #: Names of the derived (part 2) features, in order.
 DERIVED_FEATURE_NAMES = ("is_covering", "relative_size", "usage_count")
+
+
+@functools.lru_cache(maxsize=64)
+def _shape_slot_memo(columns: tuple[tuple[str, str], ...]) -> ShapeMemo[np.ndarray]:
+    """The shape memo of one schema column layout (``(table, column)`` in slot order).
+
+    Builders on equal layouts share it, so a fleet of tenants on one schema
+    holds one memo, not one per tenant.
+    """
+    positions = {column: slot for slot, column in enumerate(columns)}
+    return ShapeMemo(functools.partial(_predicate_slots, positions))
+
+
+def _predicate_slots(positions: dict[tuple[str, str], int], shape: QueryShape) -> np.ndarray:
+    """The slots of a shape's filter and join columns; columns without one are left out."""
+    return np.array(
+        [
+            positions[table, column]
+            for table, table_shape in shape.items()
+            for column in table_shape.predicate_columns + table_shape.join_columns
+            if (table, column) in positions
+        ],
+        dtype=np.intp,
+    )
 
 
 class ContextBuilder:
@@ -56,8 +81,8 @@ class ContextBuilder:
         self._key_slots = np.empty((0, 0), dtype=np.intp)
         self._key_values = np.empty((0, 0))
         #: Per query shape, the schema slots of its predicate (filter and
-        #: join) columns; columns without a slot are left out.
-        self._shape_slots = ShapeMemo(self._predicate_slots)
+        #: join) columns, shared by every builder on the same column layout.
+        self._shape_slots = _shape_slot_memo(tuple(self._column_positions))
 
     # ------------------------------------------------------------------ #
     # dimensions
@@ -139,18 +164,6 @@ class ContextBuilder:
     # ------------------------------------------------------------------ #
     # context construction
     # ------------------------------------------------------------------ #
-    def _predicate_slots(self, shape: QueryShape) -> np.ndarray:
-        positions = self._column_positions
-        return np.array(
-            [
-                positions[table, column]
-                for table, table_shape in shape.items()
-                for column in table_shape.predicate_columns + table_shape.join_columns
-                if (table, column) in positions
-            ],
-            dtype=np.intp,
-        )
-
     def _workload_mask(self, queries: list[Query]) -> np.ndarray:
         """Which schema slots are predicate (filter + join) columns of the queries.
 
