@@ -219,8 +219,9 @@ class ArmGenerator:
         )
         for query, arm_list in zip(queries, lists):
             template_id = query.template_id
-            if (template_id, arm_list.ids) not in merged:
-                merged.add((template_id, arm_list.ids))
+            pair = (template_id, arm_list.ids)
+            if pair not in merged:
+                merged.add(pair)
                 for index_id in arm_list.ids:
                     pool[index_id].source_templates.add(template_id)
             query_id = query.query_id

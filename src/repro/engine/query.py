@@ -142,7 +142,7 @@ class ShapeMemo(Generic[_Value]):
     """
 
     def __init__(self, derive: Callable[[QueryShape], _Value], maxsize: int = 1024) -> None:
-        self.derive = derive
+        self._derive = derive
         self.maxsize = maxsize
         self._entries: dict[int, tuple[QueryShape, _Value]] = {}
 
@@ -150,7 +150,7 @@ class ShapeMemo(Generic[_Value]):
         entry = self._entries.get(id(shape))
         if entry is not None and entry[0] is shape:
             return entry[1]
-        value = self.derive(shape)
+        value = self._derive(shape)
         entries = self._entries
         if len(entries) >= self.maxsize:
             del entries[next(iter(entries))]
