@@ -128,6 +128,10 @@ _ABSENT = TableShape((), (), (), (), (), frozenset(), frozenset())
 
 _Value = TypeVar("_Value")
 
+#: Entries a :class:`ShapeMemo` keeps, as many shapes as
+#: ``repro.workloads.templates._template_shape`` caches.
+_SHAPE_MEMO_SIZE = 1024
+
 
 class ShapeMemo(Generic[_Value]):
     """Values derived from query shapes, memoised per shape object.
@@ -138,12 +142,11 @@ class ShapeMemo(Generic[_Value]):
     must still be the same object (a copied memo keeps stale ids).
     Instances of a template share one shape and so one entry; a hand-built
     query derives its own shape and gets its own entry.  At most
-    ``maxsize`` entries are kept, the oldest evicted first.
+    ``_SHAPE_MEMO_SIZE`` entries are kept, the oldest evicted first.
     """
 
-    def __init__(self, derive: Callable[[QueryShape], _Value], maxsize: int = 1024) -> None:
+    def __init__(self, derive: Callable[[QueryShape], _Value]) -> None:
         self._derive = derive
-        self.maxsize = maxsize
         self._entries: dict[int, tuple[QueryShape, _Value]] = {}
 
     def __call__(self, shape: QueryShape) -> _Value:
@@ -152,7 +155,7 @@ class ShapeMemo(Generic[_Value]):
             return entry[1]
         value = self._derive(shape)
         entries = self._entries
-        if len(entries) >= self.maxsize:
+        if len(entries) >= _SHAPE_MEMO_SIZE:
             del entries[next(iter(entries))]
         entries[id(shape)] = (shape, value)
         return value

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import Arm, ArmGenerator, ContextBuilder, MabConfig
 from repro.engine import IndexDefinition, JoinPredicate, Operator, Predicate, Query
+from repro.engine.query import _SHAPE_MEMO_SIZE
 from tests.conftest import make_join_query, make_sales_query
 
 
@@ -324,18 +325,17 @@ class TestWorkloadMask:
             for width in (1, 2, 3)
             for subset in itertools.combinations(columns, width)
         ]
-        maxsize = builder._shape_slots.maxsize
         queries = [
             Query(
                 f"q{number}#1", f"q{number}", ("sales",),
                 tuple(Predicate("sales", column, Operator.EQ, 1) for column in subsets[number % len(subsets)]),
             )
-            for number in range(maxsize + 100)
+            for number in range(_SHAPE_MEMO_SIZE + 100)
         ]
         for start in range(0, len(queries), 7):
             chunk = queries[start:start + 7]
             assert builder._workload_mask(chunk).tolist() == reference_mask(builder, chunk).tolist()
-        assert len(builder._shape_slots) == maxsize
+        assert len(builder._shape_slots) == _SHAPE_MEMO_SIZE
         # The earliest shapes were evicted; asking again derives them afresh.
         for query in queries[:20]:
             assert builder._workload_mask([query]).tolist() == reference_mask(builder, [query]).tolist()

@@ -24,6 +24,7 @@ from repro.engine import (
     evaluate_predicate,
     pages_touched_by_random_fetches,
 )
+from repro.engine.query import _SHAPE_MEMO_SIZE
 from repro.harness import speedup_percentage
 
 # ----------------------------------------------------------------------- #
@@ -513,13 +514,13 @@ def test_registry_with_more_shapes_than_the_arm_list_memo_holds():
             tuple(Predicate("t1", column, Operator.EQ, 1) for column in subsets[number % len(subsets)]),
             (), {"t1": ("e",)},
         )
-        for number in range(memo.maxsize + 100)
+        for number in range(_SHAPE_MEMO_SIZE + 100)
     ]
     steps = [queries[start:start + 50] for start in range(0, len(queries), 50)]
     # The earliest shapes were evicted by now; they come back.
     steps.append(queries[:30])
     replay_registry(config, steps)
-    assert len(memo) == memo.maxsize
+    assert len(memo) == _SHAPE_MEMO_SIZE
 
 
 # ----------------------------------------------------------------------- #
