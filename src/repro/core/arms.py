@@ -108,8 +108,6 @@ class ShapeArms(NamedTuple):
     #: ``{index_id: index}`` of every arm, in generation order (table by
     #: table in shape order, then :func:`arm_shapes` order).
     indexes: dict[str, IndexDefinition]
-    #: The keys of ``indexes`` as a tuple (hashable: it keys merge records).
-    ids: tuple[str, ...]
     #: The ids of the arms that store every column the query touches on
     #: their table.
     covering: tuple[str, ...]
@@ -137,29 +135,9 @@ def shape_arm_lists(
                 indexes[index.index_id] = index
                 if covers:
                     covering.append(index.index_id)
-        return ShapeArms(indexes, tuple(indexes), tuple(covering))
+        return ShapeArms(indexes, tuple(covering))
 
     return ShapeMemo(derive)
-
-
-class ArmRegistry(dict[str, Arm]):
-    """``{index_id: Arm}`` of every arm a tuner has seen, with its merge record.
-
-    :meth:`ArmGenerator.generate` unions a template into the arms of one
-    :class:`ShapeArms` list only the first time that pair meets the
-    registry, and records the pair in ``merged``.  The record describes
-    these arms only, so :meth:`clear` forgets it with them; arms leave a
-    registry only through :meth:`clear`.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: ``(template_id, ShapeArms.ids)`` pairs already merged.
-        self.merged: set[tuple[str, tuple[str, ...]]] = set()
-
-    def clear(self) -> None:
-        super().clear()
-        self.merged.clear()
 
 
 class ArmGenerator:
@@ -182,9 +160,8 @@ class ArmGenerator:
                 in place: an unseen index id gets a new :class:`Arm`, and a
                 known arm gets a fresh covering-query set the first time it
                 appears in the round, while the round's templates are
-                unioned into its ``source_templates``.  An
-                :class:`ArmRegistry` also skips the unions it has recorded.
-                ``None`` gives fresh arms on every call.
+                unioned into its ``source_templates``.  ``None`` gives fresh
+                arms on every call.
 
         Returns:
             ``{index_id: Arm}`` of the arms the queries motivate, in order of
@@ -212,18 +189,10 @@ class ArmGenerator:
             else:
                 arm.covering_for_queries = set()
             pool[index_id] = arm
-        # Templates only accumulate, so a pair merged into this registry
-        # before needs no second union; fresh arms need every pair once.
-        merged: set[tuple[str, tuple[str, ...]]] = (
-            registry.merged if isinstance(registry, ArmRegistry) else set()
-        )
         for query, arm_list in zip(queries, lists):
             template_id = query.template_id
-            pair = (template_id, arm_list.ids)
-            if pair not in merged:
-                merged.add(pair)
-                for index_id in arm_list.ids:
-                    pool[index_id].source_templates.add(template_id)
+            for index_id in arm_list.indexes:
+                pool[index_id].source_templates.add(template_id)
             query_id = query.query_id
             for index_id in arm_list.covering:
                 pool[index_id].covering_for_queries.add(query_id)

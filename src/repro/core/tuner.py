@@ -29,7 +29,7 @@ from repro.engine.execution import ExecutionResult
 from repro.engine.query import Query
 from repro.interface import Recommendation, Tuner
 
-from .arms import Arm, ArmGenerator, ArmRegistry
+from .arms import Arm, ArmGenerator
 from .config import MabConfig
 from .context import ContextBuilder
 from .linear_bandit import C2UCB
@@ -85,9 +85,8 @@ class MabTuner(Tuner):
         #: learned weights and the exploration bonus live on comparable
         #: scales; it tracks the largest observed full-scan time.
         self._reward_scale_seconds = 1.0
-        #: All arms ever generated, keyed by index id (keeps usage statistics),
-        #: with the record of which templates were merged into them.
-        self.known_arms = ArmRegistry()
+        #: All arms ever generated, keyed by index id (keeps usage statistics).
+        self.known_arms: dict[str, Arm] = {}
         #: Selection made by the latest ``recommend`` call, consumed by
         #: ``observe``: each played arm with its context row and its size in
         #: bytes as the recommend pass read it.
@@ -293,9 +292,8 @@ class MabTuner(Tuner):
         """Forget all learned state; a reset tuner replays bit-identically.
 
         Clears the bandit (weights, scatter matrix, tie-break rng), the query
-        store, the arm registry with its merge record and all diagnostics.
-        The configuration is kept — it describes how to tune, not what was
-        learned.
+        store, the arm registry and all diagnostics.  The configuration is
+        kept — it describes how to tune, not what was learned.
         """
         self.bandit.reset()
         self.query_store.clear()
