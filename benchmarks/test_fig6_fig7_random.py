@@ -47,10 +47,7 @@ def test_fig6_fig7_random(benchmark_name, settings, results_dir):
     assert all(report.n_rounds == settings.random_rounds for report in reports.values())
     # PDTool pays recurring recommendation time in this regime; MAB does not.
     assert reports["PDTool"].total_recommendation_seconds > 0
-    assert (
-        reports["MAB"].total_recommendation_seconds
-        < reports["PDTool"].total_recommendation_seconds
-    )
+    assert reports["MAB"].total_recommendation_seconds == 0.0
     # The paper's headline: under ad-hoc workloads the bandit's end-to-end
     # time is competitive with (and on most benchmarks better than) PDTool's.
     assert speedup > -40.0

@@ -67,10 +67,13 @@ def test_fig8_rl_comparison(benchmark_name, settings, results_dir):
     ddqn_mean_total = sum(r.total_seconds for r in repetition_reports["DDQN"]) / settings.rl_repetitions
     noindex_like_bound = max(r.total_seconds for r in repetition_reports["DDQN_SC"]) * 3
     assert mab_mean_total < noindex_like_bound
-    # MAB's recommendation overhead stays negligible even over many rounds.
+    # The online tuners model no recommendation cost, so none is charged;
+    # PDTool pays its modelled what-if tuning time.
     assert all(
-        r.total_recommendation_seconds < 0.05 * r.total_seconds
-        for r in repetition_reports["MAB"]
+        r.total_recommendation_seconds == 0.0
+        for tuner in ("MAB", "DDQN", "DDQN_SC")
+        for r in repetition_reports[tuner]
     )
+    assert all(r.total_recommendation_seconds > 0 for r in repetition_reports["PDTool"])
     # The bandit is at least competitive with the deep-RL agent end to end.
     assert mab_mean_total <= ddqn_mean_total * 1.25

@@ -54,13 +54,12 @@ def test_table1_breakdown(settings, results_dir):
         for reports in breakdown[workload_type].values():
             assert {"PDTool", "MAB"} <= set(reports)
 
-    # The paper's structural claims about recommendation time: MAB's stays
-    # negligible in every cell; PDTool's is largest in the dynamic random
-    # regime (it is re-invoked throughout the run on growing workloads).
+    # Recommendation time: the MAB models none, so its C_rec is 0 in every
+    # cell; PDTool's is largest in the dynamic random regime (it is
+    # re-invoked throughout the run on growing workloads).
     for workload_type in WORKLOAD_TYPES:
         for reports in breakdown[workload_type].values():
-            mab = reports["MAB"]
-            assert mab.total_recommendation_seconds < 0.05 * max(mab.total_seconds, 1.0)
+            assert reports["MAB"].total_recommendation_seconds == 0.0
     for benchmark_name in BENCHMARKS:
         static_pdtool = breakdown["static"][benchmark_name]["PDTool"]
         random_pdtool = breakdown["random"][benchmark_name]["PDTool"]

@@ -207,8 +207,9 @@ class TuningSession:
             The tuner's :class:`~repro.interface.Recommendation`; the
             configuration is materialised by the following :meth:`execute`.
             The wall time of the tuner's ``recommend`` call is measured
-            here; a recommendation whose ``recommendation_seconds`` is
-            ``None`` is charged that time as the round's C_rec.
+            here and reported as ``wall_recommend_seconds`` only; the
+            round's C_rec is the recommendation's own
+            ``recommendation_seconds``.
 
         Raises:
             RuntimeError: If the session is not in the ``recommend`` phase.
@@ -241,8 +242,7 @@ class TuningSession:
         ``wall_seconds`` is the caller-measured wall time attributed to this
         session (the fleet divides the batched pass evenly across the
         tenants it scored); like :meth:`recommend`'s own measurement, it is
-        the round's C_rec when ``recommendation.recommendation_seconds`` is
-        ``None``.
+        reported as ``wall_recommend_seconds`` and never charged.
 
         Raises:
             RuntimeError: If the session is not in the ``recommend`` phase.
@@ -308,10 +308,9 @@ class TuningSession:
         self.tuner.observe(self.round_number, self._queries, self._results, self._change)
         wall_observe = time.perf_counter() - started
 
-        charged = self._recommendation.recommendation_seconds
         round_report = RoundReport(
             round_number=self.round_number,
-            recommendation_seconds=self._wall_recommend if charged is None else charged,
+            recommendation_seconds=self._recommendation.recommendation_seconds,
             creation_seconds=self._change.creation_seconds + self._change.drop_seconds,
             execution_seconds=self._execution_seconds,
             n_queries=len(self._queries),

@@ -30,7 +30,7 @@ class NoIndexTuner(Tuner):
         training_queries: list[Query] | None = None,
     ) -> Recommendation:
         del round_number, training_queries
-        return Recommendation(configuration=[], recommendation_seconds=0.0)
+        return Recommendation(configuration=[])
 
     def observe(
         self,

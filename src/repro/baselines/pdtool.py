@@ -111,10 +111,7 @@ class PDToolTuner(Tuner):
     ) -> Recommendation:
         if not training_queries:
             # Not an invocation round: keep the previous recommendation.
-            return Recommendation(
-                configuration=list(self._current_configuration),
-                recommendation_seconds=0.0,
-            )
+            return Recommendation(configuration=list(self._current_configuration))
         configuration, modelled_seconds, n_candidates = self._run_advisor(training_queries)
         self._current_configuration = configuration
         self.invocations.append((round_number, modelled_seconds, n_candidates))

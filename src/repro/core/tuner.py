@@ -116,8 +116,8 @@ class MabTuner(Tuner):
             A :class:`~repro.interface.Recommendation` whose configuration is
             the selected super arm (or the currently materialised indexes when
             there are no queries of interest).  Its ``recommendation_seconds``
-            is ``None``: the driving session charges the wall time it measures
-            around this call as the round's C_rec.
+            is 0: the bandit models no recommendation cost, and the wall time
+            the driving session measures is reported, not charged.
         """
         del training_queries  # the bandit never receives a training workload
         pool = self.begin_round(round_number)
@@ -183,10 +183,8 @@ class MabTuner(Tuner):
         consume the tuner's random stream identically.  ``scores=None``
         closes an empty-QoI round.
 
-        The returned recommendation leaves ``recommendation_seconds`` at
-        ``None``: the tuner reads no clock, so whoever drove the round (a
-        :class:`~repro.api.TuningSession`, or the fleet for its batched
-        pass) charges the wall time it measured.
+        The returned recommendation leaves ``recommendation_seconds`` at 0:
+        the tuner reads no clock and models no recommendation cost.
         """
         if pool.arms is None or scores is None:
             self._pending_selection = []

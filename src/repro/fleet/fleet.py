@@ -12,7 +12,8 @@ multiplexes their round protocol the way a DBaaS control plane would:
   :func:`~repro.core.linear_bandit.batch_upper_confidence_scores` pass,
   bit-identical to per-session scoring by contract (DDQN/PDTool/NoIndex
   tenants fall back to ordinary per-session recommendation); the pass is
-  timed once and each tenant is charged an even share as its C_rec;
+  timed once and each tenant reports an even share as its wall recommend
+  time;
 * **queue-driven stepping** — :meth:`TuningFleet.submit` enqueues a tenant's
   next round in any arrival order, :meth:`TuningFleet.drain` processes every
   queued round and merges results keyed by tenant id and round number, so the
@@ -348,9 +349,10 @@ class TuningFleet:
         with only the score computation fused across tenants, which is
         bit-identical by :func:`batch_upper_confidence_scores`'s contract.
 
-        The pass is timed once, as a whole, and every tenant is charged an
-        even share of it as its C_rec: a tenant's own rounds are interleaved
-        with everyone else's, so no per-tenant span would be its own work.
+        The pass is timed once, as a whole, and every tenant reports an even
+        share of it as its ``wall_recommend_seconds``: a tenant's own rounds
+        are interleaved with everyone else's, so no per-tenant span would be
+        its own work.  The share is never charged as C_rec.
         """
         started = time.perf_counter()
         finished: dict[str, Recommendation] = {}

@@ -27,9 +27,9 @@ class RoundReport:
     configuration_bytes: int = 0
     is_shift_round: bool = False
     #: Real (wall-clock) time spent in each phase of the simulation loop, as
-    #: opposed to the model-seconds above.  These measure *our* overhead —
-    #: the paper's Table I claim is that recommendation stays negligible —
-    #: and perfbench reads them to split a fleet wave into its phases.
+    #: opposed to the model-seconds above.  These measure *our* overhead,
+    #: never enter a total, and perfbench reads them to split a fleet wave
+    #: into its phases.
     wall_recommend_seconds: float = 0.0
     wall_apply_seconds: float = 0.0
     wall_execute_seconds: float = 0.0

@@ -51,18 +51,16 @@ class TunerSpec:
 class Recommendation:
     """A tuner's proposal for one round.
 
-    ``recommendation_seconds`` is the round's C_rec.  A tuner that models its
-    recommendation cost (PDTool's tuning time, zero for NoIndex) sets it
-    explicitly.  ``None``, the default and what the MAB and DDQN tuners
-    return, means "charge the wall time the session measured around the
-    ``recommend`` call" — so C_rec is timed once, by
-    :class:`~repro.api.TuningSession`, and never by the tuner itself.
+    ``recommendation_seconds`` is the round's C_rec, in the same model
+    seconds as creation and execution.  A tuner that models its
+    recommendation cost (PDTool's what-if tuning time) sets it; every other
+    tuner leaves it at 0.  The session's wall-clock measurement of the
+    ``recommend`` call is reported separately and never charged.
     """
 
     configuration: list[IndexDefinition] = field(default_factory=list)
-    #: C_rec charged for this round, or ``None`` for the session's measured
-    #: wall time of the ``recommend`` call.
-    recommendation_seconds: float | None = None
+    #: C_rec charged for this round, in model seconds.
+    recommendation_seconds: float = 0.0
 
 
 class Tuner(ABC):

@@ -54,10 +54,10 @@ def run_session(ssb_rounds, tuner_name: str, spec: DatabaseSpec, options: Simula
 
 def assert_reports_identical(a, b):
     assert a.n_rounds == b.n_rounds
-    # recommendation_seconds is measured wall-clock (jittery by nature), so
-    # parity is pinned on the model-time and configuration columns.
     for left, right in zip(a.rounds, b.rounds):
         assert left.round_number == right.round_number
+        assert left.recommendation_seconds == right.recommendation_seconds
+        assert left.total_seconds == right.total_seconds
         assert left.creation_seconds == right.creation_seconds
         assert left.execution_seconds == right.execution_seconds
         assert left.configuration_size == right.configuration_size

@@ -35,10 +35,12 @@ from repro.workloads import StaticWorkload, get_benchmark
 ALL_TUNERS = ("NoIndex", "MAB", "PDTool", "DDQN", "DDQN_SC")
 
 #: RoundReport fields that must match bit for bit between a fleet tenant and
-#: a standalone session.  Wall-clock fields (and ``recommendation_seconds``,
-#: itself a measured wall time) are honest timings, not model outputs.
+#: a standalone session.  Wall-clock fields are honest timings, not model
+#: outputs.
 DETERMINISTIC_FIELDS = (
     "round_number",
+    "recommendation_seconds",
+    "total_seconds",
     "creation_seconds",
     "execution_seconds",
     "n_queries",
@@ -271,11 +273,11 @@ class TestFleetParity:
             assert configuration_of(session) == configuration_of(reference)
 
     def test_batched_recommendation_time_is_split_across_tenants(self, ssb_rounds):
-        """C_rec of a batched round sums to at most the wall time of the step.
+        """Wall recommend time of a batched round sums to at most the step's.
 
         Tenants' rounds interleave inside the batched pass, so no span of it
-        is one tenant's own work: the fleet times the pass once and charges
-        each tenant an even share.
+        is one tenant's own work: the fleet times the pass once and reports
+        an even share for each tenant.  None of it is charged as C_rec.
         """
         fleet = TuningFleet(
             TenantSpec(f"t{i}", tiny_spec(), tuner="MAB") for i in range(8)
@@ -286,11 +288,12 @@ class TestFleetParity:
                 {tid: workload_round.queries for tid in fleet.tenant_ids}
             )
             wall_seconds = time.perf_counter() - started
-            charged = [report.recommendation_seconds for report in reports.values()]
-            assert sum(charged) <= wall_seconds
-            assert len(set(charged)) == 1
+            shares = [report.wall_recommend_seconds for report in reports.values()]
+            assert sum(shares) <= wall_seconds
+            assert len(set(shares)) == 1
+            assert shares[0] > 0
             for report in reports.values():
-                assert report.wall_recommend_seconds == report.recommendation_seconds
+                assert report.recommendation_seconds == 0.0
 
     def test_mixed_tuner_fleet(self, ssb_rounds):
         fleet = TuningFleet(

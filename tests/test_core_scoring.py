@@ -145,6 +145,8 @@ def ssb_rounds():
 def round_record(round_report) -> tuple:
     """The model-side outcome of one round (no wall-clock fields)."""
     return (
+        round_report.recommendation_seconds,
+        round_report.total_seconds,
         round_report.creation_seconds,
         round_report.execution_seconds,
         round_report.configuration_size,

@@ -68,7 +68,7 @@ class TestMabTuner:
         tuner = MabTuner(tiny_database)
         recommendation = tuner.recommend(1)
         assert recommendation.configuration == []
-        assert recommendation.recommendation_seconds is None
+        assert recommendation.recommendation_seconds == 0.0
 
     def test_recommends_indexes_after_observing_workload(self, tiny_database):
         tuner = MabTuner(tiny_database)

@@ -41,7 +41,7 @@ class TestPaperShapeOnSmallSetups:
 
     def test_mab_recommendation_time_is_negligible(self, static_reports):
         mab = static_reports["MAB"]
-        assert mab.total_recommendation_seconds < 0.05 * mab.total_seconds
+        assert mab.total_recommendation_seconds == 0.0
 
     def test_pdtool_pays_recommendation_time(self, static_reports):
         assert static_reports["PDTool"].total_recommendation_seconds > 0

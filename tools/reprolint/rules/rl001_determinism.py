@@ -36,15 +36,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 WALL_CLOCK_ALLOWLIST: dict[str, str] = {
     "src/repro/api/session.py": (
         "harness instrumentation: TuningSession populates the RoundReport "
-        "wall_* fields (analysis/execution overhead of the harness itself) "
-        "and charges the measured recommend time as C_rec when a tuner "
-        "leaves recommendation_seconds unset; no tuning decision reads "
-        "these values"
+        "wall_* fields (recommend/apply/execute/observe overhead of the "
+        "harness itself); no total and no tuning decision reads these values"
     ),
     "src/repro/fleet/fleet.py": (
         "harness instrumentation: TuningFleet times its batched recommend "
-        "pass once and charges each tenant an even share as C_rec; no "
-        "tuning decision reads the value"
+        "pass once and reports an even share as each tenant's "
+        "wall_recommend_seconds; no total and no tuning decision reads it"
     ),
 }
 
