@@ -49,13 +49,7 @@ from .indexes import IndexDefinition, deduplicate
 from .plans import AccessMethod, JoinMethod, JoinStep, QueryPlan, TableAccessPlan
 from .query import JoinPredicate, Operator, Predicate, Query
 from .schema import Column, ColumnType, ForeignKey, Schema, Table
-from .statistics import (
-    ColumnStatistics,
-    StatisticsCatalog,
-    TableStatistics,
-    build_column_statistics,
-    build_table_statistics,
-)
+from .statistics import OptimizerStatistics
 from .storage import PAGE_SIZE_BYTES, TableData, build_table_data, evaluate_predicate
 
 __all__ = [
@@ -65,7 +59,6 @@ __all__ = [
     "Categorical",
     "Column",
     "ColumnGenerator",
-    "ColumnStatistics",
     "ColumnType",
     "ConfigurationChange",
     "CostModel",
@@ -86,6 +79,7 @@ __all__ = [
     "JoinStep",
     "MemoryBudgetExceededError",
     "Operator",
+    "OptimizerStatistics",
     "PAGE_SIZE_BYTES",
     "PlacementLike",
     "Predicate",
@@ -94,13 +88,11 @@ __all__ = [
     "Schema",
     "SchemaError",
     "SequentialKey",
-    "StatisticsCatalog",
     "Table",
     "TableAccessPlan",
     "TableAccessResult",
     "TableData",
     "TableSpec",
-    "TableStatistics",
     "UniformFloat",
     "UniformInt",
     "UnknownBackendError",
@@ -109,9 +101,7 @@ __all__ = [
     "UnknownIndexError",
     "UnknownTableError",
     "ZipfianInt",
-    "build_column_statistics",
     "build_table_data",
-    "build_table_statistics",
     "deduplicate",
     "evaluate_predicate",
     "get_backend",

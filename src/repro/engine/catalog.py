@@ -1,10 +1,11 @@
 """The database catalog: tables, materialised indexes and the memory budget.
 
 :class:`Database` is the single mutable object of the engine layer.  It owns
-the materialised table samples, the optimiser statistics (per-column row
-count, distinct count and min/max; see :mod:`repro.engine.statistics`) and the
-set of currently materialised secondary indexes, and it enforces the index
-memory budget the paper grants to both tuners (1x the data size by default).
+the materialised table samples, which also answer the optimiser's summary
+statistics (per-column row count, distinct count and min/max; see
+:mod:`repro.engine.statistics`), and the set of currently materialised
+secondary indexes, and it enforces the index memory budget the paper grants
+to both tuners (1x the data size by default).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .indexes import IndexDefinition
 from .schema import Schema
-from .statistics import StatisticsCatalog, build_table_statistics
+from .statistics import OptimizerStatistics
 from .storage import TableData, build_table_data
 
 
@@ -100,14 +101,11 @@ class Database:
         #: after :meth:`create_index` or :meth:`drop_index` clears it.
         self._indexes_by_table: dict[str, tuple[IndexDefinition, ...]] | None = None
         #: Size estimates for hypothetical (not materialised) indexes.  Sizes
-        #: derive from table statistics, so the cache lives until the next
-        #: :meth:`refresh_statistics`; the tuner asks for the same candidate
+        #: derive from the tables' row counts, so the cache lives until the
+        #: next :meth:`grow_table`; the tuner asks for the same candidate
         #: sizes every round, which made this the hottest engine call.
         self._hypothetical_sizes: dict[str, int] = {}
         self._data_size_bytes: int | None = None
-        self._statistics = StatisticsCatalog()
-        for data in self._tables.values():
-            self._statistics.add(build_table_statistics(data))
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -155,14 +153,15 @@ class Database:
 
         The view shares every structure that is immutable or an
         idempotent-by-value cache — the table samples with their memos of
-        distinct counts and selectivities (see :class:`TableData`), the
-        statistics catalog, the hypothetical-index size cache and the
+        distinct counts, value ranges and selectivities (see
+        :class:`TableData`), the hypothetical-index size cache and the
         data-size total — so a fleet of identical tenants pays for
         statistics once, and for each distinct predicate set once.  It gets
         its own index catalog and its own :class:`CostModel` instance, so
         tenants materialise different configurations (and retune placements)
-        without touching each other.  :meth:`refresh_statistics` on a view
-        rebuilds private copies, detaching it from its siblings.
+        without touching each other.  :meth:`grow_table` on a view replaces
+        its table mapping and caches with private ones, detaching it from its
+        siblings.
         """
         view = object.__new__(type(self))
         view.schema = self.schema
@@ -176,7 +175,6 @@ class Database:
         view._indexes_by_table = None
         view._hypothetical_sizes = self._hypothetical_sizes
         view._data_size_bytes = self._data_size_bytes
-        view._statistics = self._statistics
         return view
 
     # ------------------------------------------------------------------ #
@@ -193,8 +191,9 @@ class Database:
         return sorted(self._tables)
 
     @property
-    def statistics(self) -> StatisticsCatalog:
-        return self._statistics
+    def statistics(self) -> OptimizerStatistics:
+        """The optimiser's view of the current tables: summaries, never samples."""
+        return OptimizerStatistics(self)
 
     @property
     def backend_profile(self) -> BackendProfile:
@@ -222,7 +221,7 @@ class Database:
 
         Nothing else needs invalidating: every cached quantity derived from
         the data — the total data size, materialised *and* hypothetical index
-        sizes, the statistics catalog and the tuners' size-ratio context
+        sizes, the optimiser statistics and the tuners' size-ratio context
         features built from them — is a byte quantity independent of the
         storage tier.  Only the seconds the cost model reports change, and
         those are recomputed from the new profile on every call.
@@ -252,38 +251,24 @@ class Database:
             self._data_size_bytes = sum(data.total_bytes for data in self._tables.values())
         return self._data_size_bytes
 
-    def refresh_statistics(self) -> None:
-        """Rebuild optimiser statistics from the current table data.
-
-        Invalidates every derived cache (hypothetical index sizes, the total
-        data size) so callers holding cached estimates observe the new world.
-        """
-        self._statistics = StatisticsCatalog()
-        for data in self._tables.values():
-            self._statistics.add(build_table_statistics(data))
-        # Reassign (rather than .clear()) so a refreshed tenant_view detaches
-        # from the cache it shared with its siblings instead of emptying it
-        # under them.
-        self._hypothetical_sizes = {}
-        self._data_size_bytes = None
-
     def grow_table(self, table_name: str, row_multiplier: float) -> TableData:
-        """Scale a table's logical row count mid-run and refresh statistics.
+        """Scale a table's logical row count mid-run.
 
         Models data ingest: the sample (and therefore the value distributions
         templates draw literals from) stays fixed while the full-size row
         count — what every scan, join and index build is priced on — grows by
-        ``row_multiplier``.  Statistics are rebuilt immediately, so the very
-        next plan, index-size estimate and context feature sees the new
-        volume; this is what makes schema/data growth a workload-visible
-        stressor (:mod:`repro.workloads.stress`).
+        ``row_multiplier``.  The very next plan, index-size estimate and
+        context feature sees the new volume; this is what makes schema/data
+        growth a workload-visible stressor (:mod:`repro.workloads.stress`).
 
         The grown table is a new :class:`TableData` sharing the read-only
         sample, so it starts with an empty memo: no distinct count computed
-        from the old row count survives.  The table mapping is reassigned,
-        not mutated, so a :meth:`tenant_view` that grows a table detaches
-        from the snapshot it shared with its siblings instead of growing it
-        under them.
+        from the old row count survives, and the optimiser statistics, which
+        read that memo, need no rebuild.  The hypothetical-index sizes and
+        the data-size total are dropped.  The table mapping and both caches
+        are reassigned, not mutated, so a :meth:`tenant_view` that grows a
+        table detaches from the snapshot it shared with its siblings instead
+        of growing it under them.
 
         Returns:
             The table's new :class:`TableData`.
@@ -302,7 +287,8 @@ class Database:
             distinct_hints=dict(data.distinct_hints),
         )
         self._tables = {**self._tables, table_name: grown}
-        self.refresh_statistics()
+        self._hypothetical_sizes = {}
+        self._data_size_bytes = None
         return grown
 
     # ------------------------------------------------------------------ #

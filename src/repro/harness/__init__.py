@@ -9,57 +9,69 @@ competition drivers are imported from :mod:`repro.api`; the tuner protocol
 (``Tuner``, ``Recommendation``) from :mod:`repro.interface`.  The harness
 exports only its own experiments, metrics and reporting.
 
-Attributes resolve lazily (PEP 562): the harness depends on :mod:`repro.api`
-while :mod:`repro.api` imports the harness's metrics back, and lazy
-resolution keeps that cycle unobservable.
+:mod:`repro.api` imports the harness's metrics back, so they are imported
+first: they depend on nothing else in ``repro``, while the experiments
+import :mod:`repro.api`.
 """
 
-from __future__ import annotations
+from .metrics import (
+    FleetSummary,
+    MissingBaselineError,
+    RoundReport,
+    RunReport,
+    SafetyReport,
+    rank_by_safety,
+    safety_reports,
+    speedup_percentage,
+)
+from .experiments import (
+    DEFAULT_TUNERS,
+    ExperimentSettings,
+    aggregate_rl_series,
+    build_workload_rounds,
+    random_experiment,
+    rl_comparison_experiment,
+    run_workload_experiment,
+    shifting_experiment,
+    static_experiment,
+    table1_breakdown_experiment,
+    table2_database_size_experiment,
+)
+from .reporting import (
+    convergence_series,
+    exploration_cost_summary,
+    format_table,
+    speedup_summary,
+    table1_breakdown,
+    table2_database_size,
+    totals_summary,
+)
 
-import importlib
-
-#: name -> submodule that defines it (relative to this package).
-_EXPORTS = {
-    "DEFAULT_TUNERS": ".experiments",
-    "ExperimentSettings": ".experiments",
-    "aggregate_rl_series": ".experiments",
-    "build_workload_rounds": ".experiments",
-    "random_experiment": ".experiments",
-    "rl_comparison_experiment": ".experiments",
-    "run_workload_experiment": ".experiments",
-    "shifting_experiment": ".experiments",
-    "static_experiment": ".experiments",
-    "table1_breakdown_experiment": ".experiments",
-    "table2_database_size_experiment": ".experiments",
-    "FleetSummary": ".metrics",
-    "MissingBaselineError": ".metrics",
-    "RoundReport": ".metrics",
-    "RunReport": ".metrics",
-    "SafetyReport": ".metrics",
-    "rank_by_safety": ".metrics",
-    "safety_reports": ".metrics",
-    "speedup_percentage": ".metrics",
-    "convergence_series": ".reporting",
-    "exploration_cost_summary": ".reporting",
-    "format_table": ".reporting",
-    "speedup_summary": ".reporting",
-    "table1_breakdown": ".reporting",
-    "table2_database_size": ".reporting",
-    "totals_summary": ".reporting",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str) -> object:
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(module_name, __name__)
-    value = getattr(module, name)
-    globals()[name] = value  # cache: resolve each name at most once
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__all__ = [
+    "DEFAULT_TUNERS",
+    "ExperimentSettings",
+    "FleetSummary",
+    "MissingBaselineError",
+    "RoundReport",
+    "RunReport",
+    "SafetyReport",
+    "aggregate_rl_series",
+    "build_workload_rounds",
+    "convergence_series",
+    "exploration_cost_summary",
+    "format_table",
+    "random_experiment",
+    "rank_by_safety",
+    "rl_comparison_experiment",
+    "run_workload_experiment",
+    "safety_reports",
+    "shifting_experiment",
+    "speedup_percentage",
+    "speedup_summary",
+    "static_experiment",
+    "table1_breakdown",
+    "table1_breakdown_experiment",
+    "table2_database_size",
+    "table2_database_size_experiment",
+    "totals_summary",
+]

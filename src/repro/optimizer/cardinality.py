@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.engine.query import Operator, Predicate
-from repro.engine.statistics import ColumnStatistics, StatisticsCatalog
+from repro.engine.statistics import OptimizerStatistics
 
 #: Selectivity assumed for a predicate on a column with no statistics at all.
 DEFAULT_UNKNOWN_SELECTIVITY = 0.1
@@ -36,48 +36,75 @@ def combine_selectivities(selectivities: Iterable[float]) -> float:
     return float(min(1.0, max(MIN_SELECTIVITY, selectivity)))
 
 
+def equality_selectivity(distinct_count: int) -> float:
+    """Uniformity: ``column = constant`` matches one of ``distinct_count`` values."""
+    return 1.0 / distinct_count
+
+
+def range_fraction(
+    value_range: tuple[float, float], low: float | None, high: float | None
+) -> float:
+    """Uniformity: the fraction of ``value_range`` that ``[low, high]`` covers.
+
+    Interpolates linearly over ``[min, max]``; an open end is the column's
+    own bound.
+    """
+    min_value, max_value = value_range
+    low_bound = min_value if low is None else low
+    high_bound = max_value if high is None else high
+    if high_bound < low_bound:
+        return 0.0
+    span = max_value - min_value
+    if span <= 0:
+        return 1.0
+    overlap = min(high_bound, max_value) - max(low_bound, min_value)
+    if overlap < 0:
+        return 0.0
+    return min(1.0, overlap / span)
+
+
 class CardinalityEstimator:
     """Estimates selectivities and cardinalities from summary statistics.
 
-    An estimator reads one statistics catalog, which is never updated in
-    place (a refresh builds a new catalog and the planner a new estimator),
-    so each column's distinct count is looked up once.
+    The statistics view reads the database's current tables, so one
+    estimator serves a database for its whole life: a grown table is seen
+    by the very next estimate.
     """
 
-    def __init__(self, statistics: StatisticsCatalog) -> None:
+    def __init__(self, statistics: OptimizerStatistics) -> None:
         self.statistics = statistics
-        self._distinct_counts: dict[tuple[str, str], float] = {}
 
     # ------------------------------------------------------------------ #
     # single predicates
     # ------------------------------------------------------------------ #
     def predicate_selectivity(self, predicate: Predicate) -> float:
         """Estimated selectivity of a single predicate."""
-        column = self.statistics.column(predicate.table, predicate.column)
-        if column is None:
-            return DEFAULT_UNKNOWN_SELECTIVITY
-        selectivity = self._selectivity_from_statistics(predicate, column)
+        selectivity = self._selectivity_from_statistics(predicate)
         return float(min(1.0, max(MIN_SELECTIVITY, selectivity)))
 
-    def _selectivity_from_statistics(
-        self, predicate: Predicate, column: ColumnStatistics
-    ) -> float:
+    def _selectivity_from_statistics(self, predicate: Predicate) -> float:
         operator = predicate.operator
         value = predicate.value
-        if operator is Operator.EQ:
-            return column.equality_selectivity()
-        if operator is Operator.IN:
+        if operator is Operator.EQ or operator is Operator.IN:
+            distinct_count = self.statistics.distinct_count(predicate.table, predicate.column)
+            if distinct_count is None:
+                return DEFAULT_UNKNOWN_SELECTIVITY
+            if operator is Operator.EQ:
+                return equality_selectivity(distinct_count)
             values = value if isinstance(value, tuple) else (value,)
-            return len(values) * column.equality_selectivity()
+            return len(values) * equality_selectivity(distinct_count)
+        value_range = self.statistics.value_range(predicate.table, predicate.column)
+        if value_range is None:
+            return DEFAULT_UNKNOWN_SELECTIVITY
         if isinstance(value, tuple):
             # ``Predicate`` guarantees BETWEEN a (low, high) pair.
             if operator is Operator.BETWEEN:
                 low, high = value
-                return column.range_fraction(low, high)
+                return range_fraction(value_range, low, high)
         elif operator in (Operator.LT, Operator.LE):
-            return column.range_fraction(None, float(value))
+            return range_fraction(value_range, None, float(value))
         elif operator in (Operator.GT, Operator.GE):
-            return column.range_fraction(float(value), None)
+            return range_fraction(value_range, float(value), None)
         return DEFAULT_UNKNOWN_SELECTIVITY
 
     # ------------------------------------------------------------------ #
@@ -101,16 +128,10 @@ class CardinalityEstimator:
     # joins
     # ------------------------------------------------------------------ #
     def distinct_count(self, table: str, column: str) -> float:
-        key = (table, column)
-        count = self._distinct_counts.get(key)
+        count = self.statistics.distinct_count(table, column)
         if count is None:
-            statistics = self.statistics.column(table, column)
-            if statistics is None:
-                count = max(1.0, self.statistics.row_count(table) * DEFAULT_UNKNOWN_SELECTIVITY)
-            else:
-                count = max(1.0, float(statistics.distinct_count))
-            self._distinct_counts[key] = count
-        return count
+            return max(1.0, self.statistics.row_count(table) * DEFAULT_UNKNOWN_SELECTIVITY)
+        return max(1.0, float(count))
 
     def join_cardinality(
         self,

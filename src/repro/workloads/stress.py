@@ -84,8 +84,9 @@ class TableGrowthEvent:
 
     Models data ingest / a table arriving with real volume: the sample stays
     fixed, the priced row count multiplies, and
-    :meth:`repro.engine.Database.grow_table` rebuilds statistics so index
-    sizes, scan costs and context features all see the new world.
+    :meth:`repro.engine.Database.grow_table` builds a new table memo and
+    drops the size caches, so optimiser statistics, index sizes, scan costs
+    and context features all see the new world.
     """
 
     table: str

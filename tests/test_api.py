@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -448,11 +452,40 @@ class TestResetBitIdentity:
     "repro.fleet",
 ])
 def test_every_export_resolves(module_name):
-    """Each ``__all__`` entry resolves; a stale name in the harness's lazy
-    export table would otherwise fail only when someone first uses it."""
+    """Each ``__all__`` entry resolves; a stale name in ``repro.api``'s lazy
+    fleet exports would otherwise fail only when someone first uses it."""
     module = importlib.import_module(module_name)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("module_name", [
+    "repro",
+    "repro.api",
+    "repro.harness",
+    "repro.fleet",
+    "repro.engine",
+    "repro.core",
+    "repro.workloads",
+])
+def test_package_imports_first_in_a_fresh_interpreter(module_name):
+    """Each public package imports cleanly as the first ``repro`` import of a
+    process, so an import cycle fails here rather than for a user whose
+    program happens to import that package first."""
+    source_root = str(Path(__file__).resolve().parent.parent / "src")
+    python_path = os.environ.get("PYTHONPATH")
+    env = {
+        **os.environ,
+        "PYTHONPATH": source_root + (os.pathsep + python_path if python_path else ""),
+    }
+    completed = subprocess.run(
+        [sys.executable, "-c", f"import {module_name}"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
 
 
 # --------------------------------------------------------------------- #

@@ -126,10 +126,11 @@ class TestInterning:
         assert fleet.interner.misses == 1
         assert fleet.interner.hits == 99
         assert len(fleet.interner) == 1
-        statistics = {
-            id(fleet.session(tid).database.statistics) for tid in fleet.tenant_ids
+        table = fleet.session("t000").database.table_names[0]
+        snapshots = {
+            id(fleet.session(tid).database.table_data(table)) for tid in fleet.tenant_ids
         }
-        assert len(statistics) == 1  # one shared snapshot, not 100 rebuilds
+        assert len(snapshots) == 1  # one shared snapshot, not 100 rebuilds
 
     def test_distinct_specs_materialise_separately(self):
         fleet = TuningFleet(
@@ -151,8 +152,9 @@ class TestInterning:
             FleetConfig(intern_databases=False),
         )
         assert fleet.interner.misses == 0 and fleet.interner.hits == 0
-        assert id(fleet.session("a").database.statistics) != id(
-            fleet.session("b").database.statistics
+        table = fleet.session("a").database.table_names[0]
+        assert fleet.session("a").database.table_data(table) is not (
+            fleet.session("b").database.table_data(table)
         )
 
     def test_tenant_views_keep_index_catalogs_private(self, ssb_rounds):

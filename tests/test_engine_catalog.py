@@ -30,7 +30,8 @@ class TestConstruction:
     def test_statistics_catalog_populated(self, tiny_database_readonly):
         statistics = tiny_database_readonly.statistics
         assert statistics.row_count("sales") == 200_000
-        assert statistics.column("sales", "channel") is not None
+        assert statistics.distinct_count("sales", "channel") is not None
+        assert statistics.value_range("sales", "channel") is not None
 
     def test_summary(self, tiny_database_readonly):
         summary = tiny_database_readonly.summary()
@@ -38,29 +39,25 @@ class TestConstruction:
         assert "sales" in summary["tables"]
 
 
-class TestRefreshStatistics:
-    def test_refresh_invalidates_size_caches_and_rebuilds_statistics(self, tiny_database):
-        from repro.engine import build_table_data
-
+class TestGrowTable:
+    def test_growth_invalidates_size_caches_and_statistics(self, tiny_database):
         index = IndexDefinition("sales", ("day",), ("amount",))
-        # Prime every statistics-derived cache.
+        # Prime every cache derived from the row counts.
         size_before = tiny_database.index_size_bytes(index)
         data_size_before = tiny_database.data_size_bytes
         assert tiny_database.statistics.row_count("sales") == 200_000
+        sibling = tiny_database.tenant_view()
 
         # The sales table doubles in logical size (same sample, new row count).
-        old = tiny_database.table_data("sales")
-        tiny_database._tables["sales"] = build_table_data(
-            old.table, old.columns, full_row_count=old.full_row_count * 2
-        )
-        # Caches still serve the pre-change estimates until a refresh...
-        assert tiny_database.index_size_bytes(index) == size_before
-        assert tiny_database.data_size_bytes == data_size_before
-
-        tiny_database.refresh_statistics()
+        tiny_database.grow_table("sales", 2.0)
         assert tiny_database.statistics.row_count("sales") == 400_000
         assert tiny_database.index_size_bytes(index) > size_before
         assert tiny_database.data_size_bytes > data_size_before
+
+        # The caches were replaced, not cleared: a sibling view keeps its own.
+        assert sibling.statistics.row_count("sales") == 200_000
+        assert sibling.index_size_bytes(index) == size_before
+        assert sibling.data_size_bytes == data_size_before
 
 
 class TestIndexDDL:

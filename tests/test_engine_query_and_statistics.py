@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.engine import (
-    JoinPredicate,
-    Operator,
-    Predicate,
-    Query,
-    build_column_statistics,
-    build_table_statistics,
-)
+from repro.engine import JoinPredicate, Operator, Predicate, Query
+from repro.optimizer.cardinality import equality_selectivity, range_fraction
 from tests.conftest import make_join_query, make_sales_query
 
 
@@ -90,35 +84,35 @@ class TestQuery:
 
 class TestStatistics:
     def test_column_statistics_basics(self, tiny_database_readonly):
-        data = tiny_database_readonly.table_data("sales")
-        statistics = build_column_statistics(data, "channel")
-        assert statistics.distinct_count == 5
-        assert statistics.equality_selectivity() == pytest.approx(0.2)
-        assert statistics.min_value == 0 and statistics.max_value == 4
+        statistics = tiny_database_readonly.statistics
+        distinct_count = statistics.distinct_count("sales", "channel")
+        assert distinct_count == 5
+        assert equality_selectivity(distinct_count) == pytest.approx(0.2)
+        assert statistics.value_range("sales", "channel") == (0, 4)
 
     def test_unique_column_statistics(self, tiny_database_readonly):
-        data = tiny_database_readonly.table_data("sales")
-        statistics = build_column_statistics(data, "sale_id")
-        assert statistics.distinct_count >= statistics.row_count
-        assert statistics.equality_selectivity() < 1e-4
+        statistics = tiny_database_readonly.statistics
+        distinct_count = statistics.distinct_count("sales", "sale_id")
+        assert distinct_count >= statistics.row_count("sales")
+        assert equality_selectivity(distinct_count) < 1e-4
 
     def test_range_fraction_uniformity(self, tiny_database_readonly):
-        data = tiny_database_readonly.table_data("sales")
-        statistics = build_column_statistics(data, "day")
-        fraction = statistics.range_fraction(None, statistics.min_value + 0.25 * statistics.value_span)
+        value_range = tiny_database_readonly.statistics.value_range("sales", "day")
+        low, high = value_range
+        fraction = range_fraction(value_range, None, low + 0.25 * (high - low))
         assert 0.2 < fraction < 0.3
 
     def test_range_fraction_empty_range(self, tiny_database_readonly):
-        data = tiny_database_readonly.table_data("sales")
-        statistics = build_column_statistics(data, "day")
-        assert statistics.range_fraction(50, 10) == 0.0
+        value_range = tiny_database_readonly.statistics.value_range("sales", "day")
+        assert range_fraction(value_range, 50, 10) == 0.0
 
     def test_table_statistics_and_catalog(self, tiny_database_readonly):
-        table_statistics = build_table_statistics(tiny_database_readonly.table_data("customers"))
-        assert table_statistics.row_count == 5_000
-        assert table_statistics.column("region") is not None
-        catalog = tiny_database_readonly.statistics
-        assert catalog.column("customers", "region") is not None
-        assert catalog.column("customers", "missing") is None
-        assert catalog.row_count("missing_table") == 0
-        assert "sales" in catalog.table_names
+        statistics = tiny_database_readonly.statistics
+        assert statistics.row_count("customers") == 5_000
+        assert statistics.distinct_count("customers", "region") is not None
+        assert statistics.value_range("customers", "region") is not None
+        assert statistics.distinct_count("customers", "missing") is None
+        assert statistics.value_range("customers", "missing") is None
+        assert statistics.row_count("missing_table") == 0
+        assert statistics.distinct_count("missing_table", "region") is None
+        assert "sales" in tiny_database_readonly.table_names

@@ -151,10 +151,9 @@ class TestWhatIf:
 
 
 class TestEstimatesFollowGrowth:
-    """``grow_table`` replaces the statistics catalog; a planner created
-    before the growth must estimate against the new row count, not the
-    catalog it was constructed with, with or without a what-if
-    configuration."""
+    """``grow_table`` replaces the table's ``TableData``; a planner created
+    before the growth must estimate against the new row count, not the one
+    it was constructed with, with or without a what-if configuration."""
 
     @staticmethod
     def unfiltered_sales_query():

@@ -312,12 +312,20 @@ def test_value_ranges_and_distinct_counts_follow_growth() -> None:
     estimator = planner.estimator
     before = estimator.distinct_count("orders", "o_orderkey")
     assert estimator.distinct_count("orders", "o_orderkey") == before
+    rows_before = estimator.statistics.row_count("orders")
     database.grow_table("orders", 2.0)
-    assert planner.estimator is not estimator
+    # The same estimator, never rebuilt, reads the grown table.
+    assert planner.estimator is estimator
+    assert estimator.statistics.row_count("orders") == 2 * rows_before
+    assert estimator.distinct_count("orders", "o_orderkey") == 2 * before
     fresh = build_tpch()
     fresh.grow_table("orders", 2.0)
-    assert planner.estimator.distinct_count("orders", "o_orderkey") == (
-        Planner(fresh).estimator.distinct_count("orders", "o_orderkey")
+    fresh_estimator = Planner(fresh).estimator
+    assert estimator.statistics.row_count("orders") == fresh_estimator.statistics.row_count(
+        "orders"
+    )
+    assert estimator.distinct_count("orders", "o_orderkey") == (
+        fresh_estimator.distinct_count("orders", "o_orderkey")
     )
     grown = database.table_data("orders")
     for column in grown.columns:
